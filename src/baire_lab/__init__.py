@@ -68,8 +68,6 @@ from .spaces import (
     FinitePoints,
     baire_dist,
     basic_nbhd_contains,
-    dense_index_bound,
-    dense_sequence,
     grid_dist,
 )
 from .trees import (

@@ -13,6 +13,12 @@ value sets, and bounded dense-sequence indices.  Outcomes are tri-valued:
   distance is 1-Lipschitz in the point).
 * Inconclusive — some truncation axis was exhausted without a verdict.
 
+One probe context feeds every checker: it gathers each delta ball once,
+evaluates the map at each distinct probe point once, on first use, and
+keeps the net of each distinct value.  The checkers are quantifier
+layers over it.  `verify_witness` does not use it, so that a certificate
+is re-validated independently of the search that produced it.
+
 Verdicts are correct relative to the probe set and schedules; on finite
 spaces probed exhaustively they coincide with brute-force evaluation of
 the definitions.  Refutation levels come from the eps schedule so that
@@ -116,13 +122,7 @@ class MultiMap:
 def tabular_multimap(space, values: dict, codomain, name: str = "tabular") -> MultiMap:
     """Explicit finite map over a finite-points domain."""
     table = dict(values)
-
-    def rule(x):
-        return table[x]
-
-    mm = MultiMap(space, codomain, rule, name=name)
-    mm.default_probes = full_domain_probes(space)
-    return mm
+    return MultiMap(space, codomain, table.__getitem__, name=name, default_probes=full_domain_probes(space))
 
 
 def full_domain_probes(space) -> ProbeGen:
@@ -191,10 +191,6 @@ class Verdict:
     witness: ContinuityWitness | DiscontinuityWitness | None = None
     report: Any = None
 
-    @property
-    def conclusive(self) -> bool:
-        return self.kind != "inconclusive"
-
     def __repr__(self) -> str:
         return "Verdict(%s)" % self.kind
 
@@ -227,19 +223,59 @@ def gather_probes(multimap: MultiMap, probes: ProbeGen, x, radius: Fraction, bud
     return out
 
 
-def _probe_cache(multimap, probes, x, cfg: CheckConfig) -> dict:
-    return {
-        delta: gather_probes(multimap, probes, x, delta, cfg.probe_budget)
-        for delta in cfg.delta_schedule
-    }
+class ProbeContext:
+    """The delta balls around x, each probe evaluated at most once.
 
+    Probes are gathered once per delta of the schedule.  F is evaluated at
+    a probe point the first time a checker asks for its value, and the net
+    of each distinct value is built once, at the configured resolution.
+    """
 
-def _net_dist(codomain, y, value: ClosedSetRepr, resolution: Fraction):
-    """Least distance from y to the eps-net of a value; None for empty nets."""
-    net = eps_net(value, resolution)
-    if not net:
+    def __init__(self, multimap: MultiMap, x, cfg: CheckConfig, probes: ProbeGen):
+        self.multimap = multimap
+        self.cfg = cfg
+        self._values: dict = {}
+        self._nets: dict = {}
+        self.value_at_x = self.value(x)  # DomainError off the domain, before any probing
+        self.probes = {
+            delta: gather_probes(multimap, probes, x, delta, cfg.probe_budget)
+            for delta in cfg.delta_schedule
+        }
+
+    def value(self, xp) -> ClosedSetRepr:
+        if xp not in self._values:
+            self._values[xp] = self.multimap.value(xp)
+        return self._values[xp]
+
+    def value_lists(self) -> dict:
+        """Per delta, the values at the probes of its ball, in probe order."""
+        return {delta: [self.value(xp) for xp in self.probes[delta]] for delta in self.cfg.delta_schedule}
+
+    def net(self, value: ClosedSetRepr) -> tuple[list, Fraction]:
+        """The value's net and covering radius at the net resolution."""
+        if value not in self._nets:
+            self._nets[value] = net_with_radius(value, self.cfg.net_resolution)
+        return self._nets[value]
+
+    def first_delta(self, holds: Callable[[Any], bool]) -> Fraction | None:
+        """The first delta of the schedule whose every probe satisfies `holds`, else None."""
+        for delta in self.cfg.delta_schedule:
+            if all(holds(xp) for xp in self.probes[delta]):
+                return delta
         return None
-    return min(codomain.dist(y, yp) for yp in net)
+
+
+def _counterexamples(ctx: ProbeContext, y) -> tuple[list, dict]:
+    """Per delta, the first probe whose value lies farthest from y; also
+    the distance from y to the value of every probe."""
+    far: dict = {}
+    out = []
+    for delta in ctx.cfg.delta_schedule:
+        for xp in ctx.probes[delta]:
+            if xp not in far:
+                far[xp] = dist_to_set(y, ctx.value(xp))
+        out.append((delta, max(ctx.probes[delta], key=far.__getitem__)))
+    return out, far
 
 
 # ---------------------------------------------------------------------------
@@ -247,96 +283,87 @@ def _net_dist(codomain, y, value: ClosedSetRepr, resolution: Fraction):
 # ---------------------------------------------------------------------------
 
 
-def _validate_table(multimap, cache, y, cfg: CheckConfig):
+def _validate_table(ctx: ProbeContext, y):
+    dist = ctx.multimap.codomain.dist
+    near: dict = {}  # probe -> distance from y to its value's net; None for an empty net
+
+    def close(xp, eps) -> bool:
+        if xp not in near:
+            net = ctx.net(ctx.value(xp))[0]
+            near[xp] = min((dist(y, yp) for yp in net), default=None)
+        return near[xp] is not None and near[xp] < eps
+
     table = []
-    for eps in cfg.eps_schedule:
-        found = None
-        for delta in cfg.delta_schedule:
-            ok = True
-            for xp in cache[delta]:
-                d = _net_dist(multimap.codomain, y, multimap.value(xp), cfg.net_resolution)
-                if d is None or d >= eps:
-                    ok = False
-                    break
-            if ok:
-                found = delta
-                break
+    for eps in ctx.cfg.eps_schedule:
+        found = ctx.first_delta(lambda xp: close(xp, eps))
         if found is None:
             return None
         table.append((eps, found))
     return tuple(table)
 
 
-def _refute_entry(multimap, cache, y, cfg: CheckConfig, net_radius: Fraction):
-    counterexamples = []
-    level = None
-    for delta in cfg.delta_schedule:
-        worst = None
-        worst_x = None
-        for xp in cache[delta]:
-            d = dist_to_set(y, multimap.value(xp))
-            if worst is None or d > worst:
-                worst, worst_x = d, xp
-        counterexamples.append((delta, worst_x))
-        level = worst if level is None else min(level, worst)
-    for eps in cfg.eps_schedule:
+def _refute_entry(ctx: ProbeContext, y, net_radius: Fraction):
+    counterexamples, far = _counterexamples(ctx, y)
+    level = min(far[xp] for _, xp in counterexamples)
+    for eps in ctx.cfg.eps_schedule:
         if eps <= level and eps - net_radius > 0:
             return RefutationEntry(y, eps, tuple(counterexamples))
     return None
 
 
+def _check_tables(ctx: ProbeContext, strong: bool) -> Verdict:
+    """The table loop of both definition checkers.
+
+    Plain continuity needs a table at some point of the value's net and is
+    refuted when every net point is; strong continuity needs a table at
+    every net point and is refuted when one point without a table is.
+    """
+    resolution = ctx.cfg.net_resolution
+    net, net_radius = ctx.net(ctx.value_at_x)
+    net = sorted(net, key=point_sort_key)
+    if not net:
+        reason = ("every value point vacuously admits a table" if strong
+                  else "no value point exists to admit a table")
+        return Verdict(CONTINUOUS if strong else DISCONTINUOUS, report={
+            "reason": "the value at x is empty: %s; no certificate" % reason,
+        })
+    tables = []
+    for y in net:
+        table = _validate_table(ctx, y)
+        if table is not None and not strong:
+            return Verdict(CONTINUOUS, ContinuityWitness(y, table, resolution))
+        tables.append((y, table))
+    failed = [y for y, table in tables if table is None]
+    if not failed:
+        y, table = tables[0]
+        return Verdict(CONTINUOUS, ContinuityWitness(y, table, resolution), report={"validated": len(tables)})
+    entries = []
+    for y in failed:
+        entry = _refute_entry(ctx, y, net_radius)
+        if entry is None and not strong:
+            break  # plain needs every net point refuted
+        if entry is not None:
+            entries.append(entry)
+            if strong:
+                break  # strong needs one
+    if entries and (strong or len(entries) == len(failed)):
+        margin = min(e.eps_star for e in entries) - net_radius
+        return Verdict(DISCONTINUOUS, DiscontinuityWitness(tuple(entries), resolution, net_radius, margin,
+                                                           notion="strong" if strong else "plain"))
+    return Verdict(INCONCLUSIVE, report={
+        "reason": ("some " if strong else "") + "net point neither validated nor refuted with margin",
+        "exhausted": "eps/delta schedules",
+    })
+
+
 def check_continuity(multimap: MultiMap, x, cfg: CheckConfig, probes: ProbeGen) -> Verdict:
     """Does some value point admit the full eps -> delta table on probes?"""
-    value = multimap.value(x)
-    net, net_radius = net_with_radius(value, cfg.net_resolution)
-    net = sorted(net, key=point_sort_key)
-    cache = _probe_cache(multimap, probes, x, cfg)
-    for y in net:
-        table = _validate_table(multimap, cache, y, cfg)
-        if table is not None:
-            return Verdict(CONTINUOUS, ContinuityWitness(y, table, cfg.net_resolution))
-    entries = []
-    for y in net:
-        entry = _refute_entry(multimap, cache, y, cfg, net_radius)
-        if entry is None:
-            return Verdict(INCONCLUSIVE, report={
-                "reason": "net point neither validated nor refuted with margin",
-                "exhausted": "eps/delta schedules",
-            })
-        entries.append(entry)
-    margin = min(e.eps_star for e in entries) - net_radius
-    return Verdict(DISCONTINUOUS, DiscontinuityWitness(tuple(entries), cfg.net_resolution, net_radius, margin))
+    return _check_tables(ProbeContext(multimap, x, cfg, probes), strong=False)
 
 
 def check_strong_continuity(multimap: MultiMap, x, cfg: CheckConfig, probes: ProbeGen) -> Verdict:
     """Does every point of the value's net admit a table on probes?"""
-    value = multimap.value(x)
-    net, net_radius = net_with_radius(value, cfg.net_resolution)
-    net = sorted(net, key=point_sort_key)
-    cache = _probe_cache(multimap, probes, x, cfg)
-    tables = []
-    failed = []
-    for y in net:
-        table = _validate_table(multimap, cache, y, cfg)
-        if table is None:
-            failed.append(y)
-        else:
-            tables.append((y, table))
-    if not failed:
-        y0, table0 = tables[0]
-        return Verdict(CONTINUOUS, ContinuityWitness(y0, table0, cfg.net_resolution),
-                       report={"validated": len(tables)})
-    for y in failed:
-        entry = _refute_entry(multimap, cache, y, cfg, net_radius)
-        if entry is not None:
-            margin = entry.eps_star - net_radius
-            witness = DiscontinuityWitness((entry,), cfg.net_resolution, net_radius, margin,
-                                           notion="strong")
-            return Verdict(DISCONTINUOUS, witness)
-    return Verdict(INCONCLUSIVE, report={
-        "reason": "some net point neither validated nor refuted with margin",
-        "exhausted": "eps/delta schedules",
-    })
+    return _check_tables(ProbeContext(multimap, x, cfg, probes), strong=True)
 
 
 # ---------------------------------------------------------------------------
@@ -346,10 +373,6 @@ def check_strong_continuity(multimap: MultiMap, x, cfg: CheckConfig, probes: Pro
 
 def _threshold(n: int) -> Fraction:
     return Fraction(1, n + 1)
-
-
-def _sup_over_probes(probe_values, y) -> Fraction:
-    return max(dist_to_set(y, v) for v in probe_values)
 
 
 def _sup_below(probe_values, y, threshold: Fraction) -> bool:
@@ -370,9 +393,8 @@ def _certificate_level(probe_values) -> Fraction | None:
     matter which dense index produced y.
     """
     values = list(probe_values)
-    for v in values:
-        if isinstance(v, Empty):
-            return None
+    if any(isinstance(v, Empty) for v in values):
+        return None
     best = Fraction(0)
     for i in range(len(values)):
         for j in range(i + 1, len(values)):
@@ -427,9 +449,7 @@ def eval_star(multimap: MultiMap, x, cfg: CheckConfig, probes: ProbeGen,
               dense_fn: Callable[[int], Any] | None = None) -> Verdict:
     """Truncated evaluation of the inf-sup criterion over a dense sequence."""
     dense = dense_fn or multimap.codomain.dense_point
-    cache = _probe_cache(multimap, probes, x, cfg)
-    values = {delta: [multimap.value(xp) for xp in cache[delta]] for delta in cfg.delta_schedule}
-    passes, failing, certified = _star_scan(values, cfg, dense)
+    passes, failing, certified = _star_scan(ProbeContext(multimap, x, cfg, probes).value_lists(), cfg, dense)
     if failing is None:
         return Verdict(CONTINUOUS, report={"criterion": "star", "passes": tuple(passes)})
     if certified is not None:
@@ -445,17 +465,9 @@ def eval_star(multimap: MultiMap, x, cfg: CheckConfig, probes: ProbeGen,
 
 def _default_exhaustion(multimap, cfg: CheckConfig):
     """K_m = [-m, m] clipped to the codomain, m = 0 .. m_bound."""
-    lo_clip, hi_clip = None, None
-    name = getattr(multimap.codomain, "name", "")
-    if name == "unit_interval":
-        lo_clip, hi_clip = Fraction(0), Fraction(1)
-    out = []
-    for m in range(cfg.m_bound + 1):
-        lo, hi = Fraction(-m), Fraction(m)
-        if lo_clip is not None:
-            lo, hi = max(lo, lo_clip), min(hi, hi_clip)
-        out.append((lo, hi))
-    return out
+    if getattr(multimap.codomain, "name", "") == "unit_interval":
+        return [(Fraction(0), Fraction(min(m, 1))) for m in range(cfg.m_bound + 1)]
+    return [(Fraction(-m), Fraction(m)) for m in range(cfg.m_bound + 1)]
 
 
 def eval_dagger(multimap: MultiMap, x, cfg: CheckConfig, probes: ProbeGen,
@@ -470,8 +482,7 @@ def eval_dagger(multimap: MultiMap, x, cfg: CheckConfig, probes: ProbeGen,
     """
     dense = dense_fn or multimap.codomain.dense_point
     stages = list(exhaustion) if exhaustion is not None else _default_exhaustion(multimap, cfg)
-    cache = _probe_cache(multimap, probes, x, cfg)
-    raw = {delta: [multimap.value(xp) for xp in cache[delta]] for delta in cfg.delta_schedule}
+    raw = ProbeContext(multimap, x, cfg, probes).value_lists()
     refuted = []
     for stage_index, (lo, hi) in enumerate(stages):
         clipped = {
@@ -510,23 +521,14 @@ def eval_strong_star(multimap: MultiMap, x, cfg: CheckConfig, probes: ProbeGen,
     """Truncated strong criterion: every dense point near the value at x
     must admit a delta with small probe-sup distance."""
     dense = dense_fn or multimap.codomain.dense_point
-    value = multimap.value(x)
-    cache = _probe_cache(multimap, probes, x, cfg)
-    values = {delta: [multimap.value(xp) for xp in cache[delta]] for delta in cfg.delta_schedule}
+    ctx = ProbeContext(multimap, x, cfg, probes)
     for n in range(cfg.n_bound + 1):
         for s in range(cfg.dense_bound + 1):
             ys = dense(s)
-            if dist_to_set(ys, value) > Fraction(1, 3 * (n + 1)):
+            if dist_to_set(ys, ctx.value_at_x) > Fraction(1, 3 * (n + 1)):
                 continue
-            ok = any(
-                _sup_over_probes(values[delta], ys) < _threshold(n)
-                for delta in cfg.delta_schedule
-            )
-            if not ok:
-                counterexamples = []
-                for delta in cfg.delta_schedule:
-                    worst = max(cache[delta], key=lambda xp: dist_to_set(ys, multimap.value(xp)))
-                    counterexamples.append((delta, worst))
+            if ctx.first_delta(lambda xp: dist_to_set(ys, ctx.value(xp)) < _threshold(n)) is None:
+                counterexamples, _ = _counterexamples(ctx, ys)
                 return Verdict(DISCONTINUOUS, report={
                     "criterion": "strong_star", "failing": (n, s), "y": ys,
                     "counterexamples": tuple(counterexamples),
@@ -543,31 +545,25 @@ def eval_lower_fell(multimap: MultiMap, x, cfg: CheckConfig, probes: ProbeGen,
     """
     if not test_balls:
         raise ValueError("test_balls must be nonempty")
-    value_closure = closure(multimap.value(x))
-    cache = _probe_cache(multimap, probes, x, cfg)
+    ctx = ProbeContext(multimap, x, cfg, probes)
+    value_closure = closure(ctx.value_at_x)
     checked = []
     for center, radius in test_balls:
         if not meets_open_ball(value_closure, center, radius):
             continue
-        found = None
-        for delta in cfg.delta_schedule:
-            if all(
-                meets_open_ball(closure(multimap.value(xp)), center, radius)
-                for xp in cache[delta]
-            ):
-                found = delta
-                break
+
+        def meets(xp) -> bool:
+            return meets_open_ball(closure(ctx.value(xp)), center, radius)
+
+        found = ctx.first_delta(meets)
         if found is None:
-            counterexamples = []
-            for delta in cfg.delta_schedule:
-                bad = next(
-                    xp for xp in cache[delta]
-                    if not meets_open_ball(closure(multimap.value(xp)), center, radius)
-                )
-                counterexamples.append((delta, bad))
+            counterexamples = tuple(
+                (delta, next(xp for xp in ctx.probes[delta] if not meets(xp)))
+                for delta in cfg.delta_schedule
+            )
             return Verdict(DISCONTINUOUS, report={
                 "criterion": "lower_fell", "ball": (center, radius),
-                "counterexamples": tuple(counterexamples),
+                "counterexamples": counterexamples,
             })
         checked.append(((center, radius), found))
     return Verdict(CONTINUOUS, report={"criterion": "lower_fell", "validated": tuple(checked)})
@@ -601,8 +597,8 @@ def _verify_continuity(multimap, x, w: ContinuityWitness, probes) -> bool:
             if multimap.domain.dist(x, xp) >= delta:
                 return False
         for xp in [x, *probes(x, delta)]:
-            d = _net_dist(multimap.codomain, w.y, multimap.value(xp), w.net_resolution)
-            if d is None or d >= eps:
+            net = eps_net(multimap.value(xp), w.net_resolution)
+            if not net or min(multimap.codomain.dist(w.y, yp) for yp in net) >= eps:
                 return False
     return True
 

@@ -4,9 +4,6 @@ Exit codes: 0 for conclusive results, 2 for input errors, 3 when some
 verdict is Inconclusive.  Reports are deterministic: sorted keys,
 canonical "p/q" rationals, and no volatile fields unless --timing is
 given (wall time breaks byte-identity by nature).
-
-BAIRE_LAB_SEED is reserved for future randomized probe strategies; the
-shipped checkers are fully deterministic and ignore it.
 """
 
 from __future__ import annotations
@@ -246,11 +243,6 @@ def cmd_tree(args) -> int:
     return EXIT_OK
 
 
-def cmd_embed(args) -> int:
-    args.name = "embed"
-    return cmd_gallery(args)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="baire-lab",
@@ -258,9 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "combinatorics, and pointclass inference.",
         epilog="Classifier grammar: atoms open closed analytic coanalytic "
                "borel; combinators compl(e) Uc(e) Ic(e) union(e,e) "
-               "inter(e,e) preimg(e) proj(e). BAIRE_LAB_SEED is reserved "
-               "for future randomized probe strategies; the shipped "
-               "checkers are deterministic and ignore it.",
+               "inter(e,e) preimg(e) proj(e).",
     )
     parser.add_argument("--timing", action="store_true",
                         help="add wall time to reports (breaks byte-identity)")
@@ -289,11 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tree.add_argument("--tree", help="tree literal")
     p_tree.add_argument("--nodes", help="generate: space-separated node literals")
     p_tree.set_defaults(fn=cmd_tree)
-
-    p_embed = sub.add_parser("embed", help="nested-interval embedding chain")
-    p_embed.add_argument("--alpha", required=True)
-    p_embed.add_argument("--depth", type=int, required=True)
-    p_embed.set_defaults(fn=cmd_embed)
 
     return parser
 

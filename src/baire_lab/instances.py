@@ -20,6 +20,7 @@ from .checkers import (
     Verdict,
     default_config,
     full_domain_probes,
+    tabular_multimap,
 )
 from .closed_sets import set_from_json
 from .gallery import (
@@ -71,17 +72,6 @@ _SPACES = {
 }
 
 
-def space_to_json(space) -> dict:
-    if isinstance(space, FinitePoints):
-        return {
-            "kind": "finite_points",
-            "labels": list(space.labels),
-            "table": [[format_rational(d) for d in row] for row in space.table],
-            "rational_labels": space.rational_labels,
-        }
-    return {"kind": space.name}
-
-
 def space_from_json(obj: dict, path: str = "space"):
     kind = obj.get("kind")
     if kind in _SPACES:
@@ -96,12 +86,6 @@ def space_from_json(obj: dict, path: str = "space"):
         except (KeyError, ValueError) as exc:
             raise SchemaError(path, str(exc)) from exc
     raise SchemaError(path + ".kind", "unknown space kind %r" % kind)
-
-
-def point_to_json(space, point) -> Any:
-    if isinstance(point, CantorGridPoint):
-        return grid_point_to_json(point)
-    return space.format_point(point)
 
 
 def point_from_json(space, obj: Any, path: str = "point"):
@@ -144,7 +128,7 @@ def multimap_from_json(obj: dict, path: str = "multimap") -> MultiMap:
         missing = [p for p in space.points() if p not in values]
         if missing:
             raise SchemaError(path + ".values", "missing values for %r" % missing)
-        return tabular_from_parts(space, values, codomain)
+        return tabular_multimap(space, values, codomain)
     if kind == "extend":
         base = multimap_from_json(obj.get("base", {}), path + ".base")
         sup = space_from_json(obj.get("super_space", {}), path + ".super_space")
@@ -163,12 +147,6 @@ def multimap_from_json(obj: dict, path: str = "multimap") -> MultiMap:
             raise SchemaError(path + ".pi.kind", "unknown coordinate change %r" % pi_kind)
         return compose(pi, base)
     raise SchemaError(path + ".kind", "unknown multimap kind %r" % kind)
-
-
-def tabular_from_parts(space, values, codomain) -> MultiMap:
-    from .checkers import tabular_multimap
-
-    return tabular_multimap(space, values, codomain)
 
 
 # ---------------------------------------------------------------------------

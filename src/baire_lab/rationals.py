@@ -12,15 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Rational = Fraction
-
 _ONE = Fraction(1)
-_ZERO = Fraction(0)
-
-
-def rational(numerator: int, denominator: int = 1) -> Fraction:
-    """Exact rational from an integer pair."""
-    return Fraction(numerator, denominator)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -44,10 +36,6 @@ def format_rational(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return "%d/%d" % (value.numerator, value.denominator)
-
-
-def is_positive(value: Fraction) -> bool:
-    return value > 0
 
 
 def floor_reciprocal(value: Fraction) -> int:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .rationals import floor_reciprocal, format_rational, parse_rational
+from .rationals import format_rational, parse_rational
 
 # ---------------------------------------------------------------------------
 # canonical eventually-periodic sequences
@@ -108,10 +108,6 @@ class BairePoint:
 
     def __str__(self) -> str:
         return format_baire_point(self)
-
-
-def baire_point(prefix: Iterable[int], period: Iterable[int]) -> BairePoint:
-    return BairePoint(tuple(prefix), tuple(period))
 
 
 def eventually_zero(head: Iterable[int]) -> BairePoint:
@@ -413,26 +409,6 @@ def sb_unit_index(q: Fraction) -> int:
 # Every grade is finite, so this is a total enumeration.
 
 
-def _heads_of_weight(w: int):
-    if w == 0:
-        yield ()
-        return
-    for length in range(1, w):
-        for head in _compositions(w - length, length):
-            if head[-1] != 0:
-                yield head
-
-
-def _compositions(total: int, parts: int):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def _count_tail_positive(total: int, parts: int) -> int:
     """Sequences of `parts` naturals summing to `total` with last >= 1."""
     if parts == 0:
@@ -723,23 +699,3 @@ REAL_LINE = RealLine()
 UNIT_INTERVAL = UnitInterval()
 BAIRE_SPACE = BaireSpace()
 CANTOR_GRID = CantorGrid()
-
-
-def dense_sequence(space, s: int):
-    """s-th element of the space's canonical countable dense sequence."""
-    return space.dense_point(s)
-
-
-def dense_index_bound(space, x, k: int) -> int:
-    """Total witness for density: some index up to this bound lands a
-    dense-sequence element strictly within 1/(k+1) of x."""
-    return space.dense_bound(x, k)
-
-
-def baire_ball_agreement_length(radius: Fraction) -> int:
-    """Coordinates an open ball of the quantized metric constrains.
-
-    dist(a, b) < radius holds exactly when a and b agree on all indices
-    below floor(1/radius).
-    """
-    return floor_reciprocal(radius)

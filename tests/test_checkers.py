@@ -315,3 +315,67 @@ def test_probe_generator_contract_is_enforced():
 
     with pytest.raises(ValueError):
         check_continuity(mm, Fr(0), default_config(), bad_probes)
+
+
+def test_empty_value_at_x_follows_the_definitions():
+    # plain continuity asks for some y in F(x), so an empty value fails it;
+    # strong continuity asks something of every y in F(x), so it holds
+    # vacuously.  Neither verdict carries a certificate.
+    space = rational_points_space([Fr(0), Fr(1, 1024)])
+    mm = tabular_multimap(space, {Fr(0): Empty(), Fr(1, 1024): finite_real(0)}, REAL_LINE)
+    cfg = default_config()
+    probes = full_domain_probes(space)
+    plain = check_continuity(mm, Fr(0), cfg, probes)
+    strong = check_strong_continuity(mm, Fr(0), cfg, probes)
+    assert (plain.kind, strong.kind) == ("discontinuous", "continuous")
+    for verdict in (plain, strong):
+        assert verdict.witness is None
+        assert "empty" in verdict.report["reason"]
+    # the empty value is a probe value next door: distance 1 refutes there
+    beside = check_continuity(mm, Fr(1, 1024), cfg, probes)
+    assert beside.kind == "discontinuous"
+    assert verify_witness(mm, Fr(1, 1024), beside.witness, probes)
+
+
+def test_each_probe_and_each_net_is_computed_once_per_check(monkeypatch):
+    from collections import Counter
+
+    from baire_lab import checkers, closed_sets
+    from baire_lab.gallery import is_dyadic, split_probes
+
+    values, nets = Counter(), Counter()
+    original_value, original_net = MultiMap.value, closed_sets.eps_net
+
+    def counted_value(self, x):
+        values[x] += 1
+        return original_value(self, x)
+
+    def counted_net(s, eps):
+        nets[s, eps] += 1
+        return original_net(s, eps)
+
+    monkeypatch.setattr(MultiMap, "value", counted_value)
+    monkeypatch.setattr(closed_sets, "eps_net", counted_net)
+    monkeypatch.setattr(checkers, "eps_net", counted_net)
+
+    def rule(x):
+        return open_intervals((0, Fr(1, 4))) if is_dyadic(x) else open_intervals((0, 1))
+
+    mm = MultiMap(UNIT_INTERVAL, UNIT_INTERVAL, rule, name="open_split")
+    cfg = default_config()
+    probes = split_probes()
+    balls = [(Fr(7, 8), Fr(1, 16)), (Fr(1, 8), Fr(1, 16))]
+    runs = 0
+    for x in (Fr(1, 3), Fr(1, 2)):
+        for check in (
+            lambda: check_continuity(mm, x, cfg, probes),
+            lambda: check_strong_continuity(mm, x, cfg, probes),
+            lambda: eval_lower_fell(mm, x, cfg, probes, balls),
+        ):
+            values.clear()
+            nets.clear()
+            check()
+            assert values and max(values.values()) == 1
+            assert not nets or max(nets.values()) == 1
+            runs += 1
+    assert runs == 6

@@ -122,12 +122,6 @@ def test_reports_are_byte_identical(tmp_path):
     assert "wall_time_seconds" in json.loads(timed.stdout)
 
 
-def test_embed_top_level_alias():
-    out = run_cli("embed", "--alpha", ";0", "--depth", "2")
-    assert out.returncode == 0
-    assert json.loads(out.stdout)["intervals"][0] == ["0", "1"]
-
-
 def test_check_fell_mode_reads_test_balls(tmp_path):
     instance = tmp_path / "fell.json"
     instance.write_text(json.dumps({
@@ -166,6 +160,31 @@ def test_check_serializes_tree_witnesses(tmp_path):
     # counterexample perturbation trees round-trip through the literal form
     delta, tree_text = witness["entries"][0]["counterexamples"][0]
     assert tree_text.startswith("tree{")
+
+
+def test_check_empty_value_at_a_listed_point(tmp_path):
+    # 1/1024 lies in every schedule ball around 0, so the empty value is
+    # also a probe value for the neighbouring point
+    instance = tmp_path / "empty.json"
+    instance.write_text(json.dumps({
+        "multimap": {
+            "kind": "tabular",
+            "space": {"kind": "finite_points", "labels": ["0", "1/1024"],
+                      "table": [["0", "1/1024"], ["1/1024", "0"]], "rational_labels": True},
+            "values": {"0": {"kind": "empty"}, "1/1024": {"kind": "finite_real", "points": ["0"]}},
+        },
+        "points": ["0", "1/1024"],
+    }))
+    expected = {"plain": "discontinuous", "strong": "continuous"}
+    for mode, kind in expected.items():
+        out = run_cli("check", str(instance), "--mode", mode)
+        assert out.returncode == 0, out.stderr
+        assert "Traceback" not in out.stderr
+        at_empty = json.loads(out.stdout)["results"][0]
+        assert at_empty["point"] == "0"
+        assert at_empty["verdict"] == kind
+        assert "witness" not in at_empty
+        assert "empty" in at_empty["report"]["reason"]
 
 
 def test_check_dagger_mode(tmp_path):

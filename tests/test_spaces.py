@@ -220,9 +220,29 @@ def test_real_line_enumeration_hits_every_rational_once():
     assert Fr(1, 2) in seen and Fr(-1, 2) in seen
 
 
-def test_ez_rank_matches_generated_order():
-    from baire_lab.spaces import _heads_of_weight
+def _heads_of_weight(w: int):
+    """Zero-stripped heads u with len(u) + sum(u) == w: the oracle order of
+    the eventually-zero enumeration, grade by grade."""
+    if w == 0:
+        yield ()
+        return
+    for length in range(1, w):
+        for head in _compositions(w - length, length):
+            if head[-1] != 0:
+                yield head
 
+
+def _compositions(total: int, parts: int):
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def test_ez_rank_matches_generated_order():
     order = []
     w = 0
     while len(order) < 200:
