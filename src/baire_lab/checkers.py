@@ -30,12 +30,21 @@ separation certificate — two probes whose value sets are 2/(n+1) apart, or
 an empty clipped value — which extends the refutation to every index of
 the dense sequence at once.  Budget exhaustion without a certificate is
 Inconclusive, which keeps verdicts monotone under budget growth.
+
+Those two evaluators find the least dense index passing a level in closed
+form, without enumerating the dense sequence: the points within 1/(n+1)
+of every probe value form a region (shared heads in sequence space, a
+union of open intervals on the line, the unit interval and rational finite
+spaces) and the codomain names the least index inside it.  They scan index
+by index only for a caller's `dense_fn` or a codomain with no closed form,
+such as the grid; `eval_strong_star` always enumerates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Any, Callable, Sequence
 
 from .closed_sets import (
@@ -44,13 +53,15 @@ from .closed_sets import (
     clip_to_interval,
     clips_properly,
     closure,
+    common_heads,
+    common_neighbourhood,
     dist_to_set,
     eps_net,
     meets_open_ball,
     net_with_radius,
     set_separation,
 )
-from .spaces import BairePoint, CantorGridPoint
+from .spaces import BairePoint, BaireSpace, CantorGridPoint, real_flavored
 from .trees import Tree
 
 ProbeGen = Callable[[Any, Fraction], Sequence[Any]]
@@ -383,73 +394,124 @@ def _sup_below(probe_values, y, threshold: Fraction) -> bool:
     return True
 
 
-def _certificate_level(probe_values) -> Fraction | None:
+def _certificate_level(probe_values, separation, enough: Fraction) -> Fraction | None:
     """Separation evidence at one delta: None when an empty value is
     present (everything is distance 1 from it — full refutation), else
-    the largest pairwise separation between value sets.
+    the largest pairwise separation between the distinct value sets, or
+    the first one that reaches `enough`.
 
     Two values sep apart refute every point y at level sep/2: y cannot be
     closer than sep/2 to both, so the probe sup is at least sep/2 no
-    matter which dense index produced y.
+    matter which dense index produced y.  Equal values are 0 apart and
+    add nothing; `separation` measures each distinct pair.
     """
-    values = list(probe_values)
-    if any(isinstance(v, Empty) for v in values):
+    if any(isinstance(v, Empty) for v in probe_values):
         return None
     best = Fraction(0)
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            sep = set_separation(values[i], values[j])
-            if sep is not None and sep > best:
-                best = sep
+    for a, b in combinations(probe_values, 2):
+        best = max(best, separation(a, b))
+        if best >= enough:
+            break
     return best
 
 
-def _certified_at(levels, n: int) -> bool:
-    """Is the refutation of level n certified at every delta?"""
-    need = 2 * _threshold(n)
-    return all(level is None or level >= need for level in levels.values())
+def _certified_level(values: dict, cfg: CheckConfig, failing: int) -> int | None:
+    """The least level n >= failing, up to n_bound, whose refutation is
+    certified at every delta: each delta has an empty value or two values
+    2/(n+1) apart.  None when there is no such level.
+
+    Each unordered pair of distinct values is measured at most once, and
+    a delta's pairs only until one certifies the level the deltas measured
+    so far require.  The smallest balls come first: they have the fewest
+    values and tend to require the highest level.
+    """
+    separations: dict = {}
+
+    def separation(a, b) -> Fraction:
+        pair = frozenset((a, b))
+        if pair not in separations:
+            separations[pair] = set_separation(a, b)
+        return separations[pair]
+
+    n = failing
+    for delta in reversed(cfg.delta_schedule):
+        level = _certificate_level(values[delta], separation, 2 * _threshold(n))
+        while level is not None and level < 2 * _threshold(n):
+            n += 1
+            if n > cfg.n_bound:
+                return None
+    return n
 
 
-def _star_scan(values: dict, cfg: CheckConfig, dense):
+def _dense_search(codomain, cfg: CheckConfig, dense_fn: Callable[[int], Any] | None):
+    """The search for the least dense index passing a level: a function of
+    (distinct values per delta, n) giving the (n, s, delta) with the least
+    s <= dense_bound, then the first delta of the schedule, or None.
+
+    On the canonical codomains it is closed-form: the points within 1/(n+1)
+    of every value at a delta form a region (the shared heads of length
+    n + 1 in sequence space, open intervals on the line), and the space
+    gives the least index inside it.  A caller's dense sequence, or a
+    codomain without a closed form, is scanned index by index.
+    """
+    bound = cfg.dense_bound
+    if dense_fn is None and isinstance(codomain, BaireSpace):
+        def region(values, n, known):
+            return common_heads(values, n + 1, known)
+    elif dense_fn is None and real_flavored(codomain):
+        def region(values, n, known):
+            return common_neighbourhood(values, _threshold(n), known)
+    else:
+        dense = dense_fn or codomain.dense_point
+
+        def scan(values: dict, n: int):
+            threshold = _threshold(n)
+            for s in range(bound + 1):
+                ys = dense(s)
+                for delta in cfg.delta_schedule:
+                    if _sup_below(values[delta], ys, threshold):
+                        return n, s, delta
+            return None
+
+        return scan
+
+    def closed_form(values: dict, n: int):
+        hit = None
+        known: dict = {}  # each value's own region at level n, shared by the deltas
+        for delta in cfg.delta_schedule:
+            s = codomain.least_dense_index(region(values[delta], n, known), bound)
+            if s is not None and (hit is None or s < hit[1]):
+                hit = (n, s, delta)
+        return hit
+
+    return closed_form
+
+
+def _star_scan(values: dict, cfg: CheckConfig, search):
     """Per-level search for dense indices passing the inf-sup test.
 
     Returns (passes, failing, certified): the (n, s, delta) passes, the
-    first level the search could not satisfy, and the least level whose
-    refutation carries a separation certificate at every delta.  A
-    certificate is checked before scanning — it implies the scan must
-    fail — and once a level fails, larger levels are only probed for
-    certificates (thresholds shrink, so their scans fail too).
+    first level the search could not satisfy, and the least level from
+    there whose refutation carries a separation certificate at every delta
+    (thresholds shrink, so the searches of larger levels fail too).  A
+    certificate at a level implies that the search fails there, so none
+    is measured before a level fails.
     """
-    levels = {delta: _certificate_level(values[delta]) for delta in cfg.delta_schedule}
+    values = {delta: list(dict.fromkeys(values[delta])) for delta in cfg.delta_schedule}
     passes = []
-    failing = None
     for n in range(cfg.n_bound + 1):
-        if _certified_at(levels, n):
-            return passes, (failing if failing is not None else n), n
-        if failing is not None:
-            continue
-        hit = None
-        threshold = _threshold(n)
-        for s in range(cfg.dense_bound + 1):
-            ys = dense(s)
-            for delta in cfg.delta_schedule:
-                if _sup_below(values[delta], ys, threshold):
-                    hit = (n, s, delta)
-                    break
-            if hit:
-                break
+        hit = search(values, n)
         if hit is None:
-            failing = n
-        else:
-            passes.append(hit)
-    return passes, failing, None
+            return passes, n, _certified_level(values, cfg, n)
+        passes.append(hit)
+    return passes, None, None
 
 
 def eval_star(multimap: MultiMap, x, cfg: CheckConfig, probes: ProbeGen,
               dense_fn: Callable[[int], Any] | None = None) -> Verdict:
     """Truncated evaluation of the inf-sup criterion over a dense sequence."""
-    dense = dense_fn or multimap.codomain.dense_point
-    passes, failing, certified = _star_scan(ProbeContext(multimap, x, cfg, probes).value_lists(), cfg, dense)
+    search = _dense_search(multimap.codomain, cfg, dense_fn)
+    passes, failing, certified = _star_scan(ProbeContext(multimap, x, cfg, probes).value_lists(), cfg, search)
     if failing is None:
         return Verdict(CONTINUOUS, report={"criterion": "star", "passes": tuple(passes)})
     if certified is not None:
@@ -480,7 +542,7 @@ def eval_dagger(multimap: MultiMap, x, cfg: CheckConfig, probes: ProbeGen,
     otherwise a larger stage could still change the outcome and the result
     is Inconclusive.
     """
-    dense = dense_fn or multimap.codomain.dense_point
+    search = _dense_search(multimap.codomain, cfg, dense_fn)
     stages = list(exhaustion) if exhaustion is not None else _default_exhaustion(multimap, cfg)
     raw = ProbeContext(multimap, x, cfg, probes).value_lists()
     refuted = []
@@ -489,7 +551,7 @@ def eval_dagger(multimap: MultiMap, x, cfg: CheckConfig, probes: ProbeGen,
             delta: [clip_to_interval(v, lo, hi) for v in raw[delta]]
             for delta in cfg.delta_schedule
         }
-        passes, failing, certified = _star_scan(clipped, cfg, dense)
+        passes, failing, certified = _star_scan(clipped, cfg, search)
         if failing is None:
             return Verdict(CONTINUOUS, report={
                 "criterion": "dagger", "stage": stage_index, "window": (lo, hi),

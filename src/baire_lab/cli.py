@@ -32,6 +32,7 @@ from .gallery import (
 )
 from .instances import (
     SchemaError,
+    balls_from_json,
     config_to_json,
     encode_value,
     instance_digest,
@@ -41,8 +42,8 @@ from .instances import (
     witness_to_json,
 )
 from .pointclass import ParseError, classify, parse_expr
-from .rationals import format_rational, parse_rational
-from .spaces import grid_point, grid_point_from_json, parse_baire_point
+from .rationals import format_rational
+from .spaces import grid_point, grid_point_from_json, parse_baire_point, real_flavored
 from .trees import (
     body_prefixes,
     format_node,
@@ -115,16 +116,14 @@ def cmd_check(args) -> int:
             points = [point_from_json(multimap.domain, args.point, "point")]
         if args.mode is not None:
             mode = args.mode
+        if mode == "dagger" and not real_flavored(multimap.codomain):
+            raise SchemaError("mode", "dagger clips values to intervals, so it needs a real_line, unit_interval "
+                                      "or rational finite_points codomain, not %s" % multimap.codomain.name)
+        if mode == "fell":
+            balls = balls_from_json(multimap.codomain, raw.get("test_balls"))
         results = []
         for point in points:
             if mode == "fell":
-                balls_raw = raw.get("test_balls")
-                if not balls_raw:
-                    raise SchemaError("test_balls", "fell mode needs test balls")
-                balls = [
-                    (point_from_json(multimap.codomain, c, "test_balls"), parse_rational(r))
-                    for c, r in balls_raw
-                ]
                 verdict = eval_lower_fell(multimap, point, cfg, probes, balls)
             else:
                 verdict = _CHECKERS[mode](multimap, point, cfg, probes)

@@ -11,6 +11,10 @@ the +1-shifted tree together with every terminal of the shifted tree padded
 with zeros.  For the representable trees here that denotation is a finite
 set of eventually periodic points, so distances, nets, and membership are
 all exact enumerations.
+
+`common_heads` and `common_neighbourhood` describe the points within a
+radius of every one of a list of values: a set of heads in sequence space,
+a union of open intervals on the line.
 """
 
 from __future__ import annotations
@@ -268,6 +272,96 @@ def clips_properly(s: ClosedSetRepr, lo: Fraction, hi: Fraction) -> bool:
     if isinstance(s, (ClosedIntervalUnion, OpenIntervalUnion)):
         return any(a < lo or b > hi for a, b in s.intervals)
     raise TypeError("interval clipping is for real-flavored variants: %r" % (s,))
+
+
+def neighbourhood(s: ClosedSetRepr, r: Fraction) -> list[tuple[Fraction, Fraction]]:
+    """The points y with dist_to_set(y, s) < r, for a real-flavored set and
+    0 < r <= 1, as sorted disjoint open intervals.
+
+    A point p contributes (p - r, p + r) and an interval [a, b] (closed or
+    open: distances agree) contributes (a - r, b + r).  Empty contributes
+    nothing: every point is at distance 1 >= r from it.
+    """
+    if not 0 < r <= 1:
+        raise ValueError("radius must lie in (0, 1]")
+    if isinstance(s, Empty):
+        return []
+    if isinstance(s, FiniteRealSet):
+        spans = sorted((p - r, p + r) for p in s.points)
+    elif isinstance(s, (ClosedIntervalUnion, OpenIntervalUnion)):
+        spans = sorted((a - r, b + r) for a, b in s.intervals)
+    else:
+        raise TypeError("neighbourhoods are for real-flavored variants: %r" % (s,))
+    merged = [spans[0]]
+    for a, b in spans[1:]:
+        last_a, last_b = merged[-1]
+        if a < last_b:  # open intervals that merely touch stay apart
+            merged[-1] = (last_a, max(last_b, b))
+        else:
+            merged.append((a, b))
+    return merged
+
+
+def _intersect_intervals(xs: list, ys: list) -> list:
+    """Intersection of two sorted disjoint lists of open intervals."""
+    out = []
+    i = j = 0
+    while i < len(xs) and j < len(ys):
+        a, b = max(xs[i][0], ys[j][0]), min(xs[i][1], ys[j][1])
+        if a < b:
+            out.append((a, b))
+        if xs[i][1] < ys[j][1]:
+            i += 1
+        else:
+            j += 1
+    return out
+
+
+def _common(values, own, meet, known: dict | None):
+    """Meet of the values' own regions, each taken from `known` or computed
+    and added there; stops early once the meet is empty."""
+    known = {} if known is None else known
+    region = None
+    for v in values:
+        if v not in known:
+            known[v] = own(v)
+        region = known[v] if region is None else meet(region, known[v])
+        if not region:
+            break
+    if region is None:
+        raise ValueError("values must be nonempty")
+    return region
+
+
+def common_neighbourhood(values, r: Fraction, known: dict | None = None) -> list[tuple[Fraction, Fraction]]:
+    """The points within r of every one of a nonempty list of real-flavored
+    values, as sorted disjoint open intervals.  `known` may hold the
+    values' neighbourhoods at this r; those computed here are added."""
+    return _common(values, lambda v: neighbourhood(v, r), _intersect_intervals, known)
+
+
+def _heads(s: ClosedSetRepr, length: int) -> frozenset[tuple[int, ...]]:
+    if isinstance(s, Empty):
+        return frozenset()
+    if isinstance(s, FiniteBaireSet):
+        points = s.points
+    elif isinstance(s, TreeBody):
+        points = tree_body_points(s.tree)
+    else:
+        raise TypeError("heads are for sequence-space variants: %r" % (s,))
+    return frozenset(p.head(length) for p in points)
+
+
+def common_heads(values, length: int, known: dict | None = None) -> frozenset[tuple[int, ...]]:
+    """Heads of the given length that every one of a nonempty list of
+    sequence-space values has a point starting with.  `known` may hold the
+    values' own heads of this length; those computed here are added.
+
+    A sequence lies within 1/length of a point exactly when both start with
+    the same `length` entries, so the points within 1/length of every value
+    are the sequences starting with one of these heads.  Empty has none.
+    """
+    return _common(values, lambda v: _heads(v, length), frozenset.__and__, known)
 
 
 def set_separation(s1: ClosedSetRepr, s2: ClosedSetRepr) -> Fraction | None:

@@ -89,12 +89,37 @@ def space_from_json(obj: dict, path: str = "space"):
 
 
 def point_from_json(space, obj: Any, path: str = "point"):
+    if not isinstance(obj, (str, dict)):
+        raise SchemaError(path, "expected a point literal string, got %r" % (obj,))
     try:
         if isinstance(obj, dict):
             return grid_point_from_json(obj)
         return space.parse_point(obj)
     except ValueError as exc:
         raise SchemaError(path, str(exc)) from exc
+
+
+def balls_from_json(codomain, obj: Any, path: str = "test_balls") -> list:
+    """Decode the [center, radius] pairs of lower-Fell mode; every radius
+    must be a positive rational literal."""
+    if not obj:
+        raise SchemaError(path, "fell mode needs test balls")
+    if not isinstance(obj, list):
+        raise SchemaError(path, "expected a list of [center, radius] pairs")
+    balls = []
+    for i, entry in enumerate(obj):
+        where = "%s[%d]" % (path, i)
+        if not isinstance(entry, list) or len(entry) != 2:
+            raise SchemaError(where, "a test ball is a [center, radius] pair, got %r" % (entry,))
+        center = point_from_json(codomain, entry[0], where)
+        try:
+            radius = parse_rational(entry[1]) if isinstance(entry[1], str) else None
+        except ValueError:
+            radius = None
+        if radius is None or radius <= 0:
+            raise SchemaError(where, "radius must be a positive rational literal, got %r" % (entry[1],))
+        balls.append((center, radius))
+    return balls
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,10 @@ Three kinds of points live here:
 
 Each space object knows its exact metric, point membership, a canonical
 countable dense sequence, and a total index-bound function witnessing
-density.  All values are immutable; all operations are pure.
+density.  Sequence space, the line, the unit interval and finite spaces
+also name the least index of their dense sequence inside a region (a set
+of heads, or a union of open intervals).  All values are immutable; all
+operations are pure.
 """
 
 from __future__ import annotations
@@ -374,6 +377,29 @@ def _sb_path(q: Fraction, lo: tuple[int, int], hi: tuple[int, int]) -> str:
     return "".join(bits)
 
 
+def _sb_first_inside(a: Fraction, b: Fraction, lo: tuple[int, int], hi: tuple[int, int],
+                     max_depth: int) -> int | None:
+    """Breadth-first index of the shallowest node strictly inside (a, b)
+    of the Stern-Brocot tree of mediants between lo and hi; None when that
+    node lies at depth max_depth or deeper.
+
+    The shallowest node in an open interval is unique, the interval's
+    simplest rational: two nodes of one depth have a shallower node between
+    them.  The walk descends toward the interval until it lands inside.
+    """
+    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+    path = 1  # the bits walked so far, behind a leading 1
+    for _ in range(max_depth):
+        p, q = lo[0] + hi[0], lo[1] + hi[1]
+        if p * ad <= an * q:
+            lo, path = (p, q), 2 * path + 1
+        elif p * bd >= bn * q:
+            hi, path = (p, q), 2 * path
+        else:
+            return path - 1
+    return None
+
+
 def sb_positive(i: int) -> Fraction:
     """i-th positive rational in breadth-first Stern-Brocot order."""
     bits = bin(i + 1)[3:]
@@ -437,6 +463,13 @@ def ez_rank(head: tuple[int, ...]) -> int:
     return rank
 
 
+def _zero_stripped(head: Sequence[int]) -> tuple[int, ...]:
+    head = list(head)
+    while head and head[-1] == 0:
+        head.pop()
+    return tuple(head)
+
+
 def ez_head(s: int) -> tuple[int, ...]:
     """Inverse of ez_rank."""
     if s == 0:
@@ -498,6 +531,27 @@ class RealLine:
             return 2 * sb_positive_index(x) + 1
         return 2 * sb_positive_index(-x) + 2
 
+    def least_dense_index(self, region: Sequence[tuple[Fraction, Fraction]], bound: int) -> int | None:
+        """Least s <= bound with dense_point(s) inside the union of the
+        disjoint open intervals `region`; None when there is none.
+
+        Past 0, the rational of breadth-first index i sits at 2i + 1 or
+        2i + 2 by sign, and a node of depth d has i >= 2**d - 1, so no
+        node at depth bound.bit_length() or deeper is within the bound.
+        """
+        depth = bound.bit_length()
+        best = None
+        for a, b in region:
+            if a < 0 < b:
+                return 0
+            if b <= 0:
+                i, s0 = _sb_first_inside(-b, -a, (0, 1), (1, 0), depth), 2
+            else:
+                i, s0 = _sb_first_inside(a, b, (0, 1), (1, 0), depth), 1
+            if i is not None and (best is None or 2 * i + s0 < best):
+                best = 2 * i + s0
+        return best if best is not None and best <= bound else None
+
     def parse_point(self, text: str) -> Fraction:
         return parse_rational(text)
 
@@ -533,6 +587,20 @@ class UnitInterval(RealLine):
             return 1
         return sb_unit_index(x) + 2
 
+    def least_dense_index(self, region: Sequence[tuple[Fraction, Fraction]], bound: int) -> int | None:
+        """As on the line: 0 and 1 come first, then the rationals inside
+        (0, 1) in breadth-first order from index 2."""
+        for s, y in enumerate((Fraction(0), Fraction(1))):
+            if s <= bound and any(a < y < b for a, b in region):
+                return s
+        best = None
+        for a, b in region:
+            a, b = max(a, Fraction(0)), min(b, Fraction(1))
+            i = _sb_first_inside(a, b, (0, 1), (1, 1), bound.bit_length()) if a < b else None
+            if i is not None and (best is None or i + 2 < best):
+                best = i + 2
+        return best if best is not None and best <= bound else None
+
 
 class BaireSpace:
     """Eventually periodic sequences with the 1/(n+1) ultrametric."""
@@ -549,10 +617,21 @@ class BaireSpace:
         return eventually_zero(ez_head(s))
 
     def dense_bound(self, x: BairePoint, k: int) -> int:
-        head = list(x.head(k + 1))
-        while head and head[-1] == 0:
-            head.pop()
-        return ez_rank(tuple(head))
+        return ez_rank(_zero_stripped(x.head(k + 1)))
+
+    def least_dense_index(self, heads: Iterable[tuple[int, ...]], bound: int) -> int | None:
+        """Least s <= bound whose dense point starts with one of `heads`;
+        None when there is none.
+
+        The least eventually-zero sequence with a given head is the head
+        followed by zeros, and the enumeration orders zero-stripped heads
+        by (length + sum, length, entries), so only the winner is ranked.
+        """
+        stripped = [_zero_stripped(h) for h in heads]
+        if not stripped:
+            return None
+        s = ez_rank(min(stripped, key=lambda u: (len(u) + sum(u), len(u), u)))
+        return s if s <= bound else None
 
     def parse_point(self, text: str) -> BairePoint:
         return parse_baire_point(text)
@@ -675,6 +754,14 @@ class FinitePoints:
     def dense_bound(self, x, k: int) -> int:
         return self.index_of(x)
 
+    def least_dense_index(self, region: Sequence[tuple[Fraction, Fraction]], bound: int) -> int | None:
+        """Least label index s <= bound whose rational label lies inside
+        the union of open intervals `region`; for rational labels only."""
+        for s, y in enumerate(self.points()[:bound + 1]):
+            if any(a < y < b for a, b in region):
+                return s
+        return None
+
     def parse_point(self, text: str):
         if text not in self.labels:
             raise ValueError("point %r not in space" % text)
@@ -693,6 +780,12 @@ def rational_points_space(values: Sequence[Fraction]) -> FinitePoints:
     vals = sorted(set(values))
     table = tuple(tuple(abs(a - b) for b in vals) for a in vals)
     return FinitePoints(tuple(format_rational(v) for v in vals), table, rational_labels=True)
+
+
+def real_flavored(space) -> bool:
+    """Are the space's points rationals under |x - y|: the line, the unit
+    interval, or a finite space with rational labels?"""
+    return isinstance(space, RealLine) or (isinstance(space, FinitePoints) and space.rational_labels)
 
 
 REAL_LINE = RealLine()

@@ -379,3 +379,113 @@ def test_each_probe_and_each_net_is_computed_once_per_check(monkeypatch):
             assert not nets or max(nets.values()) == 1
             runs += 1
     assert runs == 6
+
+
+# ---------------------------------------------------------------------------
+# the closed-form least dense index against the index-by-index scan, which
+# passing the codomain's own dense sequence as `dense_fn` forces
+# ---------------------------------------------------------------------------
+
+
+def _scan_oracle_agrees(evaluate, mm, x, cfg, probes) -> str:
+    from baire_lab.instances import verdict_to_json
+
+    closed = verdict_to_json(evaluate(mm, x, cfg, probes))
+    scanned = verdict_to_json(evaluate(mm, x, cfg, probes, dense_fn=mm.codomain.dense_point))
+    assert closed == scanned, (mm.name, x, cfg.dense_bound)
+    return closed["verdict"]
+
+
+def _random_real_value(rng, pool):
+    a, b = sorted(rng.sample(pool, 2))
+    c, d = sorted(rng.sample(pool, 2))
+    return rng.choice([
+        finite_real(*rng.sample(pool, rng.randrange(1, 4))),
+        closed_intervals((a, b)),
+        closed_intervals((a, b), (c, d)),
+        open_intervals((a, b)),
+        Empty(),
+    ])
+
+
+def test_closed_form_dense_index_matches_the_scan_on_tabular_maps():
+    rng = random.Random(131)
+    pools = {
+        REAL_LINE: [Fr(0), Fr(1, 4), Fr(1, 2), Fr(1), Fr(3, 2), Fr(-1, 2), Fr(1, 3), Fr(-2, 7)],
+        UNIT_INTERVAL: [Fr(0), Fr(1), Fr(1, 2), Fr(1, 3), Fr(2, 3), Fr(1, 4), Fr(5, 7), Fr(1, 9)],
+    }
+    coords = [Fr(k, 4) for k in range(-4, 6)] + [Fr(k, 1024) for k in range(-4, 5)]
+    verdicts = set()
+    for codomain, pool in pools.items():
+        for dense_bound in (0, 3, 64, 256):
+            cfg = default_config(dense_bound=dense_bound)
+            for _ in range(6):
+                space = rational_points_space(rng.sample(coords, rng.randrange(2, 5)))
+                mm = tabular_multimap(space, {p: _random_real_value(rng, pool) for p in space.points()}, codomain)
+                probes = full_domain_probes(space)
+                for x in space.points():
+                    verdicts.add(_scan_oracle_agrees(eval_star, mm, x, cfg, probes))
+    assert verdicts == {"continuous", "discontinuous", "inconclusive"}
+
+
+def test_closed_form_dense_index_matches_the_scan_on_the_gallery():
+    from baire_lab.gallery import dense_split, f1_multimap, f2_multimap
+    from baire_lab.spaces import grid_point, parse_baire_point
+    from baire_lab.trees import make_tree
+
+    f2 = f2_multimap()
+    trees = [
+        make_tree([(0,)]),
+        make_tree([(0, 1), (2,)]),
+        make_tree([(1, 0), (1, 2), (0,)]),
+        make_tree([(0,)], branches=[parse_baire_point(";1")]),
+        make_tree([(2, 2)], branches=[parse_baire_point("0;1,2")]),
+    ]
+    for dense_bound in (3, 256):
+        cfg = default_config(dense_bound=dense_bound)
+        for t in trees:
+            _scan_oracle_agrees(eval_star, f2, t, cfg, f2.default_probes)
+    f1 = f1_multimap()
+    for gamma in (grid_point(), grid_point(default=((), (1,))), grid_point({2: ((), (0, 1))}, ((1,), (0,)))):
+        _scan_oracle_agrees(eval_star, f1, gamma, default_config(), f1.default_probes)
+    split = dense_split("dyadic")
+    for x in (Fr(1, 2), Fr(1, 3), Fr(3, 8), Fr(0), Fr(1)):
+        _scan_oracle_agrees(eval_dagger, split, x, default_config(), split.default_probes)
+
+
+def test_star_scan_enumerates_no_dense_point_and_separates_each_pair_once(monkeypatch):
+    from collections import Counter
+
+    from baire_lab import checkers, spaces
+    from baire_lab.gallery import f1_multimap, f2_multimap
+    from baire_lab.spaces import grid_point, parse_baire_point
+    from baire_lab.trees import make_tree
+
+    dense_calls, pairs = Counter(), Counter()
+    for cls in (spaces.BaireSpace, spaces.RealLine):
+        def counted_dense(self, s, original=cls.dense_point):
+            dense_calls[type(self).__name__] += 1
+            return original(self, s)
+
+        monkeypatch.setattr(cls, "dense_point", counted_dense)
+    original_separation = checkers.set_separation
+
+    def counted_separation(a, b):
+        pairs[frozenset((a, b))] += 1
+        return original_separation(a, b)
+
+    monkeypatch.setattr(checkers, "set_separation", counted_separation)
+    f1, f2 = f1_multimap(), f2_multimap()
+    measured = 0
+    for mm, x in (
+        (f2, make_tree([(0, 1), (2,)])),
+        (f2, make_tree([(0,)], branches=[parse_baire_point(";1")])),
+        (f1, grid_point()),
+        (f1, grid_point(default=((), (1,)))),
+    ):
+        pairs.clear()
+        eval_star(mm, x, default_config(), mm.default_probes)
+        assert all(len(pair) == 2 for pair in pairs)  # equal values are never measured
+        assert not pairs or max(pairs.values()) == 1
+        measured += len(pairs)
+    assert measured and not dense_calls

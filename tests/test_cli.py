@@ -197,3 +197,46 @@ def test_check_dagger_mode(tmp_path):
     out = run_cli("check", str(instance))
     assert out.returncode == 0
     assert json.loads(out.stdout)["results"][0]["verdict"] == "continuous"
+
+
+def test_check_dagger_mode_needs_a_real_codomain(tmp_path):
+    instance = tmp_path / "f2_dagger.json"
+    instance.write_text(json.dumps({
+        "multimap": {"kind": "f2"},
+        "points": ["tree{nodes:[(),(0)]}"],
+        "mode": "dagger",
+    }))
+    out = run_cli("check", str(instance))
+    assert out.returncode == 2, out.stderr
+    assert "Traceback" not in out.stderr
+    assert json.loads(out.stderr)["path"] == "mode"
+
+    # the --mode override is checked too
+    instance.write_text(json.dumps({"multimap": {"kind": "f2"}, "points": ["tree{nodes:[(),(0)]}"]}))
+    out = run_cli("check", str(instance), "--mode", "dagger")
+    assert out.returncode == 2, out.stderr
+    assert json.loads(out.stderr)["path"] == "mode"
+
+
+def test_check_fell_mode_rejects_malformed_test_balls(tmp_path):
+    instance = tmp_path / "fell.json"
+    for balls in ([["1", "0"]], [["1", "-1/2"]], [["1"]], [["1", "1/2"], ["0", "1/2", "1"]], [["1", 0.5]],
+                  [[0.5, "1/2"]]):
+        instance.write_text(json.dumps({
+            "multimap": {"kind": "dense_split", "variant": "dyadic"},
+            "points": ["1/3"],
+            "mode": "fell",
+            "test_balls": balls,
+        }))
+        out = run_cli("check", str(instance))
+        assert out.returncode == 2, (balls, out.stderr)
+        assert "Traceback" not in out.stderr
+        assert json.loads(out.stderr)["path"] == "test_balls[%d]" % (len(balls) - 1)
+
+
+def test_check_rejects_a_point_that_is_not_a_literal(tmp_path):
+    instance = tmp_path / "float_point.json"
+    instance.write_text(json.dumps({"multimap": {"kind": "dense_split"}, "points": ["1/3", 0.5]}))
+    out = run_cli("check", str(instance))
+    assert out.returncode == 2, out.stderr
+    assert json.loads(out.stderr)["path"] == "points[1]"

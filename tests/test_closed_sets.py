@@ -16,6 +16,8 @@ from baire_lab.closed_sets import (
     clips_properly,
     closed_intervals,
     closure,
+    common_heads,
+    common_neighbourhood,
     dist_to_set,
     enumerate_points,
     eps_net,
@@ -29,7 +31,7 @@ from baire_lab.closed_sets import (
     set_to_json,
     tree_body_points,
 )
-from baire_lab.spaces import eventually_zero, parse_baire_point
+from baire_lab.spaces import BAIRE_SPACE, eventually_zero, parse_baire_point
 from baire_lab.trees import generated_by, make_tree
 
 
@@ -176,3 +178,50 @@ def test_nonempty_variant_validation():
         closed_intervals((1, 0))
     with pytest.raises(ValueError):
         open_intervals((1, 1))
+
+
+def test_common_neighbourhood_is_the_points_near_every_value():
+    rng = random.Random(67)
+    pool = [Fr(k, 4) for k in range(-4, 9)]
+
+    def value():
+        a, b = sorted(rng.sample(pool, 2))
+        return rng.choice([
+            finite_real(*rng.sample(pool, rng.randrange(1, 4))),
+            closed_intervals((a, b)),
+            open_intervals((a, b)),
+            closed_intervals((a, a), (b, b + 1)),
+            Empty(),
+        ])
+
+    grid = [Fr(k, 72) for k in range(-5 * 72, 7 * 72)]
+    for _ in range(150):
+        values = [value() for _ in range(rng.randrange(1, 4))]
+        r = rng.choice([Fr(1), Fr(1, 2), Fr(1, 3), Fr(1, 9)])
+        region = common_neighbourhood(values, r)
+        assert all(a < b for a, b in region)
+        assert all(b <= a for (_, b), (a, _) in zip(region, region[1:]))  # sorted and disjoint
+        for y in grid:
+            assert any(a < y < b for a, b in region) == all(dist_to_set(y, v) < r for v in values)
+    with pytest.raises(ValueError):
+        common_neighbourhood([finite_real(0)], Fr(2))
+
+
+def test_common_heads_are_the_heads_near_every_value():
+    rng = random.Random(71)
+    sets = [
+        FiniteBaireSet(frozenset({eventually_zero((1,)), parse_baire_point(";2"), parse_baire_point("0,1;0")})),
+        FiniteBaireSet(frozenset({eventually_zero(()), parse_baire_point("1;1,0")})),
+        TreeBody(make_tree([(0, 1), (2,)])),
+        TreeBody(make_tree([(0,)], branches=[parse_baire_point(";1")])),
+        TreeBody(make_tree([(0, 0), (1,)])),
+        Empty(),
+    ]
+    ys = [BAIRE_SPACE.dense_point(s) for s in range(200)] + [parse_baire_point(";1"), parse_baire_point("1;2")]
+    for _ in range(60):
+        values = rng.sample(sets, rng.randrange(1, 4))
+        for length in (1, 2, 3, 5):
+            heads = common_heads(values, length)
+            for y in ys:
+                near = all(dist_to_set(y, v) < Fr(1, length) for v in values)
+                assert (y.head(length) in heads) == near

@@ -271,6 +271,36 @@ def test_density_bounds_are_witnesses():
                 )
 
 
+def _random_region(rng, lo, hi):
+    """Sorted disjoint open intervals with endpoints on a mixed grid, some
+    of them narrow enough to need a deep Stern-Brocot walk."""
+    ends = sorted({Fr(rng.randrange(lo * 60, hi * 60), 60) for _ in range(2 * rng.randrange(0, 4))})
+    region = [(a, b) for a, b in zip(ends[::2], ends[1::2]) if a < b]
+    if rng.random() < 0.3:
+        a = Fr(rng.randrange(lo * 7, hi * 7), 7)
+        region = sorted(region + [(a, a + Fr(1, rng.choice([50, 400, 3000])))])
+        region = [iv for i, iv in enumerate(region) if i == 0 or iv[0] >= region[i - 1][1]]
+    return region
+
+
+def test_least_dense_index_matches_the_enumeration():
+    rng = random.Random(29)
+    finite = rational_points_space([Fr(3, 2), Fr(0), Fr(-1, 3), Fr(2, 7)])
+    for space, lo, hi in ((REAL_LINE, -3, 3), (UNIT_INTERVAL, -1, 2), (finite, -1, 2)):
+        for _ in range(300):
+            region = _random_region(rng, lo, hi)
+            bound = rng.choice([0, 1, 2, 7, 40, 300])
+            expected = next((s for s in range(bound + 1)
+                             if any(a < space.dense_point(s) < b for a, b in region)), None)
+            assert space.least_dense_index(region, bound) == expected, (space.name, region, bound)
+    for _ in range(300):
+        length = rng.randrange(1, 4)
+        heads = {tuple(rng.randrange(3) for _ in range(length)) for _ in range(rng.randrange(0, 4))}
+        bound = rng.choice([0, 3, 40, 300])
+        expected = next((s for s in range(bound + 1) if BAIRE_SPACE.dense_point(s).head(length) in heads), None)
+        assert BAIRE_SPACE.least_dense_index(heads, bound) == expected, (heads, bound)
+
+
 # --- metric axioms, all spaces -----------------------------------------------
 
 
