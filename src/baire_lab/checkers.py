@@ -15,9 +15,14 @@ value sets, and bounded dense-sequence indices.  Outcomes are tri-valued:
 
 One probe context feeds every checker: it gathers each delta ball once,
 evaluates the map at each distinct probe point once, on first use, and
-keeps the net of each distinct value.  The checkers are quantifier
-layers over it.  `verify_witness` does not use it, so that a certificate
-is re-validated independently of the search that produced it.
+lists the distinct values of each ball.  The checkers are quantifier
+layers over it, and their predicates read only the value at a probe, so
+the table loops test each distinct value of a ball once, not each probe.
+The net of the value at x is the only net built: the distance from a net
+point to the net of a probe's value is measured in closed form, since an
+interval's net is a grid.  `verify_witness` does not use the context or
+the closed form, so that a certificate is re-validated independently of
+the search that produced it.
 
 Verdicts are correct relative to the probe set and schedules; on finite
 spaces probed exhaustively they coincide with brute-force evaluation of
@@ -55,6 +60,7 @@ from .closed_sets import (
     closure,
     common_heads,
     common_neighbourhood,
+    dist_to_net,
     dist_to_set,
     eps_net,
     meets_open_ball,
@@ -237,56 +243,69 @@ def gather_probes(multimap: MultiMap, probes: ProbeGen, x, radius: Fraction, bud
 class ProbeContext:
     """The delta balls around x, each probe evaluated at most once.
 
-    Probes are gathered once per delta of the schedule.  F is evaluated at
-    a probe point the first time a checker asks for its value, and the net
-    of each distinct value is built once, at the configured resolution.
+    Probes are gathered once per delta of the schedule.  The first time a
+    checker reaches a delta, F is evaluated at the probes of its ball not
+    yet evaluated, and the ball's distinct values are listed in the order
+    they first appear.  The quantifiers range over those values, since
+    every predicate reads only the value at a probe; each distinct value
+    of the context has an index into `distinct`, which keys the memos.
     """
 
     def __init__(self, multimap: MultiMap, x, cfg: CheckConfig, probes: ProbeGen):
         self.multimap = multimap
         self.cfg = cfg
-        self._values: dict = {}
-        self._nets: dict = {}
-        self.value_at_x = self.value(x)  # DomainError off the domain, before any probing
+        self.distinct: list = []
+        self._index: dict = {}  # distinct value -> its index
+        self._at: dict = {}  # probe point -> index of its value
+        self._balls: list = [None] * len(cfg.delta_schedule)
+        self.value_at_x = self.distinct[self.at(x)]  # DomainError off the domain, before any probing
         self.probes = {
             delta: gather_probes(multimap, probes, x, delta, cfg.probe_budget)
             for delta in cfg.delta_schedule
         }
 
-    def value(self, xp) -> ClosedSetRepr:
-        if xp not in self._values:
-            self._values[xp] = self.multimap.value(xp)
-        return self._values[xp]
+    def at(self, xp) -> int:
+        """The index of the value at xp; F is evaluated there on first use."""
+        if xp not in self._at:
+            value = self.multimap.value(xp)
+            if value not in self._index:
+                self._index[value] = len(self.distinct)
+                self.distinct.append(value)
+            self._at[xp] = self._index[value]
+        return self._at[xp]
+
+    def balls(self):
+        """Per delta of the schedule, in order: the delta and the indices of
+        the distinct values at the probes of its ball."""
+        for k, delta in enumerate(self.cfg.delta_schedule):
+            if self._balls[k] is None:
+                self._balls[k] = list(dict.fromkeys(self.at(xp) for xp in self.probes[delta]))
+            yield delta, self._balls[k]
 
     def value_lists(self) -> dict:
-        """Per delta, the values at the probes of its ball, in probe order."""
-        return {delta: [self.value(xp) for xp in self.probes[delta]] for delta in self.cfg.delta_schedule}
+        """Per delta, the distinct values at the probes of its ball."""
+        return {delta: [self.distinct[i] for i in ball] for delta, ball in self.balls()}
 
-    def net(self, value: ClosedSetRepr) -> tuple[list, Fraction]:
-        """The value's net and covering radius at the net resolution."""
-        if value not in self._nets:
-            self._nets[value] = net_with_radius(value, self.cfg.net_resolution)
-        return self._nets[value]
-
-    def first_delta(self, holds: Callable[[Any], bool]) -> Fraction | None:
-        """The first delta of the schedule whose every probe satisfies `holds`, else None."""
-        for delta in self.cfg.delta_schedule:
-            if all(holds(xp) for xp in self.probes[delta]):
+    def first_delta(self, holds: Callable[[int], bool]) -> Fraction | None:
+        """The first delta of the schedule whose every distinct value, given
+        by its index, satisfies `holds`, else None."""
+        for delta, ball in self.balls():
+            if all(holds(i) for i in ball):
                 return delta
         return None
 
 
-def _counterexamples(ctx: ProbeContext, y) -> tuple[list, dict]:
+def _counterexamples(ctx: ProbeContext, y) -> tuple[list, Fraction]:
     """Per delta, the first probe whose value lies farthest from y; also
-    the distance from y to the value of every probe."""
-    far: dict = {}
+    the least of those farthest distances."""
+    far: dict = {}  # value index -> distance from y to the value
     out = []
-    for delta in ctx.cfg.delta_schedule:
-        for xp in ctx.probes[delta]:
-            if xp not in far:
-                far[xp] = dist_to_set(y, ctx.value(xp))
-        out.append((delta, max(ctx.probes[delta], key=far.__getitem__)))
-    return out, far
+    for delta, ball in ctx.balls():
+        for i in ball:
+            if i not in far:
+                far[i] = dist_to_set(y, ctx.distinct[i])
+        out.append((delta, max(ctx.probes[delta], key=lambda xp: far[ctx.at(xp)])))
+    return out, min(far[ctx.at(xp)] for _, xp in out)
 
 
 # ---------------------------------------------------------------------------
@@ -295,18 +314,17 @@ def _counterexamples(ctx: ProbeContext, y) -> tuple[list, dict]:
 
 
 def _validate_table(ctx: ProbeContext, y):
-    dist = ctx.multimap.codomain.dist
-    near: dict = {}  # probe -> distance from y to its value's net; None for an empty net
+    dist, resolution = ctx.multimap.codomain.dist, ctx.cfg.net_resolution
+    near: dict = {}  # value index -> distance from y to the value's net; None for an empty net
 
-    def close(xp, eps) -> bool:
-        if xp not in near:
-            net = ctx.net(ctx.value(xp))[0]
-            near[xp] = min((dist(y, yp) for yp in net), default=None)
-        return near[xp] is not None and near[xp] < eps
+    def close(i, eps) -> bool:
+        if i not in near:
+            near[i] = dist_to_net(y, ctx.distinct[i], resolution, dist)
+        return near[i] is not None and near[i] < eps
 
     table = []
     for eps in ctx.cfg.eps_schedule:
-        found = ctx.first_delta(lambda xp: close(xp, eps))
+        found = ctx.first_delta(lambda i: close(i, eps))
         if found is None:
             return None
         table.append((eps, found))
@@ -314,8 +332,7 @@ def _validate_table(ctx: ProbeContext, y):
 
 
 def _refute_entry(ctx: ProbeContext, y, net_radius: Fraction):
-    counterexamples, far = _counterexamples(ctx, y)
-    level = min(far[xp] for _, xp in counterexamples)
+    counterexamples, level = _counterexamples(ctx, y)
     for eps in ctx.cfg.eps_schedule:
         if eps <= level and eps - net_radius > 0:
             return RefutationEntry(y, eps, tuple(counterexamples))
@@ -330,7 +347,7 @@ def _check_tables(ctx: ProbeContext, strong: bool) -> Verdict:
     every net point and is refuted when one point without a table is.
     """
     resolution = ctx.cfg.net_resolution
-    net, net_radius = ctx.net(ctx.value_at_x)
+    net, net_radius = net_with_radius(ctx.value_at_x, resolution)
     net = sorted(net, key=point_sort_key)
     if not net:
         reason = ("every value point vacuously admits a table" if strong
@@ -589,7 +606,7 @@ def eval_strong_star(multimap: MultiMap, x, cfg: CheckConfig, probes: ProbeGen,
             ys = dense(s)
             if dist_to_set(ys, ctx.value_at_x) > Fraction(1, 3 * (n + 1)):
                 continue
-            if ctx.first_delta(lambda xp: dist_to_set(ys, ctx.value(xp)) < _threshold(n)) is None:
+            if ctx.first_delta(lambda i: dist_to_set(ys, ctx.distinct[i]) < _threshold(n)) is None:
                 counterexamples, _ = _counterexamples(ctx, ys)
                 return Verdict(DISCONTINUOUS, report={
                     "criterion": "strong_star", "failing": (n, s), "y": ys,
@@ -614,13 +631,13 @@ def eval_lower_fell(multimap: MultiMap, x, cfg: CheckConfig, probes: ProbeGen,
         if not meets_open_ball(value_closure, center, radius):
             continue
 
-        def meets(xp) -> bool:
-            return meets_open_ball(closure(ctx.value(xp)), center, radius)
+        def meets(i) -> bool:
+            return meets_open_ball(closure(ctx.distinct[i]), center, radius)
 
         found = ctx.first_delta(meets)
         if found is None:
             counterexamples = tuple(
-                (delta, next(xp for xp in ctx.probes[delta] if not meets(xp)))
+                (delta, next(xp for xp in ctx.probes[delta] if not meets(ctx.at(xp))))
                 for delta in cfg.delta_schedule
             )
             return Verdict(DISCONTINUOUS, report={

@@ -34,10 +34,10 @@ from .instances import (
     SchemaError,
     balls_from_json,
     config_to_json,
+    domain_point_from_json,
     encode_value,
     instance_digest,
     load_instance,
-    point_from_json,
     verdict_to_json,
     witness_to_json,
 )
@@ -113,7 +113,7 @@ def cmd_check(args) -> int:
     try:
         multimap, points, mode, cfg, probes = load_instance(raw)
         if args.point is not None:
-            points = [point_from_json(multimap.domain, args.point, "point")]
+            points = [domain_point_from_json(multimap, args.point, "point")]
         if args.mode is not None:
             mode = args.mode
         if mode == "dagger" and not real_flavored(multimap.codomain):

@@ -14,7 +14,8 @@ all exact enumerations.
 
 `common_heads` and `common_neighbourhood` describe the points within a
 radius of every one of a list of values: a set of heads in sequence space,
-a union of open intervals on the line.
+a union of open intervals on the line.  `dist_to_net` gives the distance to
+the nearest point of an eps_net without building an interval's grid.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import ceil
 
 from .spaces import BairePoint, baire_dist, eventually_zero
 from .trees import Tree, terminals, tree_shift
@@ -117,17 +119,23 @@ def tree_body_points(t: Tree) -> frozenset[BairePoint]:
     return frozenset(points)
 
 
-def enumerate_points(s: ClosedSetRepr):
-    """Finite list of the denotation for point-enumerable variants, else None."""
-    if isinstance(s, FiniteRealSet):
-        return sorted(s.points)
-    if isinstance(s, FiniteBaireSet):
-        return sorted(s.points, key=BairePoint.sort_key)
+def _points(s: ClosedSetRepr):
+    """The denotation of a point-enumerable variant, unordered, else None."""
+    if isinstance(s, (FiniteRealSet, FiniteBaireSet)):
+        return s.points
     if isinstance(s, TreeBody):
-        return sorted(tree_body_points(s.tree), key=BairePoint.sort_key)
+        return tree_body_points(s.tree)
     if isinstance(s, Empty):
-        return []
+        return frozenset()
     return None
+
+
+def enumerate_points(s: ClosedSetRepr):
+    """Finite sorted list of the denotation for point-enumerable variants, else None."""
+    points = _points(s)
+    if points is None:
+        return None
+    return sorted(points, key=None if isinstance(s, FiniteRealSet) else BairePoint.sort_key)
 
 
 def _interval_dist(y: Fraction, a: Fraction, b: Fraction) -> Fraction:
@@ -215,6 +223,41 @@ def eps_net(s: ClosedSetRepr, eps: Fraction) -> list:
                     k += 1
         return sorted(set(out))
     return enumerate_points(s)
+
+
+def _near_grid_points(y: Fraction, a: Fraction, b: Fraction, step: Fraction, closed: bool) -> tuple:
+    """The points of one interval's share of an eps_net that can be
+    nearest to y: the grid points a + k*step on either side of y, with k
+    clamped to the grid's index range, and b for a closed interval."""
+    if closed and a == b:
+        return (a,)
+    if not closed and b - a <= step:
+        return ((a + b) / 2,)
+    last = ceil((b - a) / step) - 1  # the last k with a + k*step < b
+    k = min(max((y - a) // step, 0 if closed else 1), last)
+    near = (a + k * step, a + min(k + 1, last) * step)
+    return near + (b,) if closed else near
+
+
+def dist_to_net(y, s: ClosedSetRepr, eps: Fraction, dist) -> Fraction | None:
+    """min(dist(y, p) for p in eps_net(s, eps)), None when the net is
+    empty, without building the net of an interval union.
+
+    An interval union is a set of reals, so its nearest net point is found
+    under |x - y|: the nearest point of an eps/2 grid is one of the two on
+    either side of y, an end point of a closed interval, or the midpoint of
+    an open interval too short for the grid.  `dist` then measures it.
+    Enumerated variants are their own nets.
+    """
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    points = _points(s)
+    if points is not None:
+        return min((dist(y, p) for p in points), default=None)
+    closed = isinstance(s, ClosedIntervalUnion)
+    nearest = min((p for a, b in s.intervals for p in _near_grid_points(y, a, b, eps / 2, closed)),
+                  key=lambda p: abs(y - p))
+    return dist(y, nearest)
 
 
 def net_with_radius(s: ClosedSetRepr, eps: Fraction) -> tuple[list, Fraction]:

@@ -99,6 +99,14 @@ def point_from_json(space, obj: Any, path: str = "point"):
         raise SchemaError(path, str(exc)) from exc
 
 
+def domain_point_from_json(multimap, obj: Any, path: str):
+    """A point of the multimap's domain: parsed, then checked to lie in it."""
+    point = point_from_json(multimap.domain, obj, path)
+    if not multimap.domain.contains(point):
+        raise SchemaError(path, "point %r lies outside the domain of %s" % (obj, multimap.name))
+    return point
+
+
 def balls_from_json(codomain, obj: Any, path: str = "test_balls") -> list:
     """Decode the [center, radius] pairs of lower-Fell mode; every radius
     must be a positive rational literal."""
@@ -130,7 +138,13 @@ def balls_from_json(codomain, obj: Any, path: str = "test_balls") -> list:
 def multimap_from_json(obj: dict, path: str = "multimap") -> MultiMap:
     kind = obj.get("kind")
     if kind == "f1":
-        return f1_multimap(int(obj.get("window", 8)))
+        try:
+            window = int(obj.get("window", 8))
+        except (TypeError, ValueError):
+            window = -1
+        if window < 0:
+            raise SchemaError(path + ".window", "expected a non-negative integer, got %r" % (obj.get("window"),))
+        return f1_multimap(window)
     if kind == "f2":
         return f2_multimap()
     if kind == "dense_split":
@@ -139,9 +153,15 @@ def multimap_from_json(obj: dict, path: str = "multimap") -> MultiMap:
             raise SchemaError(path + ".variant", "unknown dense_split variant %r" % variant)
         return dense_split(variant)
     if kind == "spike":
-        head = tuple(parse_rational(q) for q in obj.get("head", []))
         tail = obj.get("harmonic_tail_start")
-        spikes = SpikeSet(head, None if tail is None else int(tail))
+        try:
+            tail = None if tail is None else int(tail)
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(path + ".harmonic_tail_start", "expected an integer, got %r" % (tail,)) from exc
+        try:  # rational literals, pairwise distinct and off the tail
+            spikes = SpikeSet(tuple(parse_rational(q) for q in obj.get("head", [])), tail)
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise SchemaError(path + ".head", str(exc)) from exc
         return spike_function(spikes)
     if kind == "tabular":
         space = space_from_json(obj.get("space", {}), path + ".space")
@@ -149,7 +169,10 @@ def multimap_from_json(obj: dict, path: str = "multimap") -> MultiMap:
         values = {}
         for label, setobj in obj.get("values", {}).items():
             point = point_from_json(space, label, path + ".values")
-            values[point] = set_from_json(setobj)
+            try:
+                values[point] = set_from_json(setobj)
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise SchemaError("%s.values.%s" % (path, label), "not a value set: %s" % exc) from exc
         missing = [p for p in space.points() if p not in values]
         if missing:
             raise SchemaError(path + ".values", "missing values for %r" % missing)
@@ -297,10 +320,7 @@ def load_instance(obj: dict):
         raise SchemaError("mode", "unknown mode %r (valid: %s)" % (mode, ", ".join(MODES)))
     cfg = config_from_json(obj.get("config", {}), "config")
     probes = probes_from_json(obj.get("probe_spec", {"kind": "default"}), multimap, "probe_spec")
-    points = [
-        point_from_json(multimap.domain, p, "points[%d]" % i)
-        for i, p in enumerate(obj.get("points", []))
-    ]
+    points = [domain_point_from_json(multimap, p, "points[%d]" % i) for i, p in enumerate(obj.get("points", []))]
     return multimap, points, mode, cfg, probes
 
 

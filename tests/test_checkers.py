@@ -381,6 +381,40 @@ def test_each_probe_and_each_net_is_computed_once_per_check(monkeypatch):
     assert runs == 6
 
 
+def test_the_table_loop_measures_interval_nets_in_closed_form(monkeypatch):
+    """The table loop measures each distinct value's net once per net
+    point, in closed form: the value at x is the only net built, and the
+    distance calls stay far below one per (net point, probe, net point)."""
+    from baire_lab import checkers, closed_sets
+    from baire_lab.gallery import is_dyadic, split_probes
+
+    calls = {"eps_net": 0, "dist": 0}
+    original_net, original_dist = closed_sets.eps_net, REAL_LINE.dist.__func__
+
+    def counted_net(s, eps):
+        calls["eps_net"] += 1
+        return original_net(s, eps)
+
+    def counted_dist(self, x, y):
+        calls["dist"] += 1
+        return original_dist(self, x, y)
+
+    monkeypatch.setattr(closed_sets, "eps_net", counted_net)
+    monkeypatch.setattr(checkers, "eps_net", counted_net)
+    monkeypatch.setattr(type(REAL_LINE), "dist", counted_dist)
+
+    def closed_split_wide(x):  # the closure of an open map with two value shapes
+        if is_dyadic(x):
+            return closed_intervals((0, 1))
+        return closed_intervals((0, 1), (Fr(5, 4), Fr(3, 2)))
+
+    mm = MultiMap(UNIT_INTERVAL, REAL_LINE, closed_split_wide, name="closed_split_wide")
+    verdict = check_strong_continuity(mm, Fr(1, 3), default_config(), split_probes())
+    assert verdict.kind == "discontinuous"
+    assert calls["eps_net"] == 1
+    assert calls["dist"] <= 1000
+
+
 # ---------------------------------------------------------------------------
 # the closed-form least dense index against the index-by-index scan, which
 # passing the codomain's own dense sequence as `dense_fn` forces

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 CLI = [sys.executable, "-m", "baire_lab.cli"]
 
 
@@ -240,3 +242,34 @@ def test_check_rejects_a_point_that_is_not_a_literal(tmp_path):
     out = run_cli("check", str(instance))
     assert out.returncode == 2, out.stderr
     assert json.loads(out.stderr)["path"] == "points[1]"
+
+
+@pytest.mark.parametrize("multimap, path", [
+    ({"kind": "f1", "window": "x"}, "multimap.window"),
+    ({"kind": "tabular",
+      "space": {"kind": "finite_points", "labels": ["a", "b"], "table": [["0", "1"], ["1", "0"]]},
+      "values": {"a": {"kind": "finite_real", "points": ["0"]}, "b": {"kind": "bogus"}}}, "multimap.values.b"),
+    ({"kind": "spike", "head": ["1/2", "1/2"]}, "multimap.head"),
+])
+def test_check_rejects_a_malformed_multimap_at_its_path(tmp_path, multimap, path):
+    instance = tmp_path / "malformed.json"
+    instance.write_text(json.dumps({"multimap": multimap, "points": []}))
+    out = run_cli("check", str(instance))
+    assert out.returncode == 2, out.stderr
+    assert "Traceback" not in out.stderr
+    assert json.loads(out.stderr)["path"] == path
+
+
+def test_check_rejects_a_point_outside_the_domain(tmp_path):
+    instance = tmp_path / "outside.json"
+    instance.write_text(json.dumps({"multimap": {"kind": "dense_split"}, "points": ["1/3", "2"]}))
+    out = run_cli("check", str(instance))
+    assert out.returncode == 2, out.stderr
+    assert "Traceback" not in out.stderr
+    assert json.loads(out.stderr)["path"] == "points[1]"
+
+    # the --point override is checked too
+    instance.write_text(json.dumps({"multimap": {"kind": "dense_split"}, "points": ["1/3"]}))
+    out = run_cli("check", str(instance), "--point", "3/2")
+    assert out.returncode == 2, out.stderr
+    assert json.loads(out.stderr)["path"] == "point"

@@ -18,6 +18,7 @@ from baire_lab.closed_sets import (
     closure,
     common_heads,
     common_neighbourhood,
+    dist_to_net,
     dist_to_set,
     enumerate_points,
     eps_net,
@@ -31,7 +32,7 @@ from baire_lab.closed_sets import (
     set_to_json,
     tree_body_points,
 )
-from baire_lab.spaces import BAIRE_SPACE, eventually_zero, parse_baire_point
+from baire_lab.spaces import BAIRE_SPACE, REAL_LINE, eventually_zero, parse_baire_point
 from baire_lab.trees import generated_by, make_tree
 
 
@@ -118,6 +119,39 @@ def test_eps_net_soundness():
                 assert min(abs(y - m) if isinstance(y, Fr) else dist_to_set(y, FiniteBaireSet(frozenset([m])))
                            for m in net) <= eps
             assert radius == (eps if isinstance(s, (ClosedIntervalUnion, OpenIntervalUnion)) else 0)
+
+
+def test_dist_to_net_matches_the_net_scan():
+    """The closed form against the scan it replaces, on random interval
+    unions: degenerate intervals, open intervals no longer than eps/2, and
+    y inside, outside, on grid points and on end points."""
+    rng = random.Random(83)
+
+    def interval():
+        a = Fr(rng.randrange(-12, 12), rng.choice((1, 2, 3, 4, 8)))
+        width = rng.choice((Fr(0), Fr(rng.randrange(1, 4), 64), Fr(rng.randrange(1, 30), rng.choice((3, 8, 16)))))
+        return a, a + width
+
+    for _ in range(200):
+        intervals = [interval() for _ in range(rng.randrange(1, 4))]
+        opened = [(a, b) for a, b in intervals if a < b]
+        sets = [closed_intervals(*intervals)] + ([open_intervals(*opened)] if opened else [])
+        for s in sets:
+            for eps in (Fr(2), Fr(1, 2), Fr(1, 3), Fr(1, 16), Fr(2, 7)):
+                net = eps_net(s, eps)
+                ys = [rng.choice(net), rng.choice([a for a, _ in intervals] + [b for _, b in intervals]),
+                      Fr(rng.randrange(-400, 400), rng.choice((7, 16, 24, 60))), (net[0] + net[-1]) / 2]
+                for y in ys:
+                    scan = min(REAL_LINE.dist(y, p) for p in net)
+                    assert dist_to_net(y, s, eps, REAL_LINE.dist) == scan, (s, eps, y)
+    # enumerated variants are their own nets, and Empty has none
+    for s in (finite_real(0, Fr(5, 2)), TreeBody(make_tree([(0, 1), (2,)])), Empty()):
+        y = Fr(1) if isinstance(s, FiniteRealSet) else parse_baire_point(";1")
+        dist = REAL_LINE.dist if isinstance(s, FiniteRealSet) else BAIRE_SPACE.dist
+        assert dist_to_net(y, s, Fr(1, 16), dist) == min((dist(y, p) for p in eps_net(s, Fr(1, 16))), default=None)
+    assert dist_to_net(Fr(0), Empty(), Fr(1), REAL_LINE.dist) is None
+    with pytest.raises(ValueError):
+        dist_to_net(Fr(0), closed_intervals((0, 1)), Fr(0), REAL_LINE.dist)
 
 
 def test_meets_open_ball_examples():
