@@ -67,7 +67,6 @@ from .spaces import (
     CantorGridPoint,
     FinitePoints,
     baire_dist,
-    basic_nbhd_contains,
     grid_dist,
 )
 from .trees import (
@@ -76,7 +75,6 @@ from .trees import (
     body_prefixes,
     generated_by,
     is_ill_founded,
-    is_prefix,
     make_tree,
     terminals,
     tree_dist,

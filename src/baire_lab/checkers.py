@@ -40,9 +40,9 @@ Those two evaluators find the least dense index passing a level in closed
 form, without enumerating the dense sequence: the points within 1/(n+1)
 of every probe value form a region (shared heads in sequence space, a
 union of open intervals on the line, the unit interval and rational finite
-spaces) and the codomain names the least index inside it.  They scan index
-by index only for a caller's `dense_fn` or a codomain with no closed form,
-such as the grid; `eval_strong_star` always enumerates.
+spaces) and the codomain names the least index inside it.  Every other
+codomain carries only empty values, whose region is empty.
+`eval_strong_star` enumerates the dense sequence.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ from .closed_sets import (
     net_with_radius,
     set_separation,
 )
-from .spaces import BairePoint, BaireSpace, CantorGridPoint, real_flavored
+from .spaces import BairePoint, BaireSpace, CantorGridPoint
 from .trees import Tree
 
 ProbeGen = Callable[[Any, Fraction], Sequence[Any]]
@@ -403,14 +403,6 @@ def _threshold(n: int) -> Fraction:
     return Fraction(1, n + 1)
 
 
-def _sup_below(probe_values, y, threshold: Fraction) -> bool:
-    """sup over probe values of dist < threshold, with early exit."""
-    for v in probe_values:
-        if dist_to_set(y, v) >= threshold:
-            return False
-    return True
-
-
 def _certificate_level(probe_values, separation, enough: Fraction) -> Fraction | None:
     """Separation evidence at one delta: None when an empty value is
     present (everything is distance 1 from it — full refutation), else
@@ -460,48 +452,35 @@ def _certified_level(values: dict, cfg: CheckConfig, failing: int) -> int | None
     return n
 
 
-def _dense_search(codomain, cfg: CheckConfig, dense_fn: Callable[[int], Any] | None):
+def _dense_search(codomain, cfg: CheckConfig):
     """The search for the least dense index passing a level: a function of
     (distinct values per delta, n) giving the (n, s, delta) with the least
     s <= dense_bound, then the first delta of the schedule, or None.
 
-    On the canonical codomains it is closed-form: the points within 1/(n+1)
-    of every value at a delta form a region (the shared heads of length
-    n + 1 in sequence space, open intervals on the line), and the space
-    gives the least index inside it.  A caller's dense sequence, or a
-    codomain without a closed form, is scanned index by index.
+    The points within 1/(n+1) of every value at a delta form a region (the
+    shared heads of length n + 1 in sequence space, open intervals
+    elsewhere), and the codomain gives the least index inside it.  A
+    codomain whose values can only be empty has only empty regions, which
+    hold no index, so it is never asked.
     """
-    bound = cfg.dense_bound
-    if dense_fn is None and isinstance(codomain, BaireSpace):
+    if isinstance(codomain, BaireSpace):
         def region(values, n, known):
             return common_heads(values, n + 1, known)
-    elif dense_fn is None and real_flavored(codomain):
+    else:
         def region(values, n, known):
             return common_neighbourhood(values, _threshold(n), known)
-    else:
-        dense = dense_fn or codomain.dense_point
 
-        def scan(values: dict, n: int):
-            threshold = _threshold(n)
-            for s in range(bound + 1):
-                ys = dense(s)
-                for delta in cfg.delta_schedule:
-                    if _sup_below(values[delta], ys, threshold):
-                        return n, s, delta
-            return None
-
-        return scan
-
-    def closed_form(values: dict, n: int):
+    def search(values: dict, n: int):
         hit = None
         known: dict = {}  # each value's own region at level n, shared by the deltas
         for delta in cfg.delta_schedule:
-            s = codomain.least_dense_index(region(values[delta], n, known), bound)
+            inside = region(values[delta], n, known)
+            s = codomain.least_dense_index(inside, cfg.dense_bound) if inside else None
             if s is not None and (hit is None or s < hit[1]):
                 hit = (n, s, delta)
         return hit
 
-    return closed_form
+    return search
 
 
 def _star_scan(values: dict, cfg: CheckConfig, search):
@@ -524,10 +503,9 @@ def _star_scan(values: dict, cfg: CheckConfig, search):
     return passes, None, None
 
 
-def eval_star(multimap: MultiMap, x, cfg: CheckConfig, probes: ProbeGen,
-              dense_fn: Callable[[int], Any] | None = None) -> Verdict:
+def eval_star(multimap: MultiMap, x, cfg: CheckConfig, probes: ProbeGen) -> Verdict:
     """Truncated evaluation of the inf-sup criterion over a dense sequence."""
-    search = _dense_search(multimap.codomain, cfg, dense_fn)
+    search = _dense_search(multimap.codomain, cfg)
     passes, failing, certified = _star_scan(ProbeContext(multimap, x, cfg, probes).value_lists(), cfg, search)
     if failing is None:
         return Verdict(CONTINUOUS, report={"criterion": "star", "passes": tuple(passes)})
@@ -550,8 +528,7 @@ def _default_exhaustion(multimap, cfg: CheckConfig):
 
 
 def eval_dagger(multimap: MultiMap, x, cfg: CheckConfig, probes: ProbeGen,
-                exhaustion: Sequence[tuple[Fraction, Fraction]] | None = None,
-                dense_fn: Callable[[int], Any] | None = None) -> Verdict:
+                exhaustion: Sequence[tuple[Fraction, Fraction]] | None = None) -> Verdict:
     """The exhaustion-relative criterion: values are clipped to K_m first.
 
     Empty clipped values contribute distance 1.  A refutation is reported
@@ -559,7 +536,7 @@ def eval_dagger(multimap: MultiMap, x, cfg: CheckConfig, probes: ProbeGen,
     otherwise a larger stage could still change the outcome and the result
     is Inconclusive.
     """
-    search = _dense_search(multimap.codomain, cfg, dense_fn)
+    search = _dense_search(multimap.codomain, cfg)
     stages = list(exhaustion) if exhaustion is not None else _default_exhaustion(multimap, cfg)
     raw = ProbeContext(multimap, x, cfg, probes).value_lists()
     refuted = []
@@ -595,11 +572,15 @@ def eval_dagger(multimap: MultiMap, x, cfg: CheckConfig, probes: ProbeGen,
     })
 
 
-def eval_strong_star(multimap: MultiMap, x, cfg: CheckConfig, probes: ProbeGen,
-                     dense_fn: Callable[[int], Any] | None = None) -> Verdict:
+def eval_strong_star(multimap: MultiMap, x, cfg: CheckConfig, probes: ProbeGen) -> Verdict:
     """Truncated strong criterion: every dense point near the value at x
-    must admit a delta with small probe-sup distance."""
-    dense = dense_fn or multimap.codomain.dense_point
+    must admit a delta with small probe-sup distance.
+
+    It enumerates `codomain.dense_point` index by index, by design: unlike
+    `eval_star`, it has no closed form yet, and no `baire-lab check` mode
+    reaches it.  The codomain must therefore have a dense sequence.
+    """
+    dense = multimap.codomain.dense_point
     ctx = ProbeContext(multimap, x, cfg, probes)
     for n in range(cfg.n_bound + 1):
         for s in range(cfg.dense_bound + 1):

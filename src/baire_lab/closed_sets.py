@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import ceil
 
-from .spaces import BairePoint, baire_dist, eventually_zero
+from .spaces import BairePoint, BaireSpace, RealLine, baire_dist, eventually_zero, real_flavored
 from .trees import Tree, terminals, tree_shift
 
 
@@ -172,6 +172,20 @@ def set_contains(y, s: ClosedSetRepr) -> bool:
         return any(a <= y <= b for a, b in s.intervals)
     points = enumerate_points(s)
     return y in points
+
+
+def fits_space(s: ClosedSetRepr, space) -> bool:
+    """Is the denotation a subset of the space, in a variant measured there?
+    Sequence space takes sequence-space variants, the line and the unit
+    interval real variants inside them, a rational finite space finite sets
+    of its labels, and every other space only Empty."""
+    if isinstance(space, BaireSpace):
+        return isinstance(s, (Empty, FiniteBaireSet, TreeBody))
+    if isinstance(s, FiniteRealSet):
+        return real_flavored(space) and all(map(space.contains, s.points))
+    if isinstance(s, (ClosedIntervalUnion, OpenIntervalUnion)):
+        return isinstance(space, RealLine) and all(space.contains(end) for iv in s.intervals for end in iv)
+    return isinstance(s, Empty)
 
 
 def closure(s: ClosedSetRepr) -> ClosedSetRepr:
@@ -429,26 +443,6 @@ def set_separation(s1: ClosedSetRepr, s2: ClosedSetRepr) -> Fraction | None:
 
 
 # --- JSON wire form ---------------------------------------------------------
-
-
-def set_to_json(s: ClosedSetRepr) -> dict:
-    from .rationals import format_rational
-    from .spaces import format_baire_point
-    from .trees import format_tree_literal
-
-    if isinstance(s, FiniteRealSet):
-        return {"kind": s.kind, "points": [format_rational(p) for p in sorted(s.points)]}
-    if isinstance(s, (ClosedIntervalUnion, OpenIntervalUnion)):
-        return {"kind": s.kind,
-                "intervals": [[format_rational(a), format_rational(b)] for a, b in s.intervals]}
-    if isinstance(s, FiniteBaireSet):
-        return {"kind": s.kind,
-                "points": [format_baire_point(p) for p in sorted(s.points, key=BairePoint.sort_key)]}
-    if isinstance(s, TreeBody):
-        return {"kind": s.kind, "tree": format_tree_literal(s.tree)}
-    if isinstance(s, Empty):
-        return {"kind": s.kind}
-    raise TypeError("unknown set representation: %r" % (s,))
 
 
 def set_from_json(obj: dict) -> ClosedSetRepr:

@@ -22,7 +22,7 @@ from .checkers import (
     full_domain_probes,
     tabular_multimap,
 )
-from .closed_sets import set_from_json
+from .closed_sets import fits_space, set_from_json
 from .gallery import (
     AffineMap,
     BaireEmbedding,
@@ -42,11 +42,13 @@ from .spaces import (
     REAL_LINE,
     UNIT_INTERVAL,
     BairePoint,
+    BaireSpace,
     CantorGridPoint,
     FinitePoints,
     format_baire_point,
     grid_point_from_json,
     grid_point_to_json,
+    real_flavored,
 )
 from .trees import TREE_SPACE, Tree, format_tree_literal
 
@@ -135,6 +137,32 @@ def balls_from_json(codomain, obj: Any, path: str = "test_balls") -> list:
 # ---------------------------------------------------------------------------
 
 
+def _rational_field(obj: dict, key: str, path: str) -> Fraction:
+    try:
+        return parse_rational(obj[key])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(path, "expected a rational literal, got %r" % (obj.get(key),)) from exc
+
+
+def _coordinate_change(obj: dict, codomain, path: str):
+    """The injective coordinate change of `compose`, checked against the
+    codomain of the map it is composed with."""
+    kind = obj.get("kind")
+    if kind == "affine":
+        if not real_flavored(codomain):
+            raise SchemaError(path, "affine needs a real_line, unit_interval or rational finite_points base "
+                                    "codomain, not %s" % codomain.name)
+        scale = _rational_field(obj, "scale", path + ".scale")
+        if scale == 0:
+            raise SchemaError(path + ".scale", "scale must be nonzero, so that the map is injective")
+        return AffineMap(scale, _rational_field(obj, "shift", path + ".shift"))
+    if kind == "baire_embed":
+        if not isinstance(codomain, BaireSpace):
+            raise SchemaError(path, "baire_embed needs a baire_space base codomain, not %s" % codomain.name)
+        return BaireEmbedding()
+    raise SchemaError(path + ".kind", "unknown coordinate change %r" % kind)
+
+
 def multimap_from_json(obj: dict, path: str = "multimap") -> MultiMap:
     kind = obj.get("kind")
     if kind == "f1":
@@ -169,10 +197,14 @@ def multimap_from_json(obj: dict, path: str = "multimap") -> MultiMap:
         values = {}
         for label, setobj in obj.get("values", {}).items():
             point = point_from_json(space, label, path + ".values")
+            where = "%s.values.%s" % (path, label)
             try:
                 values[point] = set_from_json(setobj)
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
-                raise SchemaError("%s.values.%s" % (path, label), "not a value set: %s" % exc) from exc
+                raise SchemaError(where, "not a value set: %s" % exc) from exc
+            if not fits_space(values[point], codomain):
+                raise SchemaError(where, "a %s value is not a subset of the %s codomain"
+                                  % (values[point].kind, codomain.name))
         missing = [p for p in space.points() if p not in values]
         if missing:
             raise SchemaError(path + ".values", "missing values for %r" % missing)
@@ -185,15 +217,7 @@ def multimap_from_json(obj: dict, path: str = "multimap") -> MultiMap:
         return extend(base, IdentityEmbedding(base.domain, sup), sup)
     if kind == "compose":
         base = multimap_from_json(obj.get("base", {}), path + ".base")
-        pi_obj = obj.get("pi", {})
-        pi_kind = pi_obj.get("kind")
-        if pi_kind == "affine":
-            pi = AffineMap(parse_rational(pi_obj["scale"]), parse_rational(pi_obj["shift"]))
-        elif pi_kind == "baire_embed":
-            pi = BaireEmbedding()
-        else:
-            raise SchemaError(path + ".pi.kind", "unknown coordinate change %r" % pi_kind)
-        return compose(pi, base)
+        return compose(_coordinate_change(obj.get("pi", {}), base.codomain, path + ".pi"), base)
     raise SchemaError(path + ".kind", "unknown multimap kind %r" % kind)
 
 

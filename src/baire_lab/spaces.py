@@ -12,12 +12,14 @@ Three kinds of points live here:
   diagonal enumeration of pairs and applies the sequence metric.
 * rationals — points of the real line and the unit interval.
 
-Each space object knows its exact metric, point membership, a canonical
-countable dense sequence, and a total index-bound function witnessing
-density.  Sequence space, the line, the unit interval and finite spaces
-also name the least index of their dense sequence inside a region (a set
-of heads, or a union of open intervals).  All values are immutable; all
-operations are pure.
+Each space object knows its exact metric, point membership and a
+canonical countable dense sequence.  Sequence space, the line, the unit
+interval and rational finite spaces also name, through
+`least_dense_index`, the least index of their dense sequence inside a
+region (a set of heads, or a union of open intervals), which witnesses
+density ball by ball.  The graded enumeration of all finite sequences
+lives here too: it indexes the dense sequence of sequence space and the
+tree metric.  All values are immutable; all operations are pure.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .rationals import format_rational, parse_rational
@@ -160,11 +163,6 @@ def baire_dist(a: BairePoint, b: BairePoint) -> Fraction:
     return Fraction(1, n + 1)
 
 
-def basic_nbhd_contains(u: Sequence[int], a: BairePoint) -> bool:
-    """Does `a` extend the finite constraint sequence `u`?"""
-    return all(a.entry(i) == u[i] for i in range(len(u)))
-
-
 # ---------------------------------------------------------------------------
 # Cantor grid points
 # ---------------------------------------------------------------------------
@@ -277,10 +275,6 @@ class CantorGridPoint:
     def entry(self, m: int, s: int) -> int:
         return self.row(m).bit(s)
 
-    def flat_entry(self, k: int) -> int:
-        m, s = unpair_index(k)
-        return self.entry(m, s)
-
     def sort_key(self) -> tuple:
         return (self.explicit_rows, self.default_row.bit_prefix, self.default_row.bit_period)
 
@@ -295,7 +289,7 @@ def grid_point(rows: dict[int, tuple[Sequence[int], Sequence[int]]] | None = Non
     )
 
 
-def grid_dist(a: CantorGridPoint, b: CantorGridPoint, pairing=pair_index) -> Fraction:
+def grid_dist(a: CantorGridPoint, b: CantorGridPoint) -> Fraction:
     """Sequence metric on the flattened grids; 0 exactly on equality.
 
     The least differing flattened index is located row by row: only rows
@@ -307,13 +301,13 @@ def grid_dist(a: CantorGridPoint, b: CantorGridPoint, pairing=pair_index) -> Fra
     for m in explicit:
         s = row_disagreement(a.row(m), b.row(m))
         if s is not None:
-            candidates.append(pairing(m, s))
+            candidates.append(pair_index(m, s))
     s_default = row_disagreement(a.default_row, b.default_row)
     if s_default is not None:
         m0 = 0
         while m0 in explicit:
             m0 += 1
-        candidates.append(pairing(m0, s_default))
+        candidates.append(pair_index(m0, s_default))
     if not candidates:
         return Fraction(0)
     return Fraction(1, min(candidates) + 1)
@@ -333,8 +327,6 @@ def grid_point_to_json(p: CantorGridPoint) -> dict:
 
 def _row_from_json(obj: dict) -> RowSpec:
     def bits(text) -> tuple[int, ...]:
-        if isinstance(text, str):
-            return tuple(int(c) for c in text)
         return tuple(int(c) for c in text)
     return RowSpec(bits(obj.get("prefix", "")), bits(obj.get("period", "0")) or (0,))
 
@@ -361,20 +353,6 @@ def _sb_walk(bits: str, lo: tuple[int, int], hi: tuple[int, int]) -> Fraction:
             lo = cur
         cur = (lo[0] + hi[0], lo[1] + hi[1])
     return Fraction(cur[0], cur[1])
-
-
-def _sb_path(q: Fraction, lo: tuple[int, int], hi: tuple[int, int]) -> str:
-    bits = []
-    cur = (lo[0] + hi[0], lo[1] + hi[1])
-    while Fraction(cur[0], cur[1]) != q:
-        if q < Fraction(cur[0], cur[1]):
-            bits.append("0")
-            hi = cur
-        else:
-            bits.append("1")
-            lo = cur
-        cur = (lo[0] + hi[0], lo[1] + hi[1])
-    return "".join(bits)
 
 
 def _sb_first_inside(a: Fraction, b: Fraction, lo: tuple[int, int], hi: tuple[int, int],
@@ -406,97 +384,87 @@ def sb_positive(i: int) -> Fraction:
     return _sb_walk(bits, (0, 1), (1, 0))
 
 
-def sb_positive_index(q: Fraction) -> int:
-    if q <= 0:
-        raise ValueError("positive rational required")
-    bits = _sb_path(q, (0, 1), (1, 0))
-    return int("1" + bits, 2) - 1
-
-
 def sb_unit(i: int) -> Fraction:
     """i-th rational strictly inside (0, 1), Stern-Brocot order."""
     bits = bin(i + 1)[3:]
     return _sb_walk(bits, (0, 1), (1, 1))
 
 
-def sb_unit_index(q: Fraction) -> int:
-    if not 0 < q < 1:
-        raise ValueError("rational strictly inside (0,1) required")
-    bits = _sb_path(q, (0, 1), (1, 1))
-    return int("1" + bits, 2) - 1
-
-
 # ---------------------------------------------------------------------------
-# graded enumeration of eventually-zero sequences
+# the graded enumeration of all finite sequences
 # ---------------------------------------------------------------------------
 #
-# Sequences are keyed by their zero-stripped head u (empty or ending in a
-# nonzero entry) and ordered by (length + sum of entries, length, lex).
-# Every grade is finite, so this is a total enumeration.
+# Finite sequences are ordered by (length + entry sum, length, lexicographic).
+# Every grade is finite, so this is a total enumeration, and the rank of a
+# sequence is computable in closed form.  It orders the nodes of the tree
+# metric and indexes the dense sequence of sequence space.
 
 
-def _count_tail_positive(total: int, parts: int) -> int:
-    """Sequences of `parts` naturals summing to `total` with last >= 1."""
-    if parts == 0:
-        return 1 if total == 0 else 0
-    if total < 1:
-        return 0
-    return math.comb(total - 1 + parts - 1, parts - 1)
+def node_weight(u: tuple[int, ...]) -> int:
+    return len(u) + sum(u)
 
 
-def ez_rank(head: tuple[int, ...]) -> int:
-    """Index of the eventually-zero sequence with zero-stripped head `head`."""
-    if head and head[-1] == 0:
-        raise ValueError("head must be zero-stripped")
-    if head == ():
-        return 0
-    w = len(head) + sum(head)
-    rank = 1 + sum(2 ** (v - 2) for v in range(2, w))
-    for length in range(1, len(head)):
-        rank += _count_tail_positive(w - length, length)
-    remaining = sum(head)
-    for i, value in enumerate(head):
-        parts_left = len(head) - i - 1
+def _lex_rank(u: tuple[int, ...], total: int) -> int:
+    """Rank of u among length-len(u) sequences of naturals summing to total."""
+    rank = 0
+    remaining = total
+    length = len(u)
+    for i, value in enumerate(u):
+        parts_left = length - i - 1
         for c in range(value):
-            rank += _count_tail_positive(remaining - c, parts_left)
+            if parts_left == 0:
+                rank += 1 if remaining - c == 0 else 0
+            else:
+                rank += math.comb(remaining - c + parts_left - 1, parts_left - 1)
         remaining -= value
     return rank
+
+
+@lru_cache(maxsize=1 << 16)
+def node_rank(u: tuple[int, ...]) -> int:
+    """Index of u in the graded enumeration; rank(()) = 0."""
+    w = node_weight(u)
+    if w == 0:
+        return 0
+    rank = 2 ** (w - 1)  # all nodes of smaller weight, incl. the empty node
+    for length in range(1, len(u)):
+        rank += math.comb(w - 1, length - 1)
+    rank += _lex_rank(u, w - len(u))
+    return rank
+
+
+def node_unrank(k: int) -> tuple[int, ...]:
+    if k == 0:
+        return ()
+    w = k.bit_length()  # 2^(w-1) <= k < 2^w
+    rem = k - 2 ** (w - 1)
+    length = 1
+    while rem >= math.comb(w - 1, length - 1):
+        rem -= math.comb(w - 1, length - 1)
+        length += 1
+    out: list[int] = []
+    total = w - length
+    for i in range(length):
+        parts_left = length - i - 1
+        c = 0
+        while True:
+            if parts_left == 0:
+                block = 1 if total - c == 0 else 0
+            else:
+                block = math.comb(total - c + parts_left - 1, parts_left - 1)
+            if rem < block:
+                break
+            rem -= block
+            c += 1
+        out.append(c)
+        total -= c
+    return tuple(out)
 
 
 def _zero_stripped(head: Sequence[int]) -> tuple[int, ...]:
     head = list(head)
     while head and head[-1] == 0:
         head.pop()
-    return tuple(head)
-
-
-def ez_head(s: int) -> tuple[int, ...]:
-    """Inverse of ez_rank."""
-    if s == 0:
-        return ()
-    w = 2
-    base = 1
-    while base + 2 ** (w - 2) <= s:
-        base += 2 ** (w - 2)
-        w += 1
-    rem = s - base
-    length = 1
-    while rem >= _count_tail_positive(w - length, length):
-        rem -= _count_tail_positive(w - length, length)
-        length += 1
-    head: list[int] = []
-    total = w - length
-    for i in range(length):
-        parts_left = length - i - 1
-        c = 0
-        while True:
-            block = _count_tail_positive(total - c, parts_left)
-            if rem < block:
-                break
-            rem -= block
-            c += 1
-        head.append(c)
-        total -= c
     return tuple(head)
 
 
@@ -523,14 +491,6 @@ class RealLine:
         value = sb_positive(i)
         return value if odd == 0 else -value
 
-    def dense_bound(self, x: Fraction, k: int) -> int:
-        """Index at which the enumeration hits x itself."""
-        if x == 0:
-            return 0
-        if x > 0:
-            return 2 * sb_positive_index(x) + 1
-        return 2 * sb_positive_index(-x) + 2
-
     def least_dense_index(self, region: Sequence[tuple[Fraction, Fraction]], bound: int) -> int | None:
         """Least s <= bound with dense_point(s) inside the union of the
         disjoint open intervals `region`; None when there is none.
@@ -555,9 +515,6 @@ class RealLine:
     def parse_point(self, text: str) -> Fraction:
         return parse_rational(text)
 
-    def format_point(self, x: Fraction) -> str:
-        return format_rational(x)
-
     def __eq__(self, other) -> bool:
         return type(other) is type(self)
 
@@ -579,13 +536,6 @@ class UnitInterval(RealLine):
         if s == 1:
             return Fraction(1)
         return sb_unit(s - 2)
-
-    def dense_bound(self, x: Fraction, k: int) -> int:
-        if x == 0:
-            return 0
-        if x == 1:
-            return 1
-        return sb_unit_index(x) + 2
 
     def least_dense_index(self, region: Sequence[tuple[Fraction, Fraction]], bound: int) -> int | None:
         """As on the line: 0 and 1 come first, then the rationals inside
@@ -614,30 +564,26 @@ class BaireSpace:
         return baire_dist(x, y)
 
     def dense_point(self, s: int) -> BairePoint:
-        return eventually_zero(ez_head(s))
-
-    def dense_bound(self, x: BairePoint, k: int) -> int:
-        return ez_rank(_zero_stripped(x.head(k + 1)))
+        """The s-th finite sequence with its last entry raised by one, then
+        zeros: every eventually-zero sequence once, keyed by its
+        zero-stripped head."""
+        u = node_unrank(s)
+        return eventually_zero(u[:-1] + (u[-1] + 1,) if u else u)
 
     def least_dense_index(self, heads: Iterable[tuple[int, ...]], bound: int) -> int | None:
         """Least s <= bound whose dense point starts with one of `heads`;
         None when there is none.
 
         The least eventually-zero sequence with a given head is the head
-        followed by zeros, and the enumeration orders zero-stripped heads
-        by (length + sum, length, entries), so only the winner is ranked.
+        followed by zeros, whose index is the rank of its zero-stripped
+        head with the last entry lowered by one again.
         """
-        stripped = [_zero_stripped(h) for h in heads]
-        if not stripped:
-            return None
-        s = ez_rank(min(stripped, key=lambda u: (len(u) + sum(u), len(u), u)))
-        return s if s <= bound else None
+        ranks = [node_rank(u[:-1] + (u[-1] - 1,) if u else u) for u in map(_zero_stripped, heads)]
+        s = min(ranks, default=None)
+        return s if s is not None and s <= bound else None
 
     def parse_point(self, text: str) -> BairePoint:
         return parse_baire_point(text)
-
-    def format_point(self, x: BairePoint) -> str:
-        return format_baire_point(x)
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self)
@@ -671,18 +617,10 @@ class CantorGrid:
             k += 1
         return grid_point({m: (bits, (0,)) for m, bits in rows.items()})
 
-    def dense_bound(self, x: CantorGridPoint, k: int) -> int:
-        return sum(x.flat_entry(j) << j for j in range(k + 1))
-
     def parse_point(self, text: str):
         import json
 
         return grid_point_from_json(json.loads(text))
-
-    def format_point(self, x: CantorGridPoint) -> str:
-        import json
-
-        return json.dumps(grid_point_to_json(x), sort_keys=True)
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self)
@@ -751,9 +689,6 @@ class FinitePoints:
     def dense_point(self, s: int):
         return self._point(self.labels[s % len(self.labels)])
 
-    def dense_bound(self, x, k: int) -> int:
-        return self.index_of(x)
-
     def least_dense_index(self, region: Sequence[tuple[Fraction, Fraction]], bound: int) -> int | None:
         """Least label index s <= bound whose rational label lies inside
         the union of open intervals `region`; for rational labels only."""
@@ -766,9 +701,6 @@ class FinitePoints:
         if text not in self.labels:
             raise ValueError("point %r not in space" % text)
         return self._point(text)
-
-    def format_point(self, x) -> str:
-        return self._key(x)
 
 
 def finite_points_space(labels: Sequence[str], table: Sequence[Sequence[Fraction]]) -> FinitePoints:

@@ -6,37 +6,26 @@ terminal nodes, bodies, ill-foundedness, and the metric induced by
 characteristic functions over a fixed enumeration of all finite sequences
 are all exactly decidable for this representation.
 
-The node enumeration is graded: nodes are ordered by
-(length + entry sum, length, lexicographic).  Each grade is finite, the
-rank of a node is computable in closed form, and rank(b|j) is strictly
-increasing along any branch b, which is what makes the metric and the
-ball-constraint extraction feasible even for astronomically small radii.
+The node enumeration is the graded one of `spaces.node_rank`: nodes are
+ordered by (length + entry sum, length, lexicographic).  Each grade is
+finite, the rank of a node is computable in closed form, and rank(b|j) is
+strictly increasing along any branch b, which is what makes the metric and
+the ball-constraint extraction feasible even for astronomically small radii.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable
 
 from .rationals import floor_reciprocal
-from .spaces import BairePoint, first_disagreement, parse_baire_point, format_baire_point
+from .spaces import BairePoint, first_disagreement, format_baire_point, node_rank, parse_baire_point
 
 Node = tuple[int, ...]
 
 EMPTY_NODE: Node = ()
-
-
-def is_prefix(u: Node, v: Node) -> bool:
-    """u is an initial segment of v."""
-    return len(u) <= len(v) and all(u[i] == v[i] for i in range(len(u)))
-
-
-def prefixes(u: Node) -> list[Node]:
-    return [u[:i] for i in range(len(u) + 1)]
 
 
 def prefix_closure(nodes: Iterable[Node]) -> frozenset[Node]:
@@ -47,72 +36,6 @@ def prefix_closure(nodes: Iterable[Node]) -> frozenset[Node]:
             out.add(v)
             v = v[:-1]
     return frozenset(out)
-
-
-# ---------------------------------------------------------------------------
-# the fixed enumeration of all finite sequences
-# ---------------------------------------------------------------------------
-
-
-def node_weight(u: Node) -> int:
-    return len(u) + sum(u)
-
-
-def _lex_rank(u: Node, total: int) -> int:
-    """Rank of u among length-len(u) sequences of naturals summing to total."""
-    rank = 0
-    remaining = total
-    length = len(u)
-    for i, value in enumerate(u):
-        parts_left = length - i - 1
-        for c in range(value):
-            if parts_left == 0:
-                rank += 1 if remaining - c == 0 else 0
-            else:
-                rank += math.comb(remaining - c + parts_left - 1, parts_left - 1)
-        remaining -= value
-    return rank
-
-
-@lru_cache(maxsize=1 << 16)
-def node_rank(u: Node) -> int:
-    """Index of u in the graded enumeration; rank(()) = 0."""
-    w = node_weight(u)
-    if w == 0:
-        return 0
-    rank = 2 ** (w - 1)  # all nodes of smaller weight, incl. the empty node
-    for length in range(1, len(u)):
-        rank += math.comb(w - 1, length - 1)
-    rank += _lex_rank(u, w - len(u))
-    return rank
-
-
-def node_unrank(k: int) -> Node:
-    if k == 0:
-        return EMPTY_NODE
-    w = k.bit_length()  # 2^(w-1) <= k < 2^w
-    rem = k - 2 ** (w - 1)
-    length = 1
-    while rem >= math.comb(w - 1, length - 1):
-        rem -= math.comb(w - 1, length - 1)
-        length += 1
-    out: list[int] = []
-    total = w - length
-    for i in range(length):
-        parts_left = length - i - 1
-        c = 0
-        while True:
-            if parts_left == 0:
-                block = 1 if total - c == 0 else 0
-            else:
-                block = math.comb(total - c + parts_left - 1, parts_left - 1)
-            if rem < block:
-                break
-            rem -= block
-            c += 1
-        out.append(c)
-        total -= c
-    return tuple(out)
 
 
 def max_entry_below_rank(k: int) -> int:
@@ -160,9 +83,6 @@ class Tree:
 
     def contains(self, u: Node) -> bool:
         return u in self.finite_part or self._on_some_branch(u, self.branches)
-
-    def off_branch_nodes(self) -> frozenset[Node]:
-        return frozenset(u for u in self.finite_part if not self._on_some_branch(u, self.branches))
 
     def max_finite_length(self) -> int:
         return max((len(u) for u in self.finite_part), default=0)
@@ -293,9 +213,6 @@ class TreeSpace:
 
     def parse_point(self, text: str) -> Tree:
         return parse_tree_literal(text)
-
-    def format_point(self, x: Tree) -> str:
-        return format_tree_literal(x)
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self)

@@ -31,6 +31,8 @@ from baire_lab.closed_sets import (
 )
 from baire_lab.spaces import REAL_LINE, UNIT_INTERVAL, rational_points_space
 
+from scan_oracle import scan_search
+
 # ---------------------------------------------------------------------------
 # the exhaustive oracle: the definitions' quantifiers over the whole finite
 # domain and the full finite value sets, truncated to the schedules
@@ -416,16 +418,19 @@ def test_the_table_loop_measures_interval_nets_in_closed_form(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the closed-form least dense index against the index-by-index scan, which
-# passing the codomain's own dense sequence as `dense_fn` forces
+# the closed-form least dense index against the index-by-index scan of the
+# codomain's dense sequence, swapped in for the search
 # ---------------------------------------------------------------------------
 
 
-def _scan_oracle_agrees(evaluate, mm, x, cfg, probes) -> str:
+def _scan_oracle_agrees(monkeypatch, evaluate, mm, x, cfg, probes) -> str:
+    from baire_lab import checkers
     from baire_lab.instances import verdict_to_json
 
     closed = verdict_to_json(evaluate(mm, x, cfg, probes))
-    scanned = verdict_to_json(evaluate(mm, x, cfg, probes, dense_fn=mm.codomain.dense_point))
+    with monkeypatch.context() as patched:
+        patched.setattr(checkers, "_dense_search", lambda codomain, cfg: scan_search(codomain.dense_point, cfg))
+        scanned = verdict_to_json(evaluate(mm, x, cfg, probes))
     assert closed == scanned, (mm.name, x, cfg.dense_bound)
     return closed["verdict"]
 
@@ -442,7 +447,7 @@ def _random_real_value(rng, pool):
     ])
 
 
-def test_closed_form_dense_index_matches_the_scan_on_tabular_maps():
+def test_closed_form_dense_index_matches_the_scan_on_tabular_maps(monkeypatch):
     rng = random.Random(131)
     pools = {
         REAL_LINE: [Fr(0), Fr(1, 4), Fr(1, 2), Fr(1), Fr(3, 2), Fr(-1, 2), Fr(1, 3), Fr(-2, 7)],
@@ -458,11 +463,11 @@ def test_closed_form_dense_index_matches_the_scan_on_tabular_maps():
                 mm = tabular_multimap(space, {p: _random_real_value(rng, pool) for p in space.points()}, codomain)
                 probes = full_domain_probes(space)
                 for x in space.points():
-                    verdicts.add(_scan_oracle_agrees(eval_star, mm, x, cfg, probes))
+                    verdicts.add(_scan_oracle_agrees(monkeypatch, eval_star, mm, x, cfg, probes))
     assert verdicts == {"continuous", "discontinuous", "inconclusive"}
 
 
-def test_closed_form_dense_index_matches_the_scan_on_the_gallery():
+def test_closed_form_dense_index_matches_the_scan_on_the_gallery(monkeypatch):
     from baire_lab.gallery import dense_split, f1_multimap, f2_multimap
     from baire_lab.spaces import grid_point, parse_baire_point
     from baire_lab.trees import make_tree
@@ -478,13 +483,13 @@ def test_closed_form_dense_index_matches_the_scan_on_the_gallery():
     for dense_bound in (3, 256):
         cfg = default_config(dense_bound=dense_bound)
         for t in trees:
-            _scan_oracle_agrees(eval_star, f2, t, cfg, f2.default_probes)
+            _scan_oracle_agrees(monkeypatch, eval_star, f2, t, cfg, f2.default_probes)
     f1 = f1_multimap()
     for gamma in (grid_point(), grid_point(default=((), (1,))), grid_point({2: ((), (0, 1))}, ((1,), (0,)))):
-        _scan_oracle_agrees(eval_star, f1, gamma, default_config(), f1.default_probes)
+        _scan_oracle_agrees(monkeypatch, eval_star, f1, gamma, default_config(), f1.default_probes)
     split = dense_split("dyadic")
     for x in (Fr(1, 2), Fr(1, 3), Fr(3, 8), Fr(0), Fr(1)):
-        _scan_oracle_agrees(eval_dagger, split, x, default_config(), split.default_probes)
+        _scan_oracle_agrees(monkeypatch, eval_dagger, split, x, default_config(), split.default_probes)
 
 
 def test_star_scan_enumerates_no_dense_point_and_separates_each_pair_once(monkeypatch):

@@ -244,12 +244,55 @@ def test_check_rejects_a_point_that_is_not_a_literal(tmp_path):
     assert json.loads(out.stderr)["path"] == "points[1]"
 
 
+TWO_POINTS = {"kind": "finite_points", "labels": ["0", "1"], "table": [["0", "1"], ["1", "0"]],
+              "rational_labels": True}
+STRING_LABELS = {"kind": "finite_points", "labels": ["a", "b"], "table": [["0", "1"], ["1", "0"]]}
+
+
+def tabular(codomain, value_at_1, value_at_0=None):
+    """A tabular map on the points 0 and 1; the value at 0 defaults to empty."""
+    return {"kind": "tabular", "space": TWO_POINTS, "codomain": codomain,
+            "values": {"0": value_at_0 or {"kind": "empty"}, "1": value_at_1}}
+
+
+def finite(*points):
+    return {"kind": "finite_real", "points": list(points)}
+
+
+def affine(scale="2", shift="1"):
+    pi = {"kind": "affine", "scale": scale, "shift": shift}
+    return {"kind": "compose", "pi": {k: v for k, v in pi.items() if v is not None},
+            "base": tabular({"kind": "real_line"}, finite("1"))}
+
+
 @pytest.mark.parametrize("multimap, path", [
     ({"kind": "f1", "window": "x"}, "multimap.window"),
-    ({"kind": "tabular",
-      "space": {"kind": "finite_points", "labels": ["a", "b"], "table": [["0", "1"], ["1", "0"]]},
-      "values": {"a": {"kind": "finite_real", "points": ["0"]}, "b": {"kind": "bogus"}}}, "multimap.values.b"),
+    ({"kind": "tabular", "space": STRING_LABELS,
+      "values": {"a": finite("0"), "b": {"kind": "bogus"}}}, "multimap.values.b"),
     ({"kind": "spike", "head": ["1/2", "1/2"]}, "multimap.head"),
+    # a value must be a subset of the codomain, of a kind measured there
+    (tabular({"kind": "real_line"}, {"kind": "finite_baire", "points": ["1;0"]}), "multimap.values.1"),
+    (tabular({"kind": "unit_interval"}, finite("2")), "multimap.values.1"),
+    (tabular({"kind": "unit_interval"}, {"kind": "closed_intervals", "intervals": [["-1", "1/2"]]}),
+     "multimap.values.1"),
+    (tabular(TWO_POINTS, finite("5")), "multimap.values.1"),
+    (tabular(TWO_POINTS, {"kind": "closed_intervals", "intervals": [["0", "1"]]}), "multimap.values.1"),
+    (tabular({"kind": "baire_space"}, finite("0")), "multimap.values.1"),
+    (tabular({"kind": "cantor_grid"}, finite("0")), "multimap.values.1"),
+    (tabular({"kind": "tree_space"}, {"kind": "tree_body", "tree": "tree{nodes:[()]}"}), "multimap.values.1"),
+    (tabular(STRING_LABELS, finite("0")), "multimap.values.1"),
+    (tabular({"kind": "real_line"}, finite("1"), {"kind": "tree_body", "tree": "tree{nodes:[()]}"}),
+     "multimap.values.0"),
+    # a coordinate change must fit the codomain it is composed with
+    ({"kind": "compose", "pi": {"kind": "baire_embed"}, "base": {"kind": "f1"}}, "multimap.pi"),
+    ({"kind": "compose", "pi": {"kind": "affine", "scale": "2", "shift": "0"}, "base": {"kind": "f2"}},
+     "multimap.pi"),
+    (affine(scale=None), "multimap.pi.scale"),
+    (affine(scale="x"), "multimap.pi.scale"),
+    (affine(scale="0"), "multimap.pi.scale"),
+    (affine(scale=2), "multimap.pi.scale"),
+    (affine(shift="1/0"), "multimap.pi.shift"),
+    (affine(shift=None), "multimap.pi.shift"),
 ])
 def test_check_rejects_a_malformed_multimap_at_its_path(tmp_path, multimap, path):
     instance = tmp_path / "malformed.json"
@@ -273,3 +316,19 @@ def test_check_rejects_a_point_outside_the_domain(tmp_path):
     out = run_cli("check", str(instance), "--point", "3/2")
     assert out.returncode == 2, out.stderr
     assert json.loads(out.stderr)["path"] == "point"
+
+
+def test_star_on_only_empty_values_into_codomains_without_a_dense_index(tmp_path):
+    # the grid, the tree space and string-labelled finite spaces carry no
+    # value but the empty set; every point is at distance 1 from it
+    instance = tmp_path / "empty_star.json"
+    for codomain in ({"kind": "cantor_grid"}, {"kind": "tree_space"}, STRING_LABELS):
+        instance.write_text(json.dumps({"multimap": tabular(codomain, {"kind": "empty"}),
+                                        "points": ["0", "1"], "mode": "star"}))
+        out = run_cli("check", str(instance))
+        assert out.returncode == 0, (codomain, out.stderr)
+        results = json.loads(out.stdout)["results"]
+        assert [r["verdict"] for r in results] == ["discontinuous", "discontinuous"], codomain
+        assert results[0]["report"] == {"certificate": "probe value sets separated by 2/(n+1) at every delta",
+                                        "criterion": "star", "refuted_n": 0}
+        assert results[0]["report"] == results[1]["report"]

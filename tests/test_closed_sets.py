@@ -29,7 +29,6 @@ from baire_lab.closed_sets import (
     set_contains,
     set_from_json,
     set_separation,
-    set_to_json,
     tree_body_points,
 )
 from baire_lab.spaces import BAIRE_SPACE, REAL_LINE, eventually_zero, parse_baire_point
@@ -193,16 +192,17 @@ def test_set_separation():
     assert set_separation(a, b) == 1
 
 
-def test_json_roundtrip():
-    for s in [
-        finite_real(Fr(1, 2), 3),
-        closed_intervals((0, 1)),
-        open_intervals((0, Fr(1, 3))),
-        FiniteBaireSet(frozenset({parse_baire_point("1;0")})),
-        TreeBody(make_tree([(2,)])),
-        Empty(),
-    ]:
-        assert set_from_json(set_to_json(s)) == s
+def test_set_from_json_decodes_every_kind():
+    cases = [
+        ({"kind": "finite_real", "points": ["1/2", "3"]}, finite_real(Fr(1, 2), 3)),
+        ({"kind": "closed_intervals", "intervals": [["0", "1"]]}, closed_intervals((0, 1))),
+        ({"kind": "open_intervals", "intervals": [["0", "1/3"]]}, open_intervals((0, Fr(1, 3)))),
+        ({"kind": "finite_baire", "points": ["1;0"]}, FiniteBaireSet(frozenset({parse_baire_point("1;0")}))),
+        ({"kind": "tree_body", "tree": "tree{nodes:[(),(2)]}"}, TreeBody(make_tree([(2,)]))),
+        ({"kind": "empty"}, Empty()),
+    ]
+    for obj, expected in cases:
+        assert set_from_json(obj) == expected
 
 
 def test_nonempty_variant_validation():

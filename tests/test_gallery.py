@@ -56,6 +56,7 @@ from baire_lab.spaces import (
 from baire_lab.trees import is_ill_founded, make_tree, generated_by, tree_dist
 
 from corpus_helpers import grid_corpus
+from scan_oracle import scan_search
 
 CFG = default_config()
 
@@ -398,7 +399,9 @@ def test_spike_plain_verdicts_follow_complement():
         assert got.kind == expected, x
 
 
-def test_verdicts_stable_under_alternative_dense_enumeration():
+def test_verdicts_stable_under_alternative_dense_enumeration(monkeypatch):
+    from baire_lab import checkers
+
     def alt_dense(s):
         # sign-flipped rational enumeration: 0, -1, 1, -1/2, 1/2, ...
         value = REAL_LINE.dense_point(s)
@@ -407,7 +410,9 @@ def test_verdicts_stable_under_alternative_dense_enumeration():
     mm = f1_multimap(8)
     for gamma in (ALL_ONES, ALL_ZERO):
         default = eval_star(mm, gamma, CFG, mm.default_probes)
-        swapped = eval_star(mm, gamma, CFG, mm.default_probes, dense_fn=alt_dense)
+        with monkeypatch.context() as patched:
+            patched.setattr(checkers, "_dense_search", lambda codomain, cfg: scan_search(alt_dense, cfg))
+            swapped = eval_star(mm, gamma, CFG, mm.default_probes)
         assert default.kind == swapped.kind
 
 

@@ -14,10 +14,7 @@ from baire_lab.spaces import (
     BairePoint,
     RowSpec,
     baire_dist,
-    basic_nbhd_contains,
     eventually_zero,
-    ez_head,
-    ez_rank,
     finite_points_space,
     format_baire_point,
     grid_dist,
@@ -28,7 +25,6 @@ from baire_lab.spaces import (
     parse_baire_point,
     rational_points_space,
     sb_positive,
-    sb_positive_index,
     unpair_index,
 )
 
@@ -121,13 +117,6 @@ def test_baire_dist_is_ultrametric_and_quantized():
             assert d == 0 or d.numerator == 1
 
 
-def test_basic_nbhd_contains():
-    a = parse_baire_point("1,2;0")
-    assert basic_nbhd_contains((), a)
-    assert basic_nbhd_contains((1, 2), a)
-    assert not basic_nbhd_contains((1, 3), a)
-
-
 # --- grid points -------------------------------------------------------------
 
 
@@ -163,7 +152,7 @@ def test_grid_dist_agrees_with_flat_scan():
     for _ in range(200):
         a, b = random_grid(rng), random_grid(rng)
         d = grid_dist(a, b)
-        got = next((k for k in range(600) if a.flat_entry(k) != b.flat_entry(k)), None)
+        got = next((k for k in range(600) if a.entry(*unpair_index(k)) != b.entry(*unpair_index(k))), None)
         if got is None:
             assert d == 0 or d < Fr(1, 600)
         else:
@@ -203,8 +192,6 @@ def _sb_bfs_oracle(count):
 def test_sb_enumeration_matches_bfs_oracle():
     oracle = _sb_bfs_oracle(127)
     assert [sb_positive(i) for i in range(127)] == oracle
-    for i in range(127):
-        assert sb_positive_index(oracle[i]) == i
 
 
 def test_dense_sequences_start_as_specified():
@@ -242,33 +229,38 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def test_ez_rank_matches_generated_order():
+def test_baire_dense_points_follow_the_generated_order():
     order = []
     w = 0
     while len(order) < 200:
         order.extend(sorted(_heads_of_weight(w), key=lambda u: (len(u), u)))
         w += 1
     for s, head in enumerate(order[:200]):
-        assert ez_rank(head) == s
-        assert ez_head(s) == head
+        assert BAIRE_SPACE.dense_point(s) == eventually_zero(head)
+        assert BAIRE_SPACE.least_dense_index([head], 10 ** 6) == s
 
 
-def test_density_bounds_are_witnesses():
-    rng = random.Random(23)
-    spaces_points = [
+def test_every_ball_holds_a_dense_point():
+    finite = rational_points_space([Fr(3, 2), Fr(0), Fr(-1, 3), Fr(2, 7)])
+    real_points = [
         (REAL_LINE, [Fr(0), Fr(5, 3), Fr(-7, 2), Fr(22, 7)]),
         (UNIT_INTERVAL, [Fr(0), Fr(1), Fr(2, 5), Fr(17, 19)]),
-        (BAIRE_SPACE, [eventually_zero(()), parse_baire_point("2,1;0"), parse_baire_point(";1")]),
-        (CANTOR_GRID, [grid_point(), grid_point({1: ((0, 1), (0,))})]),
+        (finite, finite.points()),
     ]
-    for space, points in spaces_points:
-        for x in points:
-            for k in (0, 3, 7):
-                bound = space.dense_bound(x, k)
-                assert any(
-                    space.dist(space.dense_point(s), x) < Fr(1, k + 1)
-                    for s in range(bound + 1)
-                )
+    for k in (0, 3, 7):
+        r = Fr(1, k + 1)
+        for space, points in real_points:
+            for x in points:
+                s = space.least_dense_index([(x - r, x + r)], 10 ** 9)
+                assert s is not None and space.dist(space.dense_point(s), x) < r, (space.name, x, k)
+        for x in (eventually_zero(()), parse_baire_point("2,1;0"), parse_baire_point(";1")):
+            s = BAIRE_SPACE.least_dense_index([x.head(k + 1)], 10 ** 9)
+            assert s is not None and baire_dist(BAIRE_SPACE.dense_point(s), x) < r, (x, k)
+        for x in (grid_point(), grid_point({1: ((0, 1), (0,))})):
+            # the grid's dense point s carries the binary digits of s as its
+            # first flattened entries
+            s = sum(x.entry(*unpair_index(j)) << j for j in range(k + 1))
+            assert grid_dist(CANTOR_GRID.dense_point(s), x) < r, (x, k)
 
 
 def _random_region(rng, lo, hi):

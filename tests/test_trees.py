@@ -5,7 +5,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from baire_lab.spaces import eventually_zero, parse_baire_point
+from baire_lab.spaces import eventually_zero, node_rank, node_unrank, parse_baire_point
 from baire_lab.trees import (
     EMPTY_NODE,
     TREE_SPACE,
@@ -16,11 +16,8 @@ from baire_lab.trees import (
     format_tree_literal,
     generated_by,
     is_ill_founded,
-    is_prefix,
     make_tree,
     max_entry_below_rank,
-    node_rank,
-    node_unrank,
     parse_tree_literal,
     terminals,
     tree_dist,
@@ -40,12 +37,6 @@ def random_tree(rng, with_branches=False):
             rng.randrange(2),
         )))
     return make_tree(seeds, branches)
-
-
-def test_is_prefix_examples():
-    assert is_prefix((), (3, 4))
-    assert is_prefix((2,), (2, 5))
-    assert not is_prefix((2, 5), (2,))
 
 
 def test_generated_by_examples():
@@ -88,7 +79,7 @@ def test_tree_shift_is_an_order_isomorphism_with_positive_entries():
         for u in t.finite_part:
             assert len(mapping[u]) == len(u)
             for v in t.finite_part:
-                assert is_prefix(u, v) == is_prefix(mapping[u], mapping[v])
+                assert (v[:len(u)] == u) == (mapping[v][:len(u)] == mapping[u])
         assert all(e >= 1 for u in shifted.finite_part for e in u)
         assert all(e >= 1 for b in shifted.branches for e in b.head(8))
 
@@ -225,7 +216,7 @@ def test_tree_metric_axioms():
 def test_tree_space_protocol():
     t = make_tree([(1,)])
     assert TREE_SPACE.contains(t)
-    assert TREE_SPACE.parse_point(TREE_SPACE.format_point(t)) == t
+    assert TREE_SPACE.parse_point(format_tree_literal(t)) == t
     assert ball_rank_bound(Fr(1, 4)) == 4
 
 
