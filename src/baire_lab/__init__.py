@@ -34,7 +34,6 @@ from .closed_sets import (
     FiniteBaireSet,
     FiniteRealSet,
     OpenIntervalUnion,
-    TreeBody,
     closure,
     dist_to_set,
     eps_net,

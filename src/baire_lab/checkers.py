@@ -653,10 +653,10 @@ def _verify_continuity(multimap, x, w: ContinuityWitness, probes) -> bool:
     for eps, delta in w.table:
         if eps <= 0 or delta <= 0:
             return False
-        for xp in probes(x, delta):
-            if multimap.domain.dist(x, xp) >= delta:
-                return False
-        for xp in [x, *probes(x, delta)]:
+        ball = list(probes(x, delta))
+        if any(multimap.domain.dist(x, xp) >= delta for xp in ball):
+            return False
+        for xp in [x, *ball]:
             net = eps_net(multimap.value(xp), w.net_resolution)
             if not net or min(multimap.codomain.dist(w.y, yp) for yp in net) >= eps:
                 return False

@@ -15,6 +15,7 @@ import time
 
 from . import __version__
 from .checkers import (
+    ContinuityWitness,
     check_continuity,
     check_strong_continuity,
     default_config,
@@ -31,6 +32,7 @@ from .gallery import (
     f2_witness,
 )
 from .instances import (
+    MODES,
     SchemaError,
     balls_from_json,
     config_to_json,
@@ -38,12 +40,13 @@ from .instances import (
     encode_value,
     instance_digest,
     load_instance,
+    point_from_json,
     verdict_to_json,
     witness_to_json,
 )
 from .pointclass import ParseError, classify, parse_expr
 from .rationals import format_rational
-from .spaces import grid_point, grid_point_from_json, parse_baire_point, real_flavored
+from .spaces import CANTOR_GRID, grid_point, parse_baire_point, real_flavored
 from .trees import (
     body_prefixes,
     format_node,
@@ -146,6 +149,20 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
+def _certify(command: str, multimap, x, witness, args, started: float, **fields) -> int:
+    """Emit a gallery witness at x with its verdict and whether
+    `verify_witness` accepts it."""
+    accepted = verify_witness(multimap, x, witness, multimap.default_probes)
+    _emit(_report(
+        command,
+        verdict="continuous" if isinstance(witness, ContinuityWitness) else "discontinuous",
+        witness=witness_to_json(witness),
+        witness_verified=accepted,
+        **fields,
+    ), args, started)
+    return EXIT_OK if accepted else EXIT_INCONCLUSIVE
+
+
 _NAMED_GAMMAS = {
     "all_ones": lambda: grid_point(default=((), (1,))),
     "all_zero": lambda: grid_point(),
@@ -162,36 +179,15 @@ def cmd_gallery(args) -> int:
             if args.gamma in _NAMED_GAMMAS:
                 gamma = _NAMED_GAMMAS[args.gamma]()
             else:
-                gamma = grid_point_from_json(json.loads(args.gamma))
-            multimap = f1_multimap()
-            witness = f1_witness(gamma, cfg=cfg)
-            accepted = verify_witness(multimap, gamma, witness, multimap.default_probes)
-            kind = "continuous" if witness.__class__.__name__ == "ContinuityWitness" else "discontinuous"
-            _emit(_report(
-                "gallery f1",
-                gamma=encode_value(gamma),
-                verdict=kind,
-                witness=witness_to_json(witness),
-                witness_verified=accepted,
-            ), args, started)
-            return EXIT_OK if accepted else EXIT_INCONCLUSIVE
+                gamma = point_from_json(CANTOR_GRID, json.loads(args.gamma), "gamma")
+            return _certify("gallery f1", f1_multimap(), gamma, f1_witness(gamma, cfg=cfg), args, started,
+                            gamma=encode_value(gamma))
         if args.name == "f2":
             if args.tree is None:
                 raise SchemaError("tree", "f2 needs --tree 'tree{nodes:[...]}'")
             tree = parse_tree_literal(args.tree)
-            multimap = f2_multimap()
-            witness = f2_witness(tree, cfg=cfg)
-            accepted = verify_witness(multimap, tree, witness, multimap.default_probes)
-            kind = "continuous" if witness.__class__.__name__ == "ContinuityWitness" else "discontinuous"
-            _emit(_report(
-                "gallery f2",
-                tree=format_tree_literal(tree),
-                ill_founded=is_ill_founded(tree),
-                verdict=kind,
-                witness=witness_to_json(witness),
-                witness_verified=accepted,
-            ), args, started)
-            return EXIT_OK if accepted else EXIT_INCONCLUSIVE
+            return _certify("gallery f2", f2_multimap(), tree, f2_witness(tree, cfg=cfg), args, started,
+                            tree=format_tree_literal(tree), ill_founded=is_ill_founded(tree))
         if args.name == "embed":
             if args.alpha is None or args.depth is None:
                 raise SchemaError("alpha", "embed needs --alpha 'prefix;period' and --depth N")
@@ -262,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="run a checker over an instance file")
     p_check.add_argument("instance", help="path to the instance JSON file")
     p_check.add_argument("--point", help="override: single point literal")
-    p_check.add_argument("--mode", choices=["plain", "strong", "star", "dagger", "fell"])
+    p_check.add_argument("--mode", choices=MODES)
     p_check.set_defaults(fn=cmd_check)
 
     p_gallery = sub.add_parser("gallery", help="run a gallery construction")

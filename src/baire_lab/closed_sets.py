@@ -2,15 +2,15 @@
 
 Variants denote subsets of the real line / unit interval (finite point
 sets, closed or open interval unions), of the sequence space (finite point
-sets, tree bodies), or the empty set.  Point-to-set distance is exact; the
-empty set is at distance 1 from everything, following the convention the
-truncated criteria rely on.
+sets), or the empty set.  Point-to-set distance is exact; the empty set is
+at distance 1 from everything, following the convention the truncated
+criteria rely on.
 
-A TreeBody denotes the value of the tree-indexed gallery map: the body of
-the +1-shifted tree together with every terminal of the shifted tree padded
-with zeros.  For the representable trees here that denotation is a finite
-set of eventually periodic points, so distances, nets, and membership are
-all exact enumerations.
+The value of the tree-indexed gallery map at a tree, the body of the
++1-shifted tree together with every terminal of the shifted tree padded
+with zeros, is a finite set of eventually periodic points for the
+representable trees here (`tree_body_points`), so it is a
+`FiniteBaireSet`; a `tree_body` JSON value decodes to that set.
 
 `common_heads` and `common_neighbourhood` describe the points within a
 radius of every one of a list of values: a set of heads in sequence space,
@@ -83,18 +83,11 @@ class FiniteBaireSet:
 
 
 @dataclass(frozen=True)
-class TreeBody:
-    tree: Tree
-
-    kind = "tree_body"
-
-
-@dataclass(frozen=True)
 class Empty:
     kind = "empty"
 
 
-ClosedSetRepr = FiniteRealSet | ClosedIntervalUnion | OpenIntervalUnion | FiniteBaireSet | TreeBody | Empty
+ClosedSetRepr = FiniteRealSet | ClosedIntervalUnion | OpenIntervalUnion | FiniteBaireSet | Empty
 
 
 def finite_real(*points) -> FiniteRealSet:
@@ -111,7 +104,7 @@ def open_intervals(*intervals) -> OpenIntervalUnion:
 
 @lru_cache(maxsize=4096)
 def tree_body_points(t: Tree) -> frozenset[BairePoint]:
-    """Exact denotation of TreeBody(t): shifted branches and padded terminals."""
+    """The f2 value at t: shifted branches and padded terminals."""
     shifted = tree_shift(t)
     points = {b.shift_entries(1) for b in t.branches}
     for u in terminals(shifted):
@@ -123,8 +116,6 @@ def _points(s: ClosedSetRepr):
     """The denotation of a point-enumerable variant, unordered, else None."""
     if isinstance(s, (FiniteRealSet, FiniteBaireSet)):
         return s.points
-    if isinstance(s, TreeBody):
-        return tree_body_points(s.tree)
     if isinstance(s, Empty):
         return frozenset()
     return None
@@ -157,8 +148,6 @@ def dist_to_set(y, s: ClosedSetRepr) -> Fraction:
         return min(_interval_dist(y, a, b) for a, b in s.intervals)
     if isinstance(s, FiniteBaireSet):
         return min(baire_dist(y, p) for p in s.points)
-    if isinstance(s, TreeBody):
-        return min(baire_dist(y, p) for p in tree_body_points(s.tree))
     raise TypeError("unknown set representation: %r" % (s,))
 
 
@@ -180,7 +169,7 @@ def fits_space(s: ClosedSetRepr, space) -> bool:
     interval real variants inside them, a rational finite space finite sets
     of its labels, and every other space only Empty."""
     if isinstance(space, BaireSpace):
-        return isinstance(s, (Empty, FiniteBaireSet, TreeBody))
+        return isinstance(s, (Empty, FiniteBaireSet))
     if isinstance(s, FiniteRealSet):
         return real_flavored(space) and all(map(space.contains, s.points))
     if isinstance(s, (ClosedIntervalUnion, OpenIntervalUnion)):
@@ -398,15 +387,9 @@ def common_neighbourhood(values, r: Fraction, known: dict | None = None) -> list
 
 
 def _heads(s: ClosedSetRepr, length: int) -> frozenset[tuple[int, ...]]:
-    if isinstance(s, Empty):
-        return frozenset()
-    if isinstance(s, FiniteBaireSet):
-        points = s.points
-    elif isinstance(s, TreeBody):
-        points = tree_body_points(s.tree)
-    else:
+    if not isinstance(s, (Empty, FiniteBaireSet)):
         raise TypeError("heads are for sequence-space variants: %r" % (s,))
-    return frozenset(p.head(length) for p in points)
+    return frozenset(p.head(length) for p in _points(s))
 
 
 def common_heads(values, length: int, known: dict | None = None) -> frozenset[tuple[int, ...]]:
@@ -460,7 +443,7 @@ def set_from_json(obj: dict) -> ClosedSetRepr:
     if kind == "finite_baire":
         return FiniteBaireSet(frozenset(parse_baire_point(p) for p in obj["points"]))
     if kind == "tree_body":
-        return TreeBody(parse_tree_literal(obj["tree"]))
+        return FiniteBaireSet(tree_body_points(parse_tree_literal(obj["tree"])))
     if kind == "empty":
         return Empty()
     raise ValueError("unknown set kind: %r" % (kind,))

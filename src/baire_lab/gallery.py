@@ -38,7 +38,6 @@ from .closed_sets import (
     FiniteBaireSet,
     FiniteRealSet,
     OpenIntervalUnion,
-    TreeBody,
     finite_real,
     tree_body_points,
 )
@@ -48,11 +47,9 @@ from .spaces import (
     CANTOR_GRID,
     REAL_LINE,
     UNIT_INTERVAL,
-    ALL_ONE_ROW,
     BairePoint,
     CantorGridPoint,
     FinitePoints,
-    RowSpec,
     UnitInterval,
     pair_index,
     unpair_index,
@@ -76,17 +73,35 @@ from .trees import (
 F1_DEFAULT_WINDOW = 8
 
 
+def has_infinitely_many_ones(row: BairePoint) -> bool:
+    return 1 in row.period
+
+
+def last_one_index(row: BairePoint) -> int | None:
+    """Index of the last 1, for rows with finitely many 1s."""
+    if has_infinitely_many_ones(row):
+        raise ValueError("row has infinitely many ones")
+    return max((s for s, bit in enumerate(row.prefix) if bit == 1), default=None)
+
+
+def first_one_at_or_after(row: BairePoint, n: int) -> int | None:
+    """Least s >= n with bit 1; None when the tail is all zero.  A 1 past
+    the prefix recurs within one period."""
+    stop = max(n, len(row.prefix)) + len(row.period)
+    return next((s for s in range(n, stop) if row.entry(s) == 1), None)
+
+
 def r_membership(gamma: CantorGridPoint, m: int) -> bool:
-    """Does row m carry infinitely many 1s?  Decidable from the row spec."""
-    return gamma.row(m).has_infinitely_many_ones()
+    """Does row m carry infinitely many 1s?  Decidable from the row."""
+    return has_infinitely_many_ones(gamma.row(m))
 
 
 def n_of(gamma: CantorGridPoint, m: int) -> int:
     """least n with the row all zero from n on, plus one."""
     row = gamma.row(m)
-    if row.has_infinitely_many_ones():
+    if has_infinitely_many_ones(row):
         raise ValueError("value undefined: row %d has infinitely many 1s" % m)
-    last = row.last_one_index()
+    last = last_one_index(row)
     least = 0 if last is None else last + 1
     return least + 1
 
@@ -120,7 +135,7 @@ def f1_graph_member(gamma: CantorGridPoint, y: Fraction) -> bool:
     for m in range(int(y) + 1):
         row = gamma.row(m)
         if y == m:
-            if row.has_infinitely_many_ones():
+            if has_infinitely_many_ones(row):
                 return True
             continue
         q = y - m
@@ -130,12 +145,12 @@ def f1_graph_member(gamma: CantorGridPoint, y: Fraction) -> bool:
         n_val = inv.numerator - 2
         if n_val < 0:
             continue
-        if row.has_infinitely_many_ones():
+        if has_infinitely_many_ones(row):
             continue
-        last = row.last_one_index()
+        last = last_one_index(row)
         if last is not None and last >= n_val:
             continue
-        if n_val == 0 or row.bit(n_val - 1) == 1:
+        if n_val == 0 or row.entry(n_val - 1) == 1:
             return True
     return False
 
@@ -155,21 +170,21 @@ def ones_completion(gamma: CantorGridPoint, flat_bound: int) -> CantorGridPoint:
     while pair_index(m, 0) < flat_bound:
         s_max = _row_constraint_length(m, flat_bound)
         prefix = tuple(gamma.entry(m, s) for s in range(s_max))
-        rows.append((m, RowSpec(prefix, (1,))))
+        rows.append((m, BairePoint(prefix, (1,))))
         m += 1
-    return CantorGridPoint(tuple(rows), ALL_ONE_ROW)
+    return CantorGridPoint(tuple(rows), BairePoint((), (1,)))
 
 
 def flip_completion(gamma: CantorGridPoint, flat_index: int) -> CantorGridPoint:
     """gamma with the single flattened cell `flat_index` flipped."""
     m, s = unpair_index(flat_index)
     row = gamma.row(m)
-    length = max(s + 1, len(row.bit_prefix))
-    bits = [row.bit(i) for i in range(length)]
+    length = max(s + 1, len(row.prefix))
+    bits = list(row.head(length))
     bits[s] ^= 1
-    offset = (length - len(row.bit_prefix)) % len(row.bit_period)
-    period = row.bit_period[offset:] + row.bit_period[:offset]
-    new_row = RowSpec(tuple(bits), period)
+    offset = (length - len(row.prefix)) % len(row.period)
+    period = row.period[offset:] + row.period[:offset]
+    new_row = BairePoint(tuple(bits), period)
     rows = dict(gamma.explicit_rows)
     rows[m] = new_row
     return CantorGridPoint(tuple(rows.items()), gamma.default_row)
@@ -215,7 +230,7 @@ def f1_witness(gamma: CantorGridPoint, window: int = F1_DEFAULT_WINDOW,
         table = []
         for eps in cfg.eps_schedule:
             n_eps = floor_reciprocal(eps)
-            s_n = row.first_one_at_or_after(n_eps)
+            s_n = first_one_at_or_after(row, n_eps)
             delta = Fraction(1, pair_index(witness_m, s_n) + 2)
             table.append((eps, delta))
         return ContinuityWitness(Fraction(witness_m), tuple(table), cfg.net_resolution)
@@ -282,7 +297,7 @@ def f2_probes(deep_depth: int = F2_DEEP_DEPTH) -> Callable:
 def f2_multimap() -> MultiMap:
     return MultiMap(
         TREE_SPACE, BAIRE_SPACE,
-        TreeBody,
+        lambda t: FiniteBaireSet(tree_body_points(t)),
         name="f2",
         default_probes=f2_probes(),
     )
@@ -596,8 +611,6 @@ class BaireEmbedding:
             return s
         if isinstance(s, FiniteBaireSet):
             return FiniteRealSet(frozenset(self.apply(p) for p in s.points))
-        if isinstance(s, TreeBody):
-            return FiniteRealSet(frozenset(self.apply(p) for p in tree_body_points(s.tree)))
         raise ValueError("embedded image of %r is not representable" % (s,))
 
 

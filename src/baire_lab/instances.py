@@ -61,6 +61,13 @@ class SchemaError(ValueError):
         self.path = path
 
 
+def _object(obj: Any, path: str) -> dict:
+    """obj, when it is a JSON object; a SchemaError at path otherwise."""
+    if not isinstance(obj, dict):
+        raise SchemaError(path, "expected a JSON object, not %s" % type(obj).__name__)
+    return obj
+
+
 # ---------------------------------------------------------------------------
 # spaces and points
 # ---------------------------------------------------------------------------
@@ -75,7 +82,7 @@ _SPACES = {
 
 
 def space_from_json(obj: dict, path: str = "space"):
-    kind = obj.get("kind")
+    kind = _object(obj, path).get("kind")
     if kind in _SPACES:
         return _SPACES[kind]
     if kind == "finite_points":
@@ -97,7 +104,7 @@ def point_from_json(space, obj: Any, path: str = "point"):
         if isinstance(obj, dict):
             return grid_point_from_json(obj)
         return space.parse_point(obj)
-    except ValueError as exc:
+    except (AttributeError, TypeError, ValueError) as exc:  # also grid JSON whose rows are not objects
         raise SchemaError(path, str(exc)) from exc
 
 
@@ -147,7 +154,7 @@ def _rational_field(obj: dict, key: str, path: str) -> Fraction:
 def _coordinate_change(obj: dict, codomain, path: str):
     """The injective coordinate change of `compose`, checked against the
     codomain of the map it is composed with."""
-    kind = obj.get("kind")
+    kind = _object(obj, path).get("kind")
     if kind == "affine":
         if not real_flavored(codomain):
             raise SchemaError(path, "affine needs a real_line, unit_interval or rational finite_points base "
@@ -164,7 +171,7 @@ def _coordinate_change(obj: dict, codomain, path: str):
 
 
 def multimap_from_json(obj: dict, path: str = "multimap") -> MultiMap:
-    kind = obj.get("kind")
+    kind = _object(obj, path).get("kind")
     if kind == "f1":
         try:
             window = int(obj.get("window", 8))
@@ -195,7 +202,7 @@ def multimap_from_json(obj: dict, path: str = "multimap") -> MultiMap:
         space = space_from_json(obj.get("space", {}), path + ".space")
         codomain = space_from_json(obj.get("codomain", {"kind": "real_line"}), path + ".codomain")
         values = {}
-        for label, setobj in obj.get("values", {}).items():
+        for label, setobj in _object(obj.get("values", {}), path + ".values").items():
             point = point_from_json(space, label, path + ".values")
             where = "%s.values.%s" % (path, label)
             try:
@@ -214,7 +221,14 @@ def multimap_from_json(obj: dict, path: str = "multimap") -> MultiMap:
         sup = space_from_json(obj.get("super_space", {}), path + ".super_space")
         if not isinstance(base.domain, FinitePoints) or not isinstance(sup, FinitePoints):
             raise SchemaError(path, "extend requires finite-points domain spaces")
-        return extend(base, IdentityEmbedding(base.domain, sup), sup)
+        try:
+            embedding = IdentityEmbedding(base.domain, sup)
+        except ValueError as exc:
+            raise SchemaError(path + ".super_space", str(exc)) from exc
+        try:  # off the image the value is the whole codomain, which must be representable
+            return extend(base, embedding, sup)
+        except ValueError as exc:
+            raise SchemaError(path + ".base", str(exc)) from exc
     if kind == "compose":
         base = multimap_from_json(obj.get("base", {}), path + ".base")
         return compose(_coordinate_change(obj.get("pi", {}), base.codomain, path + ".pi"), base)
@@ -228,6 +242,7 @@ def multimap_from_json(obj: dict, path: str = "multimap") -> MultiMap:
 
 def config_from_json(obj: dict, path: str = "config") -> CheckConfig:
     base = default_config()
+    _object(obj, path)
     try:
         return CheckConfig(
             eps_schedule=tuple(parse_rational(v) for v in obj.get("eps_schedule", [])) or base.eps_schedule,
@@ -238,7 +253,7 @@ def config_from_json(obj: dict, path: str = "config") -> CheckConfig:
             n_bound=int(obj.get("n_bound", base.n_bound)),
             m_bound=int(obj.get("m_bound", base.m_bound)),
         )
-    except ValueError as exc:
+    except (AttributeError, TypeError, ValueError) as exc:
         raise SchemaError(path, str(exc)) from exc
 
 
@@ -255,7 +270,7 @@ def config_to_json(cfg: CheckConfig) -> dict:
 
 
 def probes_from_json(obj: dict, multimap: MultiMap, path: str = "probe_spec"):
-    kind = obj.get("kind", "default")
+    kind = _object(obj, path).get("kind", "default")
     if kind == "default":
         if multimap.default_probes is None:
             raise SchemaError(path, "multimap ships no default probe generator")
@@ -336,8 +351,7 @@ MODES = ("plain", "strong", "star", "dagger", "fell")
 
 def load_instance(obj: dict):
     """Decode an instance file into (multimap, points, mode, cfg, probes)."""
-    if not isinstance(obj, dict):
-        raise SchemaError("$", "instance file must be a JSON object")
+    _object(obj, "$")
     multimap = multimap_from_json(obj.get("multimap", {}), "multimap")
     mode = obj.get("mode", "plain")
     if mode not in MODES:

@@ -8,8 +8,9 @@ Three kinds of points live here:
   exactly decidable for eventually periodic sequences.
 * `CantorGridPoint` — a finitely described element of the 0/1 grid
   indexed by pairs (row, column), with finitely many explicit rows and a
-  default row.  Its metric flattens the grid through the fixed Cantor
-  diagonal enumeration of pairs and applies the sequence metric.
+  default row, each row a `BairePoint` whose entries are 0 or 1.  Its
+  metric flattens the grid through the fixed Cantor diagonal enumeration
+  of pairs and applies the sequence metric.
 * rationals — points of the real line and the unit interval.
 
 Each space object knows its exact metric, point membership and a
@@ -168,66 +169,6 @@ def baire_dist(a: BairePoint, b: BairePoint) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RowSpec:
-    """Eventually periodic 0/1 row of the grid, canonical form."""
-
-    bit_prefix: tuple[int, ...]
-    bit_period: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        pre, per = canonical_seq(self.bit_prefix, self.bit_period)
-        if any(b not in (0, 1) for b in pre + per):
-            raise ValueError("row bits must be 0 or 1")
-        object.__setattr__(self, "bit_prefix", pre)
-        object.__setattr__(self, "bit_period", per)
-
-    def bit(self, s: int) -> int:
-        if s < len(self.bit_prefix):
-            return self.bit_prefix[s]
-        return self.bit_period[(s - len(self.bit_prefix)) % len(self.bit_period)]
-
-    def has_infinitely_many_ones(self) -> bool:
-        return 1 in self.bit_period
-
-    def last_one_index(self) -> int | None:
-        """Index of the last 1, for rows with finitely many 1s."""
-        if self.has_infinitely_many_ones():
-            raise ValueError("row has infinitely many ones")
-        last = None
-        for s, bit in enumerate(self.bit_prefix):
-            if bit == 1:
-                last = s
-        return last
-
-    def first_one_at_or_after(self, n: int) -> int | None:
-        """Least s >= n with bit 1; None when the tail is all zero."""
-        for s in range(n, len(self.bit_prefix)):
-            if self.bit_prefix[s] == 1:
-                return s
-        if not self.has_infinitely_many_ones():
-            return None
-        start = max(n, len(self.bit_prefix))
-        for s in range(start, start + len(self.bit_period)):
-            if self.bit(s) == 1:
-                return s
-        raise AssertionError("period with a 1 must expose one within a block")
-
-
-ALL_ZERO_ROW = RowSpec((), (0,))
-ALL_ONE_ROW = RowSpec((), (1,))
-
-
-def row_disagreement(a: RowSpec, b: RowSpec) -> int | None:
-    if a == b:
-        return None
-    bound = max(len(a.bit_prefix), len(b.bit_prefix)) + math.lcm(len(a.bit_period), len(b.bit_period))
-    for s in range(bound):
-        if a.bit(s) != b.bit(s):
-            return s
-    return None
-
-
 def pair_index(m: int, s: int) -> int:
     """Fixed Cantor diagonal enumeration of (row, column) pairs.
 
@@ -252,8 +193,8 @@ class CantorGridPoint:
     default are dropped so equality of descriptions is equality of points.
     """
 
-    explicit_rows: tuple[tuple[int, RowSpec], ...]
-    default_row: RowSpec = ALL_ZERO_ROW
+    explicit_rows: tuple[tuple[int, BairePoint], ...]
+    default_row: BairePoint = BairePoint((), (0,))
 
     def __post_init__(self) -> None:
         rows = {}
@@ -263,20 +204,22 @@ class CantorGridPoint:
             if m in rows:
                 raise ValueError("duplicate explicit row %d" % m)
             rows[m] = spec
+        if any(max(spec.prefix + spec.period) > 1 for spec in (*rows.values(), self.default_row)):
+            raise ValueError("row bits must be 0 or 1")  # BairePoint refuses negative entries
         canon = tuple(sorted((m, spec) for m, spec in rows.items() if spec != self.default_row))
         object.__setattr__(self, "explicit_rows", canon)
 
-    def row(self, m: int) -> RowSpec:
+    def row(self, m: int) -> BairePoint:
         for mm, spec in self.explicit_rows:
             if mm == m:
                 return spec
         return self.default_row
 
     def entry(self, m: int, s: int) -> int:
-        return self.row(m).bit(s)
+        return self.row(m).entry(s)
 
     def sort_key(self) -> tuple:
-        return (self.explicit_rows, self.default_row.bit_prefix, self.default_row.bit_period)
+        return (self.explicit_rows, self.default_row.prefix, self.default_row.period)
 
 
 def grid_point(rows: dict[int, tuple[Sequence[int], Sequence[int]]] | None = None,
@@ -284,8 +227,8 @@ def grid_point(rows: dict[int, tuple[Sequence[int], Sequence[int]]] | None = Non
     """Convenience constructor from (prefix, period) bit pairs."""
     rows = rows or {}
     return CantorGridPoint(
-        tuple((m, RowSpec(tuple(p), tuple(q))) for m, (p, q) in rows.items()),
-        RowSpec(tuple(default[0]), tuple(default[1])),
+        tuple((m, BairePoint(tuple(p), tuple(q))) for m, (p, q) in rows.items()),
+        BairePoint(tuple(default[0]), tuple(default[1])),
     )
 
 
@@ -299,10 +242,10 @@ def grid_dist(a: CantorGridPoint, b: CantorGridPoint) -> Fraction:
     explicit = sorted({m for m, _ in a.explicit_rows} | {m for m, _ in b.explicit_rows})
     candidates: list[int] = []
     for m in explicit:
-        s = row_disagreement(a.row(m), b.row(m))
+        s = first_disagreement(a.row(m), b.row(m))
         if s is not None:
             candidates.append(pair_index(m, s))
-    s_default = row_disagreement(a.default_row, b.default_row)
+    s_default = first_disagreement(a.default_row, b.default_row)
     if s_default is not None:
         m0 = 0
         while m0 in explicit:
@@ -316,19 +259,19 @@ def grid_dist(a: CantorGridPoint, b: CantorGridPoint) -> Fraction:
 def grid_point_to_json(p: CantorGridPoint) -> dict:
     return {
         "explicit_rows": {
-            str(m): {"prefix": "".join(map(str, spec.bit_prefix)),
-                     "period": "".join(map(str, spec.bit_period))}
+            str(m): {"prefix": "".join(map(str, spec.prefix)),
+                     "period": "".join(map(str, spec.period))}
             for m, spec in p.explicit_rows
         },
-        "default_row": {"prefix": "".join(map(str, p.default_row.bit_prefix)),
-                        "period": "".join(map(str, p.default_row.bit_period))},
+        "default_row": {"prefix": "".join(map(str, p.default_row.prefix)),
+                        "period": "".join(map(str, p.default_row.period))},
     }
 
 
-def _row_from_json(obj: dict) -> RowSpec:
+def _row_from_json(obj: dict) -> BairePoint:
     def bits(text) -> tuple[int, ...]:
         return tuple(int(c) for c in text)
-    return RowSpec(bits(obj.get("prefix", "")), bits(obj.get("period", "0")) or (0,))
+    return BairePoint(bits(obj.get("prefix", "")), bits(obj.get("period", "0")) or (0,))
 
 
 def grid_point_from_json(obj: dict) -> CantorGridPoint:

@@ -94,6 +94,10 @@ def test_gallery_subcommands():
     assert Fr(1, 2) <= parse_rational(final[0]) <= parse_rational(final[1]) <= Fr(5, 8)
 
     assert run_cli("gallery", "unknown").returncode == 2
+    for gamma in ("[]", '{"default_row": "1"}', '{"explicit_rows": {"0": {"prefix": "2"}}}'):
+        out = run_cli("gallery", "f1", "--gamma", gamma)
+        assert out.returncode == 2, out.stderr
+        assert "Traceback" not in out.stderr
 
 
 def test_tree_subcommands():
@@ -259,6 +263,13 @@ def finite(*points):
     return {"kind": "finite_real", "points": list(points)}
 
 
+def extend(base, super_labels=("0", "1", "2")):
+    table = [["0" if a == b else "1" for b in super_labels] for a in super_labels]
+    return {"kind": "extend", "base": base,
+            "super_space": {"kind": "finite_points", "labels": list(super_labels), "table": table,
+                            "rational_labels": True}}
+
+
 def affine(scale="2", shift="1"):
     pi = {"kind": "affine", "scale": scale, "shift": shift}
     return {"kind": "compose", "pi": {k: v for k, v in pi.items() if v is not None},
@@ -293,6 +304,14 @@ def affine(scale="2", shift="1"):
     (affine(scale=2), "multimap.pi.scale"),
     (affine(shift="1/0"), "multimap.pi.shift"),
     (affine(shift=None), "multimap.pi.shift"),
+    # an object is expected where each of these holds something else
+    ("f2", "multimap"),
+    ({"kind": "compose", "pi": "affine", "base": {"kind": "f2"}}, "multimap.pi"),
+    ({"kind": "tabular", "space": TWO_POINTS, "values": []}, "multimap.values"),
+    ({"kind": "tabular", "space": "finite_points", "values": {}}, "multimap.space"),
+    # an extension's off-image value is the whole codomain, which must be representable
+    (extend(tabular({"kind": "real_line"}, finite("1"))), "multimap.base"),
+    (extend(tabular({"kind": "unit_interval"}, finite("1")), ("0", "2")), "multimap.super_space"),
 ])
 def test_check_rejects_a_malformed_multimap_at_its_path(tmp_path, multimap, path):
     instance = tmp_path / "malformed.json"
@@ -301,6 +320,34 @@ def test_check_rejects_a_malformed_multimap_at_its_path(tmp_path, multimap, path
     assert out.returncode == 2, out.stderr
     assert "Traceback" not in out.stderr
     assert json.loads(out.stderr)["path"] == path
+
+
+@pytest.mark.parametrize("config", [[], {"probe_budget": [1]}, {"eps_schedule": [1]}, {"dense_bound": "x"}])
+def test_check_rejects_a_malformed_config_at_its_path(tmp_path, config):
+    instance = tmp_path / "malformed.json"
+    instance.write_text(json.dumps({"multimap": {"kind": "f2"}, "points": [], "config": config}))
+    out = run_cli("check", str(instance))
+    assert out.returncode == 2, out.stderr
+    assert "Traceback" not in out.stderr
+    assert json.loads(out.stderr)["path"] == "config"
+
+
+@pytest.mark.parametrize("point", [
+    # a grid row is a sequence of 0s and 1s
+    {"explicit_rows": {"1": {"prefix": "2", "period": "0"}}},
+    {"default_row": {"prefix": "", "period": "012"}},
+    # rows, and the set of explicit rows, are objects
+    {"explicit_rows": []},
+    {"default_row": "1"},
+    {"explicit_rows": {"1": {"prefix": 5}}},
+])
+def test_check_rejects_a_malformed_grid_point_at_its_path(tmp_path, point):
+    instance = tmp_path / "grid.json"
+    instance.write_text(json.dumps({"multimap": {"kind": "f1"}, "points": [point]}))
+    out = run_cli("check", str(instance))
+    assert out.returncode == 2, out.stderr
+    assert "Traceback" not in out.stderr
+    assert json.loads(out.stderr)["path"] == "points[0]"
 
 
 def test_check_rejects_a_point_outside_the_domain(tmp_path):

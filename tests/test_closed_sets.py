@@ -11,7 +11,6 @@ from baire_lab.closed_sets import (
     FiniteBaireSet,
     FiniteRealSet,
     OpenIntervalUnion,
-    TreeBody,
     clip_to_interval,
     clips_properly,
     closed_intervals,
@@ -35,10 +34,15 @@ from baire_lab.spaces import BAIRE_SPACE, REAL_LINE, eventually_zero, parse_bair
 from baire_lab.trees import generated_by, make_tree
 
 
+def f2_value(t):
+    """The value of the tree-indexed gallery map at t."""
+    return FiniteBaireSet(tree_body_points(t))
+
+
 def test_dist_spec_examples():
     assert dist_to_set(Fr(3), finite_real(1, 2)) == 1
     assert dist_to_set(Fr(17, 5), Empty()) == 1  # the empty-set convention
-    body = TreeBody(make_tree([(0,)]))
+    body = f2_value(make_tree([(0,)]))
     assert dist_to_set(parse_baire_point("1;0"), body) == 0
 
 
@@ -56,8 +60,8 @@ def test_membership_iff_zero_distance_on_closed_variants():
         finite_real(0, Fr(1, 2), 3),
         closed_intervals((Fr(-1), Fr(0)), (Fr(1, 2), Fr(3, 4))),
         FiniteBaireSet(frozenset({eventually_zero((1,)), parse_baire_point(";2")})),
-        TreeBody(make_tree([(0, 1), (2,)])),
-        TreeBody(make_tree(branches=[parse_baire_point(";1")])),
+        f2_value(make_tree([(0, 1), (2,)])),
+        f2_value(make_tree(branches=[parse_baire_point(";1")])),
     ]
     probes_real = [Fr(rng.randrange(-8, 8), rng.randrange(1, 8)) for _ in range(40)]
     probes_baire = [eventually_zero((1,)), parse_baire_point(";2"), eventually_zero(()),
@@ -77,7 +81,7 @@ def test_open_variant_membership_is_strict():
 
 def test_closure_examples_and_idempotence():
     assert closure(open_intervals((0, 1))) == closed_intervals((0, 1))
-    for s in [finite_real(2), TreeBody(make_tree()), closed_intervals((0, 1)), Empty()]:
+    for s in [finite_real(2), f2_value(make_tree()), closed_intervals((0, 1)), Empty()]:
         assert closure(s) == s
         assert closure(closure(s)) == closure(s)
 
@@ -86,7 +90,7 @@ def test_eps_net_examples():
     assert eps_net(finite_real(0, 1), Fr(1, 10)) == [0, 1]
     grid = eps_net(closed_intervals((0, 1)), Fr(1, 2))
     assert grid == [Fr(0), Fr(1, 4), Fr(1, 2), Fr(3, 4), Fr(1)]
-    assert eps_net(TreeBody(make_tree()), Fr(1, 10)) == [eventually_zero(())]
+    assert eps_net(f2_value(make_tree()), Fr(1, 10)) == [eventually_zero(())]
     assert eps_net(Empty(), Fr(1, 2)) == []
 
 
@@ -98,8 +102,8 @@ def test_eps_net_soundness():
     ] + [
         closed_intervals((Fr(0), Fr(1)), (Fr(2), Fr(5, 2))),
         open_intervals((Fr(0), Fr(1, 3))),
-        TreeBody(generated_by([(0, 1), (2,)])),
-        TreeBody(make_tree(branches=[parse_baire_point("0;1")])),
+        f2_value(generated_by([(0, 1), (2,)])),
+        f2_value(make_tree(branches=[parse_baire_point("0;1")])),
     ]
     for s in candidates:
         for eps in (Fr(1), Fr(1, 3), Fr(1, 16)):
@@ -144,7 +148,7 @@ def test_dist_to_net_matches_the_net_scan():
                     scan = min(REAL_LINE.dist(y, p) for p in net)
                     assert dist_to_net(y, s, eps, REAL_LINE.dist) == scan, (s, eps, y)
     # enumerated variants are their own nets, and Empty has none
-    for s in (finite_real(0, Fr(5, 2)), TreeBody(make_tree([(0, 1), (2,)])), Empty()):
+    for s in (finite_real(0, Fr(5, 2)), f2_value(make_tree([(0, 1), (2,)])), Empty()):
         y = Fr(1) if isinstance(s, FiniteRealSet) else parse_baire_point(";1")
         dist = REAL_LINE.dist if isinstance(s, FiniteRealSet) else BAIRE_SPACE.dist
         assert dist_to_net(y, s, Fr(1, 16), dist) == min((dist(y, p) for p in eps_net(s, Fr(1, 16))), default=None)
@@ -187,8 +191,8 @@ def test_set_separation():
     assert set_separation(closed_intervals((0, 1)), closed_intervals((Fr(3, 2), 2))) == Fr(1, 2)
     assert set_separation(closed_intervals((0, 1)), closed_intervals((1, 2))) == 0
     assert set_separation(finite_real(0), Empty()) is None
-    a = TreeBody(make_tree())
-    b = TreeBody(generated_by([(3,)]))
+    a = f2_value(make_tree())
+    b = f2_value(generated_by([(3,)]))
     assert set_separation(a, b) == 1
 
 
@@ -198,7 +202,7 @@ def test_set_from_json_decodes_every_kind():
         ({"kind": "closed_intervals", "intervals": [["0", "1"]]}, closed_intervals((0, 1))),
         ({"kind": "open_intervals", "intervals": [["0", "1/3"]]}, open_intervals((0, Fr(1, 3)))),
         ({"kind": "finite_baire", "points": ["1;0"]}, FiniteBaireSet(frozenset({parse_baire_point("1;0")}))),
-        ({"kind": "tree_body", "tree": "tree{nodes:[(),(2)]}"}, TreeBody(make_tree([(2,)]))),
+        ({"kind": "tree_body", "tree": "tree{nodes:[(),(2)]}"}, f2_value(make_tree([(2,)]))),
         ({"kind": "empty"}, Empty()),
     ]
     for obj, expected in cases:
@@ -246,9 +250,9 @@ def test_common_heads_are_the_heads_near_every_value():
     sets = [
         FiniteBaireSet(frozenset({eventually_zero((1,)), parse_baire_point(";2"), parse_baire_point("0,1;0")})),
         FiniteBaireSet(frozenset({eventually_zero(()), parse_baire_point("1;1,0")})),
-        TreeBody(make_tree([(0, 1), (2,)])),
-        TreeBody(make_tree([(0,)], branches=[parse_baire_point(";1")])),
-        TreeBody(make_tree([(0, 0), (1,)])),
+        f2_value(make_tree([(0, 1), (2,)])),
+        f2_value(make_tree([(0,)], branches=[parse_baire_point(";1")])),
+        f2_value(make_tree([(0, 0), (1,)])),
         Empty(),
     ]
     ys = [BAIRE_SPACE.dense_point(s) for s in range(200)] + [parse_baire_point(";1"), parse_baire_point("1;2")]

@@ -15,7 +15,7 @@ from baire_lab.checkers import (
     tabular_multimap,
     verify_witness,
 )
-from baire_lab.closed_sets import dist_to_set, finite_real
+from baire_lab.closed_sets import dist_to_set, finite_real, set_from_json
 from baire_lab.gallery import (
     AffineMap,
     BaireEmbedding,
@@ -32,11 +32,14 @@ from baire_lab.gallery import (
     f1_witness,
     f2_multimap,
     f2_witness,
+    first_one_at_or_after,
     flip_completion,
     harmonic_spike_set,
+    has_infinitely_many_ones,
     interval_of,
     is_dyadic,
     is_non_third,
+    last_one_index,
     n_of,
     ones_completion,
     r_membership,
@@ -47,13 +50,14 @@ from baire_lab.rationals import floor_reciprocal
 from baire_lab.spaces import (
     REAL_LINE,
     UNIT_INTERVAL,
+    BairePoint,
     eventually_zero,
     grid_dist,
     grid_point,
     parse_baire_point,
     rational_points_space,
 )
-from baire_lab.trees import is_ill_founded, make_tree, generated_by, tree_dist
+from baire_lab.trees import is_ill_founded, make_tree, generated_by, parse_tree_literal, tree_dist
 
 from corpus_helpers import grid_corpus
 from scan_oracle import scan_search
@@ -65,6 +69,15 @@ ALL_ONES = grid_point(default=((), (1,)))
 
 
 # --- grid instance -----------------------------------------------------------
+
+
+def test_grid_row_analysis():
+    assert last_one_index(BairePoint((1, 0, 1), (0,))) == 2
+    assert has_infinitely_many_ones(BairePoint((), (0, 1)))
+    assert first_one_at_or_after(BairePoint((), (0, 1)), 5) == 5
+    assert first_one_at_or_after(BairePoint((1,), (0,)), 1) is None
+    assert first_one_at_or_after(BairePoint((1, 1, 0), (0, 1)), 2) == 4
+    assert first_one_at_or_after(BairePoint((0, 0, 1), (0,)), 0) == 2
 
 
 def test_r_membership_examples():
@@ -172,6 +185,30 @@ def test_f2_value_examples():
     assert dist_to_set(eventually_zero(()), mm.value(make_tree())) == 0
     assert dist_to_set(parse_baire_point("1;0"), mm.value(make_tree([(0,)]))) == 0
     assert dist_to_set(parse_baire_point(";1"), mm.value(make_tree(branches=[eventually_zero(())]))) == 0
+
+
+def test_tree_body_json_decodes_to_the_f2_value():
+    mm = f2_multimap()
+    for literal in ("tree{nodes:[(),(0),(0,1),(2)]}", 'tree{nodes:[(),(3)],branches:["0;1"]}'):
+        tree = parse_tree_literal(literal)
+        assert set_from_json({"kind": "tree_body", "tree": literal}) == mm.value(tree)
+    assert is_ill_founded(tree)
+
+
+def test_verify_witness_builds_each_ball_once():
+    cases = [(f1_multimap(), ALL_ONES, f1_witness(ALL_ONES, cfg=CFG)),
+             (f2_multimap(), make_tree(branches=[eventually_zero(())]),
+              f2_witness(make_tree(branches=[eventually_zero(())]), CFG))]
+    for mm, x, witness in cases:
+        radii = []
+
+        def counting(center, radius, gen=mm.default_probes):
+            radii.append(radius)
+            return gen(center, radius)
+
+        assert isinstance(witness, ContinuityWitness)
+        assert verify_witness(mm, x, witness, counting)
+        assert len(radii) == len(witness.table), mm.name
 
 
 def test_f2_search_checker_matches_ill_foundedness():

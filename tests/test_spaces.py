@@ -12,7 +12,6 @@ from baire_lab.spaces import (
     REAL_LINE,
     UNIT_INTERVAL,
     BairePoint,
-    RowSpec,
     baire_dist,
     eventually_zero,
     finite_points_space,
@@ -159,11 +158,12 @@ def test_grid_dist_agrees_with_flat_scan():
             assert d == Fr(1, got + 1)
 
 
-def test_grid_row_analysis():
-    assert RowSpec((1, 0, 1), (0,)).last_one_index() == 2
-    assert RowSpec((), (0, 1)).has_infinitely_many_ones()
-    assert RowSpec((), (0, 1)).first_one_at_or_after(5) == 5
-    assert RowSpec((1,), (0,)).first_one_at_or_after(1) is None
+def test_grid_rows_are_zero_one_sequences():
+    assert grid_point({0: ((1, 0), (0, 1))}).row(0) == parse_baire_point("1,0;0,1")
+    assert grid_point({0: ((1, 0), (0, 1))}).entry(0, 4) == 0
+    for rows, default in (({0: ((2,), (0,))}, ((), (0,))), ({}, ((), (0, 2))), ({1: ((), (-1,))}, ((), (1,)))):
+        with pytest.raises(ValueError):
+            grid_point(rows, default)
 
 
 def test_grid_json_roundtrip():
