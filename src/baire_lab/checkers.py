@@ -67,7 +67,7 @@ from .closed_sets import (
     net_with_radius,
     set_separation,
 )
-from .spaces import BairePoint, BaireSpace, CantorGridPoint
+from .spaces import BairePoint, BaireSpace, CantorGridPoint, UnitInterval
 from .trees import Tree
 
 ProbeGen = Callable[[Any, Fraction], Sequence[Any]]
@@ -522,13 +522,12 @@ def eval_star(multimap: MultiMap, x, cfg: CheckConfig, probes: ProbeGen) -> Verd
 
 def _default_exhaustion(multimap, cfg: CheckConfig):
     """K_m = [-m, m] clipped to the codomain, m = 0 .. m_bound."""
-    if getattr(multimap.codomain, "name", "") == "unit_interval":
+    if isinstance(multimap.codomain, UnitInterval):
         return [(Fraction(0), Fraction(min(m, 1))) for m in range(cfg.m_bound + 1)]
     return [(Fraction(-m), Fraction(m)) for m in range(cfg.m_bound + 1)]
 
 
-def eval_dagger(multimap: MultiMap, x, cfg: CheckConfig, probes: ProbeGen,
-                exhaustion: Sequence[tuple[Fraction, Fraction]] | None = None) -> Verdict:
+def eval_dagger(multimap: MultiMap, x, cfg: CheckConfig, probes: ProbeGen) -> Verdict:
     """The exhaustion-relative criterion: values are clipped to K_m first.
 
     Empty clipped values contribute distance 1.  A refutation is reported
@@ -537,7 +536,7 @@ def eval_dagger(multimap: MultiMap, x, cfg: CheckConfig, probes: ProbeGen,
     is Inconclusive.
     """
     search = _dense_search(multimap.codomain, cfg)
-    stages = list(exhaustion) if exhaustion is not None else _default_exhaustion(multimap, cfg)
+    stages = _default_exhaustion(multimap, cfg)
     raw = ProbeContext(multimap, x, cfg, probes).value_lists()
     refuted = []
     for stage_index, (lo, hi) in enumerate(stages):
@@ -578,10 +577,14 @@ def eval_strong_star(multimap: MultiMap, x, cfg: CheckConfig, probes: ProbeGen) 
 
     It enumerates `codomain.dense_point` index by index, by design: unlike
     `eval_star`, it has no closed form yet, and no `baire-lab check` mode
-    reaches it.  The codomain must therefore have a dense sequence.
+    reaches it.  The codomain must therefore have a dense sequence, unless
+    the value at x is empty: every point is at distance 1 from it, so no
+    dense index is near enough to be tested and F is continuous there.
     """
-    dense = multimap.codomain.dense_point
     ctx = ProbeContext(multimap, x, cfg, probes)
+    if isinstance(ctx.value_at_x, Empty):
+        return Verdict(CONTINUOUS, report={"criterion": "strong_star"})
+    dense = multimap.codomain.dense_point
     for n in range(cfg.n_bound + 1):
         for s in range(cfg.dense_bound + 1):
             ys = dense(s)

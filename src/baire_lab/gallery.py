@@ -264,7 +264,7 @@ def _deep_heads(center: Tree, rank_bound: int, depth: int) -> list[tuple[int, ..
     return heads
 
 
-def f2_probes(deep_depth: int = F2_DEEP_DEPTH) -> Callable:
+def f2_probes() -> Callable:
     """Tree perturbations following the proof's two sides.
 
     Ill-founded center: finite approximants that keep every branch to a
@@ -279,7 +279,7 @@ def f2_probes(deep_depth: int = F2_DEEP_DEPTH) -> Callable:
         kept = constrained_members(center, bound)
         fresh = max_entry_below_rank(bound)
         if is_ill_founded(center):
-            heads = _deep_heads(center, bound, deep_depth)
+            heads = _deep_heads(center, bound, F2_DEEP_DEPTH)
             trunk = generated_by(set(heads) | kept)
             sprout = generated_by(set(heads) | kept | {heads[0] + (fresh,)})
             return [trunk, sprout]
@@ -436,7 +436,9 @@ class SpikeSet:
             return self.head.index(q)
         return self._tail_index(q)
 
-    def members_near(self, center: Fraction, radius: Fraction, cap: int = 16) -> list[Fraction]:
+    def members_near(self, center: Fraction, radius: Fraction) -> list[Fraction]:
+        """The first 16 members strictly inside the ball, head first."""
+        cap = 16
         lo, hi = center - radius, center + radius
         out = [q for q in self.head if lo < q < hi]
         if self.harmonic_tail_start is not None and hi > 0:
@@ -511,9 +513,6 @@ class IdentityEmbedding:
             for b in self.sub.points():
                 if self.sub.dist(a, b) != self.sup.dist(a, b):
                     raise ValueError("metrics disagree on the embedded points")
-
-    def apply(self, x):
-        return x
 
     def in_image(self, x1) -> bool:
         return self.sub.contains(x1)
@@ -638,49 +637,3 @@ def compose(pi, f: MultiMap) -> MultiMap:
     return MultiMap(f.domain, pi.target, rule,
                     name="compose(%s)" % f.name,
                     default_probes=f.default_probes)
-
-
-# ---------------------------------------------------------------------------
-# tree corpus enumeration (for the classification sweeps)
-# ---------------------------------------------------------------------------
-
-
-def enumerate_prefix_closed_trees(arity: int, depth: int):
-    """All trees whose nodes come from {0..arity-1}^{<= depth}, as node sets.
-
-    Yields frozensets of nodes, each prefix-closed and containing the
-    empty node.  Counts grow triple-exponentially in depth; the top level
-    is generated lazily so deep sweeps can stream.
-    """
-
-    def descendant_sets(levels_left: int) -> list[frozenset]:
-        if levels_left == 0:
-            return [frozenset()]
-        child = descendant_sets(levels_left - 1)
-        out: list[frozenset] = []
-
-        def build(idx: int, acc: frozenset) -> None:
-            if idx == arity:
-                out.append(acc)
-                return
-            build(idx + 1, acc)
-            for sub in child:
-                build(idx + 1, acc | {(idx,)} | {(idx,) + u for u in sub})
-
-        build(0, frozenset())
-        return out
-
-    if depth == 0:
-        yield frozenset({()})
-        return
-    child = descendant_sets(depth - 1)
-
-    def top(idx: int, acc: frozenset):
-        if idx == arity:
-            yield frozenset({()}) | acc
-            return
-        yield from top(idx + 1, acc)
-        for sub in child:
-            yield from top(idx + 1, acc | {(idx,)} | {(idx,) + u for u in sub})
-
-    yield from top(0, frozenset())

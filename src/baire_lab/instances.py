@@ -68,6 +68,13 @@ def _object(obj: Any, path: str) -> dict:
     return obj
 
 
+def _list(obj: Any, path: str) -> list:
+    """obj, when it is a JSON list; a SchemaError at path otherwise."""
+    if not isinstance(obj, list):
+        raise SchemaError(path, "expected a JSON list, not %s" % type(obj).__name__)
+    return obj
+
+
 # ---------------------------------------------------------------------------
 # spaces and points
 # ---------------------------------------------------------------------------
@@ -86,13 +93,18 @@ def space_from_json(obj: dict, path: str = "space"):
     if kind in _SPACES:
         return _SPACES[kind]
     if kind == "finite_points":
+        labels = _list(obj.get("labels", []), path + ".labels")
+        if not all(isinstance(a, str) for a in labels):
+            raise SchemaError(path + ".labels", "labels must be strings, got %r" % (labels,))
+        rows = [_list(row, "%s.table[%d]" % (path, i))
+                for i, row in enumerate(_list(obj.get("table", []), path + ".table"))]
         try:
             return FinitePoints(
-                tuple(obj["labels"]),
-                tuple(tuple(parse_rational(d) for d in row) for row in obj["table"]),
+                tuple(labels),
+                tuple(tuple(parse_rational(d) for d in row) for row in rows),
                 rational_labels=bool(obj.get("rational_labels", False)),
             )
-        except (KeyError, ValueError) as exc:
+        except (AttributeError, TypeError, ValueError) as exc:  # also numbers where literals belong
             raise SchemaError(path, str(exc)) from exc
     raise SchemaError(path + ".kind", "unknown space kind %r" % kind)
 
@@ -193,8 +205,9 @@ def multimap_from_json(obj: dict, path: str = "multimap") -> MultiMap:
             tail = None if tail is None else int(tail)
         except (TypeError, ValueError) as exc:
             raise SchemaError(path + ".harmonic_tail_start", "expected an integer, got %r" % (tail,)) from exc
+        head = _list(obj.get("head", []), path + ".head")
         try:  # rational literals, pairwise distinct and off the tail
-            spikes = SpikeSet(tuple(parse_rational(q) for q in obj.get("head", [])), tail)
+            spikes = SpikeSet(tuple(parse_rational(q) for q in head), tail)
         except (AttributeError, TypeError, ValueError) as exc:
             raise SchemaError(path + ".head", str(exc)) from exc
         return spike_function(spikes)
@@ -205,6 +218,10 @@ def multimap_from_json(obj: dict, path: str = "multimap") -> MultiMap:
         for label, setobj in _object(obj.get("values", {}), path + ".values").items():
             point = point_from_json(space, label, path + ".values")
             where = "%s.values.%s" % (path, label)
+            if isinstance(setobj, dict):  # a value's points and intervals, and each interval, are lists
+                _list(setobj.get("points", []), where + ".points")
+                for i, iv in enumerate(_list(setobj.get("intervals", []), where + ".intervals")):
+                    _list(iv, "%s.intervals[%d]" % (where, i))
             try:
                 values[point] = set_from_json(setobj)
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -243,10 +260,12 @@ def multimap_from_json(obj: dict, path: str = "multimap") -> MultiMap:
 def config_from_json(obj: dict, path: str = "config") -> CheckConfig:
     base = default_config()
     _object(obj, path)
+    eps = _list(obj.get("eps_schedule", []), path + ".eps_schedule")
+    delta = _list(obj.get("delta_schedule", []), path + ".delta_schedule")
     try:
         return CheckConfig(
-            eps_schedule=tuple(parse_rational(v) for v in obj.get("eps_schedule", [])) or base.eps_schedule,
-            delta_schedule=tuple(parse_rational(v) for v in obj.get("delta_schedule", [])) or base.delta_schedule,
+            eps_schedule=tuple(parse_rational(v) for v in eps) or base.eps_schedule,
+            delta_schedule=tuple(parse_rational(v) for v in delta) or base.delta_schedule,
             probe_budget=int(obj.get("probe_budget", base.probe_budget)),
             net_resolution=parse_rational(obj["net_resolution"]) if "net_resolution" in obj else base.net_resolution,
             dense_bound=int(obj.get("dense_bound", base.dense_bound)),
@@ -358,7 +377,8 @@ def load_instance(obj: dict):
         raise SchemaError("mode", "unknown mode %r (valid: %s)" % (mode, ", ".join(MODES)))
     cfg = config_from_json(obj.get("config", {}), "config")
     probes = probes_from_json(obj.get("probe_spec", {"kind": "default"}), multimap, "probe_spec")
-    points = [domain_point_from_json(multimap, p, "points[%d]" % i) for i, p in enumerate(obj.get("points", []))]
+    points = [domain_point_from_json(multimap, p, "points[%d]" % i)
+              for i, p in enumerate(_list(obj.get("points", []), "points"))]
     return multimap, points, mode, cfg, probes
 
 

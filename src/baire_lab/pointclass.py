@@ -1,12 +1,17 @@
 """Symbolic pointclass inference over a small set-expression language.
 
-Expressions are built from the atoms `open closed analytic coanalytic
-borel` with combinators `compl Uc Ic union inter preimg proj` (countable
-union/intersection take one operand standing for a uniform family).
-`classify` computes the least class derivable from the standard closure
-rules and returns it with a machine-readable derivation trace — one rule
-instantiation per node.  The result is always a guaranteed upper bound;
-the engine knows nothing about hardness.
+An expression is one node type, `SetExpr(op, args)`: an atom `open closed
+analytic coanalytic borel` with no operands, or a combinator `compl Uc Ic
+union inter preimg proj` applied to its operands (countable union and
+intersection take one operand standing for a uniform family).  `classify`
+computes the least class derivable from the standard closure rules and
+returns it with a machine-readable derivation trace — one rule
+instantiation per node, in post-order.  The result is always a guaranteed
+upper bound; the engine knows nothing about hardness.  `replay_trace`
+re-derives a trace from its own rule table: every step's expression must
+parse, its rule must belong to that expression's op and apply to its
+inputs, the inputs must be the results of its operands' steps, and the
+trace must end at a single root.
 
 Classes are Sigma/Pi/Delta at finite levels of the additive-multiplicative
 hierarchy (side 0) and of the projective hierarchy (side 1), ordered by
@@ -114,80 +119,29 @@ def dual(pc: Pointclass) -> Pointclass:
 # expressions
 # ---------------------------------------------------------------------------
 
-ATOMS = ("open", "closed", "analytic", "coanalytic", "borel")
+# operand count of every name, atoms first: it checks a node, drives the
+# parser and lists the names a ParseError expects, in this order
+ARITY = {"open": 0, "closed": 0, "analytic": 0, "coanalytic": 0, "borel": 0,
+         "compl": 1, "Uc": 1, "Ic": 1, "union": 2, "inter": 2, "preimg": 1, "proj": 1}
 
 
 @dataclass(frozen=True)
-class Atom:
-    name: str
+class SetExpr:
+    """An atom (no operands) or a combinator applied to its operands."""
+
+    op: str
+    args: tuple["SetExpr", ...] = ()
 
     def __post_init__(self) -> None:
-        if self.name not in ATOMS:
-            raise ValueError("unknown atom %r" % self.name)
+        if self.op not in ARITY:
+            raise ValueError("unknown name %r" % self.op)
+        if len(self.args) != ARITY[self.op] or not all(isinstance(a, SetExpr) for a in self.args):
+            raise ValueError("%s takes %d set expression(s)" % (self.op, ARITY[self.op]))
 
     def __str__(self) -> str:
-        return self.name
-
-
-@dataclass(frozen=True)
-class Compl:
-    arg: "SetExpr"
-
-    def __str__(self) -> str:
-        return "compl(%s)" % self.arg
-
-
-@dataclass(frozen=True)
-class UnionCtbl:
-    arg: "SetExpr"
-
-    def __str__(self) -> str:
-        return "Uc(%s)" % self.arg
-
-
-@dataclass(frozen=True)
-class InterCtbl:
-    arg: "SetExpr"
-
-    def __str__(self) -> str:
-        return "Ic(%s)" % self.arg
-
-
-@dataclass(frozen=True)
-class Union:
-    left: "SetExpr"
-    right: "SetExpr"
-
-    def __str__(self) -> str:
-        return "union(%s,%s)" % (self.left, self.right)
-
-
-@dataclass(frozen=True)
-class Inter:
-    left: "SetExpr"
-    right: "SetExpr"
-
-    def __str__(self) -> str:
-        return "inter(%s,%s)" % (self.left, self.right)
-
-
-@dataclass(frozen=True)
-class Preimg:
-    arg: "SetExpr"
-
-    def __str__(self) -> str:
-        return "preimg(%s)" % self.arg
-
-
-@dataclass(frozen=True)
-class Proj:
-    arg: "SetExpr"
-
-    def __str__(self) -> str:
-        return "proj(%s)" % self.arg
-
-
-SetExpr = Atom | Compl | UnionCtbl | InterCtbl | Union | Inter | Preimg | Proj
+        if not self.args:
+            return self.op
+        return "%s(%s)" % (self.op, ",".join(map(str, self.args)))
 
 
 # ---------------------------------------------------------------------------
@@ -203,17 +157,6 @@ class ParseError(ValueError):
         ))
         self.offset = offset
         self.expected = expected
-
-
-_COMBINATORS = {
-    "compl": (Compl, 1),
-    "Uc": (UnionCtbl, 1),
-    "Ic": (InterCtbl, 1),
-    "union": (Union, 2),
-    "inter": (Inter, 2),
-    "preimg": (Preimg, 1),
-    "proj": (Proj, 1),
-}
 
 
 class _Parser:
@@ -237,26 +180,21 @@ class _Parser:
         while self.pos < len(self.text) and self.text[self.pos].isalpha():
             self.pos += 1
         if start == self.pos:
-            raise ParseError("syntax error", start, ATOMS + tuple(_COMBINATORS))
+            raise ParseError("syntax error", start, tuple(ARITY))
         return self.text[start:self.pos]
 
     def expr(self) -> SetExpr:
         start = self.pos
         name = self.word()
-        if name in ATOMS:
-            return Atom(name)
-        if name in _COMBINATORS:
-            ctor, arity = _COMBINATORS[name]
-            self.expect("(")
-            first = self.expr()
-            if arity == 1:
-                self.expect(")")
-                return ctor(first)
-            self.expect(",")
-            second = self.expr()
+        if name not in ARITY:
+            raise ParseError("unknown name %r" % name, start, tuple(ARITY))
+        args = []
+        for k in range(ARITY[name]):
+            self.expect("," if k else "(")
+            args.append(self.expr())
+        if args:
             self.expect(")")
-            return ctor(first, second)
-        raise ParseError("unknown name %r" % name, start, ATOMS + tuple(_COMBINATORS))
+        return SetExpr(name, tuple(args))
 
     def parse(self) -> SetExpr:
         out = self.expr()
@@ -273,15 +211,6 @@ def parse_expr(text: str) -> SetExpr:
 # ---------------------------------------------------------------------------
 # classification
 # ---------------------------------------------------------------------------
-
-_ATOM_CLASS = {
-    "open": sigma0(1),
-    "closed": pi0(1),
-    "analytic": sigma1(1),
-    "coanalytic": pi1(1),
-    "borel": delta1(1),
-}
-
 
 @dataclass(frozen=True)
 class TraceStep:
@@ -321,48 +250,40 @@ def _proj_class(g: Pointclass) -> tuple[Pointclass, str]:
     return Pointclass(SIGMA, 1, g.index), "projection-within-sigma1"
 
 
+# op -> function from the operand classes to (class, rule name)
+_STEP = {
+    "open": lambda: (sigma0(1), "atom-open"),
+    "closed": lambda: (pi0(1), "atom-closed"),
+    "analytic": lambda: (sigma1(1), "atom-analytic"),
+    "coanalytic": lambda: (pi1(1), "atom-coanalytic"),
+    "borel": lambda: (delta1(1), "atom-borel"),
+    "compl": lambda g: (dual(g), "complement-swap"),
+    "Uc": _ctbl_union_class,
+    "Ic": _ctbl_inter_class,
+    "union": lambda gl, gr: (join(gl, gr), "finite-union-join"),
+    "inter": lambda gl, gr: (join(gl, gr), "finite-intersection-join"),
+    "preimg": lambda g: (g, "preimage-invariant"),
+    "proj": _proj_class,
+}
+
+
 def classify(e: SetExpr, trace: list[TraceStep] | None = None) -> Pointclass:
     """Least derivable upper bound with an auditable rule trace."""
     rec = trace.append if trace is not None else (lambda step: None)
 
     def go(node: SetExpr) -> Pointclass:
-        if isinstance(node, Atom):
-            out = _ATOM_CLASS[node.name]
-            rec(TraceStep(str(node), "atom-%s" % node.name, (), str(out)))
-            return out
-        if isinstance(node, Compl):
-            g = go(node.arg)
-            out = dual(g)
-            rec(TraceStep(str(node), "complement-swap", (str(g),), str(out)))
-            return out
-        if isinstance(node, UnionCtbl):
-            g = go(node.arg)
-            out, rule = _ctbl_union_class(g)
-            rec(TraceStep(str(node), rule, (str(g),), str(out)))
-            return out
-        if isinstance(node, InterCtbl):
-            g = go(node.arg)
-            out, rule = _ctbl_inter_class(g)
-            rec(TraceStep(str(node), rule, (str(g),), str(out)))
-            return out
-        if isinstance(node, (Union, Inter)):
-            gl, gr = go(node.left), go(node.right)
-            out = join(gl, gr)
-            rule = "finite-union-join" if isinstance(node, Union) else "finite-intersection-join"
-            rec(TraceStep(str(node), rule, (str(gl), str(gr)), str(out)))
-            return out
-        if isinstance(node, Preimg):
-            g = go(node.arg)
-            rec(TraceStep(str(node), "preimage-invariant", (str(g),), str(g)))
-            return g
-        if isinstance(node, Proj):
-            g = go(node.arg)
-            out, rule = _proj_class(g)
-            rec(TraceStep(str(node), rule, (str(g),), str(out)))
-            return out
-        raise TypeError("not a set expression: %r" % (node,))
+        ins = [go(a) for a in node.args]
+        out, rule = _STEP[node.op](*ins)
+        rec(TraceStep(str(node), rule, tuple(map(str, ins)), str(out)))
+        return out
 
     return go(e)
+
+
+# the complement's op for every op but compl and proj
+_DUAL_OP = {"open": "closed", "closed": "open", "analytic": "coanalytic",
+            "coanalytic": "analytic", "borel": "borel", "Uc": "Ic", "Ic": "Uc",
+            "union": "inter", "inter": "union", "preimg": "preimg"}
 
 
 def dual_expr(e: SetExpr) -> SetExpr:
@@ -372,76 +293,81 @@ def dual_expr(e: SetExpr) -> SetExpr:
     node is left in place there; everywhere else the complement is pushed
     to the atoms.
     """
-    if isinstance(e, Atom):
-        flipped = {"open": "closed", "closed": "open",
-                   "analytic": "coanalytic", "coanalytic": "analytic",
-                   "borel": "borel"}
-        return Atom(flipped[e.name])
-    if isinstance(e, Compl):
-        return e.arg
-    if isinstance(e, UnionCtbl):
-        return InterCtbl(dual_expr(e.arg))
-    if isinstance(e, InterCtbl):
-        return UnionCtbl(dual_expr(e.arg))
-    if isinstance(e, Union):
-        return Inter(dual_expr(e.left), dual_expr(e.right))
-    if isinstance(e, Inter):
-        return Union(dual_expr(e.left), dual_expr(e.right))
-    if isinstance(e, Preimg):
-        return Preimg(dual_expr(e.arg))
-    if isinstance(e, Proj):
-        return Compl(e)
-    raise TypeError("not a set expression: %r" % (e,))
+    if e.op == "compl":
+        return e.args[0]
+    if e.op == "proj":
+        return SetExpr("compl", (e,))
+    return SetExpr(_DUAL_OP[e.op], tuple(map(dual_expr, e.args)))
 
 
 # ---------------------------------------------------------------------------
 # independent trace replay
 # ---------------------------------------------------------------------------
 
-_RULE_TABLE = {
-    "complement-swap": lambda ins: dual(ins[0]),
-    "countable-union-sigma-stable": lambda ins: ins[0],
-    "countable-union-projective-stable": lambda ins: ins[0],
-    "countable-union-within-sigma": lambda ins: Pointclass(SIGMA, 0, ins[0].index),
-    "countable-union-pi-step": lambda ins: Pointclass(SIGMA, 0, ins[0].index + 1),
-    "countable-intersection-pi-stable": lambda ins: ins[0],
-    "countable-intersection-projective-stable": lambda ins: ins[0],
-    "countable-intersection-within-pi": lambda ins: Pointclass(PI, 0, ins[0].index),
-    "countable-intersection-sigma-step": lambda ins: Pointclass(PI, 0, ins[0].index + 1),
-    "finite-union-join": lambda ins: join(ins[0], ins[1]),
-    "finite-intersection-join": lambda ins: join(ins[0], ins[1]),
-    "preimage-invariant": lambda ins: ins[0],
-    "projection-of-borel-is-analytic": lambda ins: sigma1(1),
-    "projection-sigma1-stable": lambda ins: ins[0],
-    "projection-pi1-step": lambda ins: Pointclass(SIGMA, 1, ins[0].index + 1),
-    "projection-within-sigma1": lambda ins: Pointclass(SIGMA, 1, ins[0].index),
+
+def _if(side: int, kind: str | None, result):
+    """A one-operand rule for classes of this side and kind (None: any kind)."""
+    return lambda g: result(g) if g.side == side and kind in (None, g.kind) else None
+
+
+# rule -> (the op it belongs to, a map from the operand classes to the
+# result, or to None where the rule does not apply); written apart from
+# classify's table so that a replay re-derives every step
+_RULES = {
+    "atom-open": ("open", lambda: sigma0(1)),
+    "atom-closed": ("closed", lambda: pi0(1)),
+    "atom-analytic": ("analytic", lambda: sigma1(1)),
+    "atom-coanalytic": ("coanalytic", lambda: pi1(1)),
+    "atom-borel": ("borel", lambda: delta1(1)),
+    "complement-swap": ("compl", dual),
+    "countable-union-projective-stable": ("Uc", _if(1, None, lambda g: g)),
+    "countable-union-sigma-stable": ("Uc", _if(0, SIGMA, lambda g: g)),
+    "countable-union-within-sigma": ("Uc", _if(0, DELTA, lambda g: sigma0(g.index))),
+    "countable-union-pi-step": ("Uc", _if(0, PI, lambda g: sigma0(g.index + 1))),
+    "countable-intersection-projective-stable": ("Ic", _if(1, None, lambda g: g)),
+    "countable-intersection-pi-stable": ("Ic", _if(0, PI, lambda g: g)),
+    "countable-intersection-within-pi": ("Ic", _if(0, DELTA, lambda g: pi0(g.index))),
+    "countable-intersection-sigma-step": ("Ic", _if(0, SIGMA, lambda g: pi0(g.index + 1))),
+    "finite-union-join": ("union", join),
+    "finite-intersection-join": ("inter", join),
+    "preimage-invariant": ("preimg", lambda g: g),
+    "projection-of-borel-is-analytic": ("proj", lambda g: sigma1(1) if leq(g, delta1(1)) else None),
+    "projection-sigma1-stable": ("proj", _if(1, SIGMA, lambda g: g)),
+    "projection-pi1-step": ("proj", _if(1, PI, lambda g: sigma1(g.index + 1))),
+    "projection-within-sigma1": ("proj", _if(1, DELTA, lambda g: sigma1(g.index))),
 }
 
 
 def replay_trace(trace: list[TraceStep]) -> bool:
-    """Check each step instantiates its named rule correctly."""
+    """Check that the trace derives one expression bottom-up, by the rules.
+
+    Each step's expression must parse, and its rule must belong to that
+    expression's op and apply to the input classes.  The inputs must be
+    the results of the steps for its operands, which come before it in
+    post-order.  The last step must be the only root.
+    """
+    done: list[tuple[SetExpr, str]] = []  # derived, not yet used as an operand
     for step in trace:
-        if step.rule.startswith("atom-"):
-            name = step.rule[len("atom-"):]
-            if name not in _ATOM_CLASS or str(_ATOM_CLASS[name]) != step.result:
-                return False
-            continue
-        fn = _RULE_TABLE.get(step.rule)
-        if fn is None:
-            return False
-        ins = tuple(parse_pointclass(t) for t in step.inputs)
         try:
-            if str(fn(ins)) != step.result:
-                return False
-        except (IndexError, ValueError):
+            e = parse_expr(step.expr)
+            ins = [parse_pointclass(t) for t in step.inputs]
+        except ValueError:
             return False
-    return True
+        op, result = _RULES.get(step.rule, (None, None))
+        operands = done[len(done) - len(e.args):]
+        if (op != e.op or len(operands) != len(e.args)
+                or [x for x, _ in operands] != list(e.args)
+                or [r for _, r in operands] != list(step.inputs)):
+            return False
+        out = result(*ins)
+        if out is None or str(out) != step.result:
+            return False
+        del done[len(done) - len(e.args):]
+        done.append((e, step.result))
+    return len(done) == 1
 
 
 def iter_subexpressions(e: SetExpr) -> Iterator[SetExpr]:
     yield e
-    if isinstance(e, (Compl, UnionCtbl, InterCtbl, Preimg, Proj)):
-        yield from iter_subexpressions(e.arg)
-    elif isinstance(e, (Union, Inter)):
-        yield from iter_subexpressions(e.left)
-        yield from iter_subexpressions(e.right)
+    for a in e.args:
+        yield from iter_subexpressions(a)

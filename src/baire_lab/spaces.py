@@ -646,10 +646,6 @@ class FinitePoints:
         return self._point(text)
 
 
-def finite_points_space(labels: Sequence[str], table: Sequence[Sequence[Fraction]]) -> FinitePoints:
-    return FinitePoints(tuple(labels), tuple(tuple(row) for row in table))
-
-
 def rational_points_space(values: Sequence[Fraction]) -> FinitePoints:
     """Finite space of rational points under the |x - y| metric."""
     vals = sorted(set(values))

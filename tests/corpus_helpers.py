@@ -1,8 +1,8 @@
-"""Deterministic corpora shared by the gallery and acceptance tests."""
+"""Deterministic corpora shared by the gallery, acceptance and space tests."""
 
 import random
 
-from baire_lab.spaces import eventually_zero, grid_point, parse_baire_point
+from baire_lab.spaces import FinitePoints, eventually_zero, grid_point, parse_baire_point
 from baire_lab.trees import make_tree
 
 GRID_ROWS = {
@@ -66,3 +66,53 @@ def branch_bearing_trees():
         make_tree(branches=[parse_baire_point(";2")]),
         make_tree([(0, 2), (3,)], branches=[parse_baire_point("0;1")]),
     ]
+
+
+# ---------------------------------------------------------------------------
+# tree corpus enumeration (for the classification sweeps) and finite spaces
+# ---------------------------------------------------------------------------
+
+
+def enumerate_prefix_closed_trees(arity: int, depth: int):
+    """All trees whose nodes come from {0..arity-1}^{<= depth}, as node sets.
+
+    Yields frozensets of nodes, each prefix-closed and containing the
+    empty node.  Counts grow triple-exponentially in depth; the top level
+    is generated lazily so deep sweeps can stream.
+    """
+
+    def descendant_sets(levels_left: int) -> list[frozenset]:
+        if levels_left == 0:
+            return [frozenset()]
+        child = descendant_sets(levels_left - 1)
+        out: list[frozenset] = []
+
+        def build(idx: int, acc: frozenset) -> None:
+            if idx == arity:
+                out.append(acc)
+                return
+            build(idx + 1, acc)
+            for sub in child:
+                build(idx + 1, acc | {(idx,)} | {(idx,) + u for u in sub})
+
+        build(0, frozenset())
+        return out
+
+    if depth == 0:
+        yield frozenset({()})
+        return
+    child = descendant_sets(depth - 1)
+
+    def top(idx: int, acc: frozenset):
+        if idx == arity:
+            yield frozenset({()}) | acc
+            return
+        yield from top(idx + 1, acc)
+        for sub in child:
+            yield from top(idx + 1, acc | {(idx,)} | {(idx,) + u for u in sub})
+
+    yield from top(0, frozenset())
+
+
+def finite_points_space(labels, table):
+    return FinitePoints(tuple(labels), tuple(tuple(row) for row in table))

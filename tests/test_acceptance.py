@@ -40,7 +40,6 @@ from baire_lab.gallery import (
     IdentityEmbedding,
     compose,
     dense_split,
-    enumerate_prefix_closed_trees,
     extend,
     f1_graph_member,
     f1_multimap,
@@ -67,7 +66,7 @@ from baire_lab.spaces import (
 )
 from baire_lab.trees import is_ill_founded, make_tree, tree_shift
 
-from corpus_helpers import branch_bearing_trees, depth3_tree_sample, grid_corpus
+from corpus_helpers import branch_bearing_trees, depth3_tree_sample, enumerate_prefix_closed_trees, grid_corpus
 
 CFG = default_config()
 

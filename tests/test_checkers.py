@@ -30,6 +30,7 @@ from baire_lab.closed_sets import (
     open_intervals,
 )
 from baire_lab.spaces import REAL_LINE, UNIT_INTERVAL, rational_points_space
+from baire_lab.trees import TREE_SPACE
 
 from scan_oracle import scan_search
 
@@ -270,12 +271,16 @@ def test_eval_dagger_constant_map_and_empty_convention():
     assert eval_dagger(mm5, Fr(0), default_config(m_bound=6), probes).kind == "continuous"
 
 
-def test_eval_dagger_respects_exhaustion_argument():
+def test_eval_strong_star_on_an_empty_value_needs_no_dense_sequence():
+    # an empty value at x is at distance 1 from every point, so no dense
+    # index is near enough to test: continuous, also on the tree space,
+    # which has no dense sequence
     space = rational_points_space([Fr(0), Fr(1)])
     probes = full_domain_probes(space)
-    mm = tabular_multimap(space, {p: finite_real(0) for p in space.points()}, REAL_LINE)
-    out = eval_dagger(mm, Fr(0), default_config(), probes, exhaustion=[(Fr(-1), Fr(1))])
-    assert out.kind == "continuous"
+    for codomain, other in ((TREE_SPACE, Empty()), (REAL_LINE, finite_real(0))):
+        mm = tabular_multimap(space, {Fr(0): Empty(), Fr(1): other}, codomain)
+        out = eval_strong_star(mm, Fr(0), default_config(), probes)
+        assert (out.kind, out.witness, out.report) == ("continuous", None, {"criterion": "strong_star"})
 
 
 def test_eval_lower_fell_on_open_valued_map():

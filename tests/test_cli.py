@@ -312,6 +312,20 @@ def affine(scale="2", shift="1"):
     # an extension's off-image value is the whole codomain, which must be representable
     (extend(tabular({"kind": "real_line"}, finite("1"))), "multimap.base"),
     (extend(tabular({"kind": "unit_interval"}, finite("1")), ("0", "2")), "multimap.super_space"),
+    # a list is expected where each of these holds a string or a number
+    ({"kind": "spike", "head": "12"}, "multimap.head"),
+    ({"kind": "tabular", "space": {**STRING_LABELS, "labels": "ab"}, "values": {}}, "multimap.space.labels"),
+    ({"kind": "tabular", "space": {**TWO_POINTS, "table": 5}, "values": {}}, "multimap.space.table"),
+    ({"kind": "tabular", "space": {**TWO_POINTS, "table": ["01", ["1", "0"]]}, "values": {}},
+     "multimap.space.table[0]"),
+    (tabular({"kind": "real_line"}, {"kind": "finite_real", "points": "12"}), "multimap.values.1.points"),
+    (tabular({"kind": "real_line"}, {"kind": "closed_intervals", "intervals": "01"}),
+     "multimap.values.1.intervals"),
+    (tabular({"kind": "real_line"}, {"kind": "open_intervals", "intervals": ["01"]}),
+     "multimap.values.1.intervals[0]"),
+    # a number where a literal belongs
+    ({"kind": "tabular", "space": {**TWO_POINTS, "table": [[0, 1], [1, 0]]}, "values": {}}, "multimap.space"),
+    ({"kind": "tabular", "space": {**TWO_POINTS, "labels": [0, 1]}, "values": {}}, "multimap.space.labels"),
 ])
 def test_check_rejects_a_malformed_multimap_at_its_path(tmp_path, multimap, path):
     instance = tmp_path / "malformed.json"
@@ -330,6 +344,22 @@ def test_check_rejects_a_malformed_config_at_its_path(tmp_path, config):
     assert out.returncode == 2, out.stderr
     assert "Traceback" not in out.stderr
     assert json.loads(out.stderr)["path"] == "config"
+
+
+@pytest.mark.parametrize("fields, path", [
+    ({"points": 5}, "points"),
+    ({"points": "()"}, "points"),
+    ({"points": {"0": "()"}}, "points"),
+    ({"config": {"eps_schedule": "1/2"}}, "config.eps_schedule"),
+    ({"config": {"delta_schedule": 5}}, "config.delta_schedule"),
+])
+def test_check_rejects_a_string_or_number_where_a_list_belongs(tmp_path, fields, path):
+    instance = tmp_path / "malformed.json"
+    instance.write_text(json.dumps({"multimap": {"kind": "f2"}, "points": [], **fields}))
+    out = run_cli("check", str(instance))
+    assert out.returncode == 2, out.stderr
+    assert "Traceback" not in out.stderr
+    assert json.loads(out.stderr)["path"] == path
 
 
 @pytest.mark.parametrize("point", [

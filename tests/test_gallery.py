@@ -24,7 +24,6 @@ from baire_lab.gallery import (
     baire_embed,
     compose,
     dense_split,
-    enumerate_prefix_closed_trees,
     extend,
     f1_graph_member,
     f1_multimap,
@@ -59,7 +58,7 @@ from baire_lab.spaces import (
 )
 from baire_lab.trees import is_ill_founded, make_tree, generated_by, parse_tree_literal, tree_dist
 
-from corpus_helpers import grid_corpus
+from corpus_helpers import enumerate_prefix_closed_trees, grid_corpus
 from scan_oracle import scan_search
 
 CFG = default_config()

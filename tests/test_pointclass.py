@@ -5,17 +5,11 @@ import random
 import pytest
 
 from baire_lab.pointclass import (
-    Atom,
-    Compl,
-    Inter,
-    InterCtbl,
+    ARITY,
     ParseError,
     Pointclass,
-    Preimg,
-    Proj,
+    SetExpr,
     TraceStep,
-    Union,
-    UnionCtbl,
     classify,
     delta0,
     delta1,
@@ -45,9 +39,21 @@ ALL_CLASSES = [
 
 
 def test_parse_examples():
-    assert parse_expr("Ic(Uc(open))") == InterCtbl(UnionCtbl(Atom("open")))
-    assert parse_expr("proj(inter(analytic, Ic(open)))") == Proj(Inter(Atom("analytic"), InterCtbl(Atom("open"))))
-    assert parse_expr("  union( open ,closed )  ") == Union(Atom("open"), Atom("closed"))
+    opn, closed = SetExpr("open"), SetExpr("closed")
+    assert parse_expr("Ic(Uc(open))") == SetExpr("Ic", (SetExpr("Uc", (opn,)),))
+    assert parse_expr("proj(inter(analytic, Ic(open)))") == SetExpr(
+        "proj", (SetExpr("inter", (SetExpr("analytic"), SetExpr("Ic", (opn,)))),))
+    assert parse_expr("  union( open ,closed )  ") == SetExpr("union", (opn, closed))
+
+
+def test_set_expressions_refuse_unknown_names_and_wrong_operand_counts():
+    with pytest.raises(ValueError, match="unknown name 'frogs'"):
+        SetExpr("frogs")
+    with pytest.raises(ValueError, match="union takes 2"):
+        SetExpr("union", (SetExpr("open"),))
+    with pytest.raises(ValueError, match="open takes 0"):
+        SetExpr("open", (SetExpr("closed"),))
+    assert str(SetExpr("union", (SetExpr("open"), SetExpr("Uc", (SetExpr("closed"),))))) == "union(open,Uc(closed))"
 
 
 def test_parse_errors_carry_positions():
@@ -140,23 +146,14 @@ def test_projection_rules():
     assert str(classify(parse_expr("proj(compl(proj(coanalytic)))"))) == "Sigma1(3)"
 
 
+COMBINATORS = ("compl", "Uc", "Ic", "union", "inter", "preimg", "proj")
+
+
 def random_expr(rng, depth):
     if depth == 0 or rng.random() < 0.25:
-        return Atom(rng.choice(["open", "closed", "analytic", "coanalytic", "borel"]))
-    kind = rng.randrange(7)
-    if kind == 0:
-        return Compl(random_expr(rng, depth - 1))
-    if kind == 1:
-        return UnionCtbl(random_expr(rng, depth - 1))
-    if kind == 2:
-        return InterCtbl(random_expr(rng, depth - 1))
-    if kind == 3:
-        return Union(random_expr(rng, depth - 1), random_expr(rng, depth - 1))
-    if kind == 4:
-        return Inter(random_expr(rng, depth - 1), random_expr(rng, depth - 1))
-    if kind == 5:
-        return Preimg(random_expr(rng, depth - 1))
-    return Proj(random_expr(rng, depth - 1))
+        return SetExpr(rng.choice(["open", "closed", "analytic", "coanalytic", "borel"]))
+    op = COMBINATORS[rng.randrange(7)]
+    return SetExpr(op, tuple(random_expr(rng, depth - 1) for _ in range(ARITY[op])))
 
 
 def test_duality_on_generated_corpus():
@@ -172,24 +169,19 @@ def test_classification_monotone_under_substitution():
     def substitute(e, target, replacement):
         if e is target:
             return replacement
-        if isinstance(e, (Compl, UnionCtbl, InterCtbl, Preimg, Proj)):
-            return type(e)(substitute(e.arg, target, replacement))
-        if isinstance(e, (Union, Inter)):
-            return type(e)(substitute(e.left, target, replacement),
-                           substitute(e.right, target, replacement))
-        return e
+        return SetExpr(e.op, tuple(substitute(a, target, replacement) for a in e.args))
 
-    lowerings = {"analytic": Atom("borel"), "coanalytic": Atom("borel"),
-                 "borel": Atom("open")}
+    lowerings = {"analytic": SetExpr("borel"), "coanalytic": SetExpr("borel"),
+                 "borel": SetExpr("open")}
     checked = 0
     for _ in range(300):
         e = random_expr(rng, rng.randrange(5))
         subs = [s for s in iter_subexpressions(e)
-                if isinstance(s, Atom) and s.name in lowerings]
+                if s.op in lowerings]
         if not subs:
             continue
         target = rng.choice(subs)
-        low = substitute(e, target, lowerings[target.name])
+        low = substitute(e, target, lowerings[target.op])
         assert leq(classify(low), classify(e)), (str(e), str(low))
         checked += 1
     assert checked > 100
@@ -210,6 +202,24 @@ def test_traces_replay_and_tampering_is_caught():
     bad2 = list(trace)
     bad2[0] = TraceStep(bad2[0].expr, "made-up-rule", bad2[0].inputs, bad2[0].result)
     assert not replay_trace(bad2)
+    closed = TraceStep("closed", "atom-closed", (), "Pi0(1)")
+    forgeries = [
+        # a rule whose input does not fit: a countable union of closed sets is not closed
+        [closed, TraceStep("Uc(closed)", "countable-union-sigma-stable", ("Pi0(1)",), "Pi0(1)")],
+        # a rule of another combinator
+        [closed, TraceStep("Uc(closed)", "countable-intersection-pi-stable", ("Pi0(1)",), "Pi0(1)")],
+        # an input that no step derives, and closed is Pi0(1)
+        [TraceStep("Uc(closed)", "countable-union-pi-step", ("Sigma0(1)",), "Sigma0(2)")],
+        # inputs that are not the operand's result
+        [closed, TraceStep("Uc(closed)", "countable-union-sigma-stable", ("Sigma0(1)",), "Sigma0(1)")],
+        # two roots
+        [closed, closed],
+        # an expression that does not parse
+        [TraceStep("frogs", "atom-open", (), "Sigma0(1)")],
+    ]
+    for forged in forgeries:
+        assert not replay_trace(forged), forged
+    assert replay_trace([closed, TraceStep("Uc(closed)", "countable-union-pi-step", ("Pi0(1)",), "Sigma0(2)")])
 
 
 def test_pointclass_text_roundtrip():

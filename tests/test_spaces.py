@@ -14,7 +14,6 @@ from baire_lab.spaces import (
     BairePoint,
     baire_dist,
     eventually_zero,
-    finite_points_space,
     format_baire_point,
     grid_dist,
     grid_point,
@@ -26,6 +25,8 @@ from baire_lab.spaces import (
     sb_positive,
     unpair_index,
 )
+
+from corpus_helpers import finite_points_space
 
 
 def random_baire_point(rng, max_entry=4, max_len=4):
