@@ -67,8 +67,7 @@ from .closed_sets import (
     net_with_radius,
     set_separation,
 )
-from .spaces import BairePoint, BaireSpace, CantorGridPoint, UnitInterval
-from .trees import Tree
+from .spaces import BaireSpace, UnitInterval
 
 ProbeGen = Callable[[Any, Fraction], Sequence[Any]]
 
@@ -136,10 +135,10 @@ class MultiMap:
         return "MultiMap(%s)" % self.name
 
 
-def tabular_multimap(space, values: dict, codomain, name: str = "tabular") -> MultiMap:
+def tabular_multimap(space, values: dict, codomain) -> MultiMap:
     """Explicit finite map over a finite-points domain."""
     table = dict(values)
-    return MultiMap(space, codomain, table.__getitem__, name=name, default_probes=full_domain_probes(space))
+    return MultiMap(space, codomain, table.__getitem__, name="tabular", default_probes=full_domain_probes(space))
 
 
 def full_domain_probes(space) -> ProbeGen:
@@ -149,20 +148,6 @@ def full_domain_probes(space) -> ProbeGen:
         return [p for p in space.points() if space.dist(center, p) < radius]
 
     return gen
-
-
-def point_sort_key(p):
-    if isinstance(p, Fraction):
-        return (0, p)
-    if isinstance(p, BairePoint):
-        return (1, p.sort_key())
-    if isinstance(p, CantorGridPoint):
-        return (2, p.sort_key())
-    if isinstance(p, str):
-        return (3, p)
-    if isinstance(p, Tree):
-        return (4, p.sort_key())
-    raise TypeError("unsortable point: %r" % (p,))
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +333,6 @@ def _check_tables(ctx: ProbeContext, strong: bool) -> Verdict:
     """
     resolution = ctx.cfg.net_resolution
     net, net_radius = net_with_radius(ctx.value_at_x, resolution)
-    net = sorted(net, key=point_sort_key)
     if not net:
         reason = ("every value point vacuously admits a table" if strong
                   else "no value point exists to admit a table")
@@ -674,12 +658,11 @@ def _verify_discontinuity(multimap, x, w: DiscontinuityWitness) -> bool:
         return False
     if not w.entries:
         return False
-    net_keys = {point_sort_key(y) for y in net}
-    entry_keys = {point_sort_key(e.y) for e in w.entries}
+    entry_points = {e.y for e in w.entries}
     if w.notion == "plain":
-        if entry_keys != net_keys:
+        if entry_points != set(net):
             return False
-    elif not entry_keys <= net_keys:
+    elif not entry_points <= set(net):
         return False
     if w.margin != min(e.eps_star for e in w.entries) - w.net_radius or w.margin <= 0:
         return False

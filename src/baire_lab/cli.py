@@ -25,6 +25,7 @@ from .checkers import (
     verify_witness,
 )
 from .gallery import (
+    F1_DEFAULT_WINDOW,
     baire_embed,
     f1_multimap,
     f1_witness,
@@ -180,13 +181,13 @@ def cmd_gallery(args) -> int:
                 gamma = _NAMED_GAMMAS[args.gamma]()
             else:
                 gamma = point_from_json(CANTOR_GRID, json.loads(args.gamma), "gamma")
-            return _certify("gallery f1", f1_multimap(), gamma, f1_witness(gamma, cfg=cfg), args, started,
+            return _certify("gallery f1", f1_multimap(), gamma, f1_witness(gamma, F1_DEFAULT_WINDOW, cfg), args, started,
                             gamma=encode_value(gamma))
         if args.name == "f2":
             if args.tree is None:
                 raise SchemaError("tree", "f2 needs --tree 'tree{nodes:[...]}'")
             tree = parse_tree_literal(args.tree)
-            return _certify("gallery f2", f2_multimap(), tree, f2_witness(tree, cfg=cfg), args, started,
+            return _certify("gallery f2", f2_multimap(), tree, f2_witness(tree, cfg), args, started,
                             tree=format_tree_literal(tree), ill_founded=is_ill_founded(tree))
         if args.name == "embed":
             if args.alpha is None or args.depth is None:

@@ -106,7 +106,7 @@ def open_intervals(*intervals) -> OpenIntervalUnion:
 def tree_body_points(t: Tree) -> frozenset[BairePoint]:
     """The f2 value at t: shifted branches and padded terminals."""
     shifted = tree_shift(t)
-    points = {b.shift_entries(1) for b in t.branches}
+    points = {b.shift_entries() for b in t.branches}
     for u in terminals(shifted):
         points.add(eventually_zero(u))
     return frozenset(points)

@@ -28,7 +28,6 @@ from .checkers import (
     DiscontinuityWitness,
     MultiMap,
     RefutationEntry,
-    default_config,
     full_domain_probes,
 )
 from .closed_sets import (
@@ -214,8 +213,7 @@ def f1_multimap(window: int = F1_DEFAULT_WINDOW) -> MultiMap:
     return mm
 
 
-def f1_witness(gamma: CantorGridPoint, window: int = F1_DEFAULT_WINDOW,
-               cfg: CheckConfig | None = None) -> ContinuityWitness | DiscontinuityWitness:
+def f1_witness(gamma: CantorGridPoint, window: int, cfg: CheckConfig) -> ContinuityWitness | DiscontinuityWitness:
     """Certificate from the row structure, mirroring the proof.
 
     With a witnessing row m: the integer m, and for each eps the radius
@@ -223,7 +221,6 @@ def f1_witness(gamma: CantorGridPoint, window: int = F1_DEFAULT_WINDOW,
     value within eps of m.  Without one: for each value point, half its
     offset as the refutation level, refuted by the all-ones completion.
     """
-    cfg = cfg or default_config()
     witness_m = next((m for m in range(window + 1) if r_membership(gamma, m)), None)
     if witness_m is not None:
         row = gamma.row(witness_m)
@@ -303,7 +300,7 @@ def f2_multimap() -> MultiMap:
     )
 
 
-def f2_witness(t: Tree, cfg: CheckConfig | None = None) -> ContinuityWitness | DiscontinuityWitness:
+def f2_witness(t: Tree, cfg: CheckConfig) -> ContinuityWitness | DiscontinuityWitness:
     """Certificate from ill-foundedness, mirroring the proof.
 
     Ill-founded: the shifted first branch, with per-eps radii pinning the
@@ -311,10 +308,9 @@ def f2_witness(t: Tree, cfg: CheckConfig | None = None) -> ContinuityWitness | D
     Well-founded: every padded terminal refuted at 1/(len+2) by the
     generated-by perturbation with a fresh child entry.
     """
-    cfg = cfg or default_config()
     if is_ill_founded(t):
         beta = min(t.branches, key=BairePoint.sort_key)
-        y = beta.shift_entries(1)
+        y = beta.shift_entries()
         table = []
         for eps in cfg.eps_schedule:
             depth = max(0, floor_reciprocal(eps) - 1) + 1
@@ -394,15 +390,15 @@ def split_probes() -> Callable:
     return gen
 
 
-def dense_split(a_spec: str | Callable[[Fraction], bool]) -> MultiMap:
-    """Value {0} on the dense set, {0, 1} off it."""
-    member = _SPLIT_SPECS[a_spec] if isinstance(a_spec, str) else a_spec
-    name = "dense_split:%s" % (a_spec if isinstance(a_spec, str) else getattr(a_spec, "__name__", "custom"))
+def dense_split(a_spec: str) -> MultiMap:
+    """Value {0} on the dense set named by `a_spec`, {0, 1} off it."""
+    member = _SPLIT_SPECS[a_spec]
 
     def rule(x: Fraction) -> FiniteRealSet:
         return finite_real(0) if member(x) else finite_real(0, 1)
 
-    return MultiMap(UNIT_INTERVAL, UNIT_INTERVAL, rule, name=name, default_probes=split_probes())
+    return MultiMap(UNIT_INTERVAL, UNIT_INTERVAL, rule, name="dense_split:%s" % a_spec,
+                    default_probes=split_probes())
 
 
 @dataclass(frozen=True)

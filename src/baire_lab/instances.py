@@ -3,6 +3,9 @@
 An instance file bundles a multimap, points to check, a mode, a config,
 and a probe spec.  Everything numeric is a canonical "p/q" string; keys
 are sorted on output, so identical inputs produce byte-identical reports.
+A `finite_points` space's labels are its points: strings, or, with
+`rational_labels`, rationals parsed here once, so that "2/4" names the
+point 1/2 and its distance table must be |x - y|.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from .spaces import (
     UNIT_INTERVAL,
     BairePoint,
     BaireSpace,
+    CantorGrid,
     CantorGridPoint,
     FinitePoints,
     format_baire_point,
@@ -75,6 +79,15 @@ def _list(obj: Any, path: str) -> list:
     return obj
 
 
+def _kind(obj: Any, path: str, default: str | None = None) -> str:
+    """The "kind" of the JSON object obj, when it is a string; a
+    SchemaError at path, or at path.kind, otherwise."""
+    kind = _object(obj, path).get("kind", default)
+    if not isinstance(kind, str):
+        raise SchemaError(path + ".kind", "expected a kind string, got %r" % (kind,))
+    return kind
+
+
 # ---------------------------------------------------------------------------
 # spaces and points
 # ---------------------------------------------------------------------------
@@ -89,20 +102,24 @@ _SPACES = {
 
 
 def space_from_json(obj: dict, path: str = "space"):
-    kind = _object(obj, path).get("kind")
+    kind = _kind(obj, path)
     if kind in _SPACES:
         return _SPACES[kind]
     if kind == "finite_points":
         labels = _list(obj.get("labels", []), path + ".labels")
         if not all(isinstance(a, str) for a in labels):
             raise SchemaError(path + ".labels", "labels must be strings, got %r" % (labels,))
+        if obj.get("rational_labels", False):
+            try:
+                labels = [parse_rational(a) for a in labels]
+            except ValueError as exc:
+                raise SchemaError(path + ".labels", "expected rational literals: %s" % exc) from exc
         rows = [_list(row, "%s.table[%d]" % (path, i))
                 for i, row in enumerate(_list(obj.get("table", []), path + ".table"))]
         try:
             return FinitePoints(
                 tuple(labels),
                 tuple(tuple(parse_rational(d) for d in row) for row in rows),
-                rational_labels=bool(obj.get("rational_labels", False)),
             )
         except (AttributeError, TypeError, ValueError) as exc:  # also numbers where literals belong
             raise SchemaError(path, str(exc)) from exc
@@ -110,7 +127,9 @@ def space_from_json(obj: dict, path: str = "space"):
 
 
 def point_from_json(space, obj: Any, path: str = "point"):
-    if not isinstance(obj, (str, dict)):
+    """A point literal of the space; a JSON object only on the grid."""
+    literal = (str, dict) if isinstance(space, CantorGrid) else str
+    if not isinstance(obj, literal):
         raise SchemaError(path, "expected a point literal string, got %r" % (obj,))
     try:
         if isinstance(obj, dict):
@@ -129,8 +148,9 @@ def domain_point_from_json(multimap, obj: Any, path: str):
 
 
 def balls_from_json(codomain, obj: Any, path: str = "test_balls") -> list:
-    """Decode the [center, radius] pairs of lower-Fell mode; every radius
-    must be a positive rational literal."""
+    """Decode the [center, radius] pairs of lower-Fell mode; every center
+    must lie in the codomain and every radius be a positive rational
+    literal."""
     if not obj:
         raise SchemaError(path, "fell mode needs test balls")
     if not isinstance(obj, list):
@@ -141,6 +161,8 @@ def balls_from_json(codomain, obj: Any, path: str = "test_balls") -> list:
         if not isinstance(entry, list) or len(entry) != 2:
             raise SchemaError(where, "a test ball is a [center, radius] pair, got %r" % (entry,))
         center = point_from_json(codomain, entry[0], where)
+        if not codomain.contains(center):
+            raise SchemaError(where, "center %r lies outside the %s codomain" % (entry[0], codomain.name))
         try:
             radius = parse_rational(entry[1]) if isinstance(entry[1], str) else None
         except ValueError:
@@ -166,7 +188,7 @@ def _rational_field(obj: dict, key: str, path: str) -> Fraction:
 def _coordinate_change(obj: dict, codomain, path: str):
     """The injective coordinate change of `compose`, checked against the
     codomain of the map it is composed with."""
-    kind = _object(obj, path).get("kind")
+    kind = _kind(obj, path)
     if kind == "affine":
         if not real_flavored(codomain):
             raise SchemaError(path, "affine needs a real_line, unit_interval or rational finite_points base "
@@ -183,7 +205,7 @@ def _coordinate_change(obj: dict, codomain, path: str):
 
 
 def multimap_from_json(obj: dict, path: str = "multimap") -> MultiMap:
-    kind = _object(obj, path).get("kind")
+    kind = _kind(obj, path)
     if kind == "f1":
         try:
             window = int(obj.get("window", 8))
@@ -218,7 +240,10 @@ def multimap_from_json(obj: dict, path: str = "multimap") -> MultiMap:
         for label, setobj in _object(obj.get("values", {}), path + ".values").items():
             point = point_from_json(space, label, path + ".values")
             where = "%s.values.%s" % (path, label)
-            if isinstance(setobj, dict):  # a value's points and intervals, and each interval, are lists
+            if point in values:
+                raise SchemaError(where, "a second value for the point %r" % (point,))
+            if isinstance(setobj, dict):  # a string kind; points, intervals and each interval are lists
+                _kind(setobj, where)
                 _list(setobj.get("points", []), where + ".points")
                 for i, iv in enumerate(_list(setobj.get("intervals", []), where + ".intervals")):
                     _list(iv, "%s.intervals[%d]" % (where, i))
@@ -289,7 +314,7 @@ def config_to_json(cfg: CheckConfig) -> dict:
 
 
 def probes_from_json(obj: dict, multimap: MultiMap, path: str = "probe_spec"):
-    kind = _object(obj, path).get("kind", "default")
+    kind = _kind(obj, path, "default")
     if kind == "default":
         if multimap.default_probes is None:
             raise SchemaError(path, "multimap ships no default probe generator")

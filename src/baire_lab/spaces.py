@@ -12,6 +12,8 @@ Three kinds of points live here:
   metric flattens the grid through the fixed Cantor diagonal enumeration
   of pairs and applies the sequence metric.
 * rationals — points of the real line and the unit interval.
+* labels — the points of a finite space: all strings, or all rationals,
+  which are measured by |x - y| as on the line.
 
 Each space object knows its exact metric, point membership and a
 canonical countable dense sequence.  Sequence space, the line, the unit
@@ -31,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .rationals import format_rational, parse_rational
+from .rationals import parse_rational
 
 # ---------------------------------------------------------------------------
 # canonical eventually-periodic sequences
@@ -101,14 +103,9 @@ class BairePoint:
         per, m = self.period, len(self.period)
         return all(u[i] == per[(i - lp) % m] for i in range(lp, len(u)))
 
-    def shift_entries(self, delta: int = 1) -> "BairePoint":
-        """Entrywise shift; used for the +1 tree shift."""
-        if delta < 0 and any(self.entry(i) + delta < 0 for i in range(len(self.prefix) + len(self.period))):
-            raise ValueError("shift would produce a negative entry")
-        return BairePoint(
-            tuple(x + delta for x in self.prefix),
-            tuple(x + delta for x in self.period),
-        )
+    def shift_entries(self) -> "BairePoint":
+        """Entrywise +1; used for the tree shift."""
+        return BairePoint(tuple(x + 1 for x in self.prefix), tuple(x + 1 for x in self.period))
 
     def sort_key(self) -> tuple:
         return (self.prefix, self.period)
@@ -217,9 +214,6 @@ class CantorGridPoint:
 
     def entry(self, m: int, s: int) -> int:
         return self.row(m).entry(s)
-
-    def sort_key(self) -> tuple:
-        return (self.explicit_rows, self.default_row.prefix, self.default_row.period)
 
 
 def grid_point(rows: dict[int, tuple[Sequence[int], Sequence[int]]] | None = None,
@@ -458,12 +452,6 @@ class RealLine:
     def parse_point(self, text: str) -> Fraction:
         return parse_rational(text)
 
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self)
-
-    def __hash__(self) -> int:
-        return hash(self.name)
-
 
 class UnitInterval(RealLine):
     """Rational points of [0, 1]."""
@@ -528,12 +516,6 @@ class BaireSpace:
     def parse_point(self, text: str) -> BairePoint:
         return parse_baire_point(text)
 
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self)
-
-    def __hash__(self) -> int:
-        return hash(self.name)
-
 
 class CantorGrid:
     """Finitely described 0/1 grids, metric via the diagonal flattening."""
@@ -565,26 +547,20 @@ class CantorGrid:
 
         return grid_point_from_json(json.loads(text))
 
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self)
-
-    def __hash__(self) -> int:
-        return hash(self.name)
-
 
 @dataclass(frozen=True)
 class FinitePoints:
-    """Finite labeled metric space given by an explicit distance table.
+    """Finite metric space whose labels, all strings or all rationals, are
+    its points, given by an explicit distance table.
 
     The table is validated at construction: symmetric, zero exactly on the
-    diagonal, and triangle inequality, all with exact arithmetic.
-    `rational_labels` marks spaces whose labels are rational values with the
-    |x - y| metric, which is what codomain-side finite spaces must use.
+    diagonal, and triangle inequality, all with exact arithmetic.  Between
+    rational points it must be |x - y|, the metric that every computation
+    on real-flavored values uses.
     """
 
-    labels: tuple[str, ...]
+    labels: tuple
     table: tuple[tuple[Fraction, ...], ...]
-    rational_labels: bool = False
 
     name = "finite_points"
 
@@ -592,8 +568,12 @@ class FinitePoints:
         n = len(self.labels)
         if len(set(self.labels)) != n or n == 0:
             raise ValueError("labels must be nonempty and distinct")
+        if {type(a) for a in self.labels} not in ({str}, {Fraction}):
+            raise ValueError("labels must be all strings or all rationals")
         if len(self.table) != n or any(len(row) != n for row in self.table):
             raise ValueError("table shape must match labels")
+        if self.rational_labels and self.table != tuple(tuple(abs(a - b) for b in self.labels) for a in self.labels):
+            raise ValueError("the distance between rational points must be |x - y|")
         for i in range(n):
             if self.table[i][i] != 0:
                 raise ValueError("diagonal must be zero")
@@ -606,51 +586,48 @@ class FinitePoints:
                     if self.table[i][k] > self.table[i][j] + self.table[j][k]:
                         raise ValueError("triangle inequality violated")
 
-    def _key(self, x) -> str:
-        return format_rational(x) if isinstance(x, Fraction) else x
+    @property
+    def rational_labels(self) -> bool:
+        """Are the points rationals, measured by |x - y|?"""
+        return isinstance(self.labels[0], Fraction)
 
     def index_of(self, x) -> int:
         try:
-            return self.labels.index(self._key(x))
+            return self.labels.index(x)
         except ValueError:
             raise ValueError("point %r not in space" % (x,)) from None
 
     def contains(self, x) -> bool:
-        if self.rational_labels:
-            return isinstance(x, Fraction) and format_rational(x) in self.labels
-        return isinstance(x, str) and x in self.labels
+        return isinstance(x, type(self.labels[0])) and x in self.labels
 
     def dist(self, x, y) -> Fraction:
         return self.table[self.index_of(x)][self.index_of(y)]
 
-    def _point(self, label: str):
-        return parse_rational(label) if self.rational_labels else label
-
     def points(self) -> list:
-        return [self._point(label) for label in self.labels]
+        return list(self.labels)
 
     def dense_point(self, s: int):
-        return self._point(self.labels[s % len(self.labels)])
+        return self.labels[s % len(self.labels)]
 
     def least_dense_index(self, region: Sequence[tuple[Fraction, Fraction]], bound: int) -> int | None:
         """Least label index s <= bound whose rational label lies inside
         the union of open intervals `region`; for rational labels only."""
-        for s, y in enumerate(self.points()[:bound + 1]):
+        for s, y in enumerate(self.labels[:bound + 1]):
             if any(a < y < b for a, b in region):
                 return s
         return None
 
     def parse_point(self, text: str):
-        if text not in self.labels:
+        point = parse_rational(text) if self.rational_labels else text
+        if not self.contains(point):
             raise ValueError("point %r not in space" % text)
-        return self._point(text)
+        return point
 
 
 def rational_points_space(values: Sequence[Fraction]) -> FinitePoints:
     """Finite space of rational points under the |x - y| metric."""
-    vals = sorted(set(values))
-    table = tuple(tuple(abs(a - b) for b in vals) for a in vals)
-    return FinitePoints(tuple(format_rational(v) for v in vals), table, rational_labels=True)
+    vals = tuple(sorted(set(values)))
+    return FinitePoints(vals, tuple(tuple(abs(a - b) for b in vals) for a in vals))
 
 
 def real_flavored(space) -> bool:

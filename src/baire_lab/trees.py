@@ -87,12 +87,6 @@ class Tree:
     def max_finite_length(self) -> int:
         return max((len(u) for u in self.finite_part), default=0)
 
-    def sort_key(self) -> tuple:
-        return (
-            tuple(sorted(self.finite_part)),
-            tuple(sorted(b.sort_key() for b in self.branches)),
-        )
-
 
 def make_tree(nodes: Iterable[Node] = (), branches: Iterable[BairePoint] = ()) -> Tree:
     return Tree(prefix_closure(tuple(tuple(u) for u in nodes)), frozenset(branches))
@@ -110,7 +104,7 @@ def tree_shift(t: Tree) -> Tree:
     """Entrywise +1 on every node and branch; all shifted entries >= 1."""
     return Tree(
         frozenset(tuple(e + 1 for e in u) for u in t.finite_part),
-        frozenset(b.shift_entries(1) for b in t.branches),
+        frozenset(b.shift_entries() for b in t.branches),
     )
 
 
@@ -213,12 +207,6 @@ class TreeSpace:
 
     def parse_point(self, text: str) -> Tree:
         return parse_tree_literal(text)
-
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self)
-
-    def __hash__(self) -> int:
-        return hash(self.name)
 
 
 TREE_SPACE = TreeSpace()

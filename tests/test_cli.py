@@ -1,10 +1,17 @@
 """CLI surface: subcommands, exit codes, deterministic reports."""
 
+import contextlib
+import copy
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from baire_lab import cli
 
 CLI = [sys.executable, "-m", "baire_lab.cli"]
 
@@ -226,11 +233,17 @@ def test_check_dagger_mode_needs_a_real_codomain(tmp_path):
 
 def test_check_fell_mode_rejects_malformed_test_balls(tmp_path):
     instance = tmp_path / "fell.json"
-    for balls in ([["1", "0"]], [["1", "-1/2"]], [["1"]], [["1", "1/2"], ["0", "1/2", "1"]], [["1", 0.5]],
-                  [[0.5, "1/2"]]):
+    split = ({"kind": "dense_split", "variant": "dyadic"}, "1/3")
+    cases = [(split, balls) for balls in ([["1", "0"]], [["1", "-1/2"]], [["1"]], [["1", "1/2"], ["0", "1/2", "1"]],
+                                          [["1", 0.5]], [[0.5, "1/2"]])]
+    # a center is a point of the codomain, and only a grid point is a JSON object
+    cases += [(({"kind": "f2"}, "tree{nodes:[(),(0)]}"), [[{"explicit_rows": {}}, "1/2"]]),
+              (split, [[{"explicit_rows": {}}, "1/2"]]),
+              (split, [["1", "1/2"], ["5", "1/2"]])]
+    for (multimap, point), balls in cases:
         instance.write_text(json.dumps({
-            "multimap": {"kind": "dense_split", "variant": "dyadic"},
-            "points": ["1/3"],
+            "multimap": multimap,
+            "points": [point],
             "mode": "fell",
             "test_balls": balls,
         }))
@@ -264,7 +277,7 @@ def finite(*points):
 
 
 def extend(base, super_labels=("0", "1", "2")):
-    table = [["0" if a == b else "1" for b in super_labels] for a in super_labels]
+    table = [[str(abs(int(a) - int(b))) for b in super_labels] for a in super_labels]
     return {"kind": "extend", "base": base,
             "super_space": {"kind": "finite_points", "labels": list(super_labels), "table": table,
                             "rational_labels": True}}
@@ -326,6 +339,20 @@ def affine(scale="2", shift="1"):
     # a number where a literal belongs
     ({"kind": "tabular", "space": {**TWO_POINTS, "table": [[0, 1], [1, 0]]}, "values": {}}, "multimap.space"),
     ({"kind": "tabular", "space": {**TWO_POINTS, "labels": [0, 1]}, "values": {}}, "multimap.space.labels"),
+    # rational labels are rational literals measured by |x - y|, and name each point once
+    ({"kind": "tabular", "space": {**STRING_LABELS, "rational_labels": True}, "values": {}},
+     "multimap.space.labels"),
+    (tabular({**TWO_POINTS, "table": [["0", "1/1000"], ["1/1000", "0"]]}, finite("1")), "multimap.codomain"),
+    ({"kind": "tabular", "space": {**TWO_POINTS, "labels": ["0", "1/2"], "table": [["0", "1/2"], ["1/2", "0"]]},
+      "values": {"0": finite("0"), "1/2": finite("0"), "2/4": finite("1")}}, "multimap.values.2/4"),
+    # a kind is a string
+    ({"kind": ["f2"]}, "multimap.kind"),
+    ({"kind": "tabular", "space": {**TWO_POINTS, "kind": ["finite_points"]}, "values": {}}, "multimap.space.kind"),
+    (tabular({"kind": {"finite_points": 1}}, finite("1")), "multimap.codomain.kind"),
+    (extend(tabular({"kind": "unit_interval"}, finite("1")))
+     | {"super_space": {"kind": ["finite_points"]}}, "multimap.super_space.kind"),
+    ({"kind": "compose", "pi": {"kind": ["affine"]}, "base": {"kind": "f2"}}, "multimap.pi.kind"),
+    (tabular({"kind": "real_line"}, {"kind": ["finite_real"], "points": ["1"]}), "multimap.values.1.kind"),
 ])
 def test_check_rejects_a_malformed_multimap_at_its_path(tmp_path, multimap, path):
     instance = tmp_path / "malformed.json"
@@ -334,6 +361,19 @@ def test_check_rejects_a_malformed_multimap_at_its_path(tmp_path, multimap, path
     assert out.returncode == 2, out.stderr
     assert "Traceback" not in out.stderr
     assert json.loads(out.stderr)["path"] == path
+
+
+@pytest.mark.parametrize("point", ["2/4", "1/2"])
+def test_check_reads_a_rational_label_as_the_point_it_names(tmp_path, point):
+    space = {**TWO_POINTS, "labels": ["0", "2/4"], "table": [["0", "1/2"], ["1/2", "0"]]}
+    instance = tmp_path / "labels.json"
+    instance.write_text(json.dumps({"multimap": {"kind": "tabular", "space": space,
+                                                 "values": {"0": finite("0"), "2/4": finite("0")}},
+                                    "points": [point]}))
+    out = run_cli("check", str(instance))
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout)["results"][0]
+    assert (result["point"], result["verdict"]) == ("1/2", "continuous")
 
 
 @pytest.mark.parametrize("config", [[], {"probe_budget": [1]}, {"eps_schedule": [1]}, {"dense_bound": "x"}])
@@ -409,3 +449,56 @@ def test_star_on_only_empty_values_into_codomains_without_a_dense_index(tmp_path
         assert results[0]["report"] == {"certificate": "probe value sets separated by 2/(n+1) at every delta",
                                         "criterion": "star", "refuted_n": 0}
         assert results[0]["report"] == results[1]["report"]
+
+
+# --- mutated instances --------------------------------------------------------
+
+MUTATION_BASES = [
+    {"multimap": tabular({"kind": "unit_interval"}, finite("1"), finite("0", "1/2")), "points": ["0", "1"],
+     "mode": "plain"},
+    {"multimap": {"kind": "spike", "head": ["1/2", "1/3"], "harmonic_tail_start": 4}, "points": ["1/2", "2"],
+     "mode": "strong"},
+    {"multimap": {"kind": "dense_split", "variant": "thirds"}, "points": ["1/3"], "mode": "fell",
+     "test_balls": [["1", "1/2"], ["0", "1/2"]]},
+    {"multimap": affine(), "points": ["1"], "mode": "star"},
+    {"multimap": extend(tabular({"kind": "unit_interval"}, finite("1"))), "points": ["2"], "mode": "dagger",
+     "probe_spec": {"kind": "full_domain"}},
+]
+
+JUNK_WORDS = ["", "0", "1/2", "-1", "2/4", "1/0", "a", ";", "0;1", "tree{nodes:[()]}", "finite_points", "real_line",
+              "unit_interval", "baire_space", "cantor_grid", "tree_space", "tabular", "f1", "f2", "spike", "extend",
+              "compose", "dense_split", "empty", "finite_real", "closed_intervals", "open_intervals",
+              "finite_baire", "tree_body", "affine", "baire_embed", "default", "full_domain", "plain", "strong",
+              "star", "dagger", "fell", "dyadic", "thirds"]
+JUNK_KEYS = ["kind", "0", "1", "points", "intervals", "explicit_rows", "default_row", "prefix", "period", "labels",
+             "table", "rational_labels", "base", "pi", "space", "codomain", "values", "head", "scale", "shift"]
+JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6) | st.sampled_from(JUNK_WORDS),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(JUNK_KEYS), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _fields(obj, path=()):
+    """Every field path of a JSON document, parents before children."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _fields(value, path + (key,))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=400,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_check_never_crashes_on_a_mutated_instance(tmp_path, data):
+    instance = copy.deepcopy(data.draw(st.sampled_from(MUTATION_BASES)))
+    where = data.draw(st.sampled_from(list(_fields(instance))))
+    holder = instance
+    for key in where[:-1]:
+        holder = holder[key]
+    holder[where[-1]] = data.draw(JUNK)
+    path = tmp_path / "mutant.json"
+    path.write_text(json.dumps(instance))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["check", str(path)])
+    assert code in (0, 2, 3), (where, instance)

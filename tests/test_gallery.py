@@ -195,7 +195,7 @@ def test_tree_body_json_decodes_to_the_f2_value():
 
 
 def test_verify_witness_builds_each_ball_once():
-    cases = [(f1_multimap(), ALL_ONES, f1_witness(ALL_ONES, cfg=CFG)),
+    cases = [(f1_multimap(), ALL_ONES, f1_witness(ALL_ONES, 8, CFG)),
              (f2_multimap(), make_tree(branches=[eventually_zero(())]),
               f2_witness(make_tree(branches=[eventually_zero(())]), CFG))]
     for mm, x, witness in cases:

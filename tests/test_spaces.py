@@ -332,13 +332,20 @@ def test_finite_points_validation():
             ["a", "b", "c"],
             [[Fr(0), Fr(1), Fr(5)], [Fr(1), Fr(0), Fr(1)], [Fr(5), Fr(1), Fr(0)]],
         )  # triangle fails
+    with pytest.raises(ValueError):
+        finite_points_space([Fr(0), "a"], [[Fr(0), Fr(1)], [Fr(1), Fr(0)]])  # mixed labels
+    with pytest.raises(ValueError):
+        finite_points_space([Fr(0), Fr(1)], [[Fr(0), Fr(1, 1000)], [Fr(1, 1000), Fr(0)]])  # not |x - y|
 
 
 def test_rational_points_space():
     space = rational_points_space([Fr(0), Fr(1, 2), Fr(1)])
     assert space.contains(Fr(1, 2))
+    assert not space.contains("1/2")
     assert space.dist(Fr(0), Fr(1)) == 1
     assert space.points() == [Fr(0), Fr(1, 2), Fr(1)]
+    assert space.rational_labels and not finite_points_space(["0"], [[Fr(0)]]).rational_labels
+    assert space.parse_point("2/4") == Fr(1, 2)
 
 
 def test_canonical_form_unique_exhaustively():
