@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import ceil
 
-from .spaces import BairePoint, BaireSpace, RealLine, baire_dist, eventually_zero, real_flavored
+from .spaces import BairePoint, BaireSpace, RealLine, eventually_zero, first_disagreement, real_flavored
 from .trees import Tree, terminals, tree_shift
 
 
@@ -147,7 +147,11 @@ def dist_to_set(y, s: ClosedSetRepr) -> Fraction:
         # inf distance to an interval equals distance to its closure
         return min(_interval_dist(y, a, b) for a, b in s.intervals)
     if isinstance(s, FiniteBaireSet):
-        return min(baire_dist(y, p) for p in s.points)
+        # baire_dist falls as the first disagreement moves out, so the
+        # nearest point is the one that agrees with y longest
+        if y in s.points:
+            return Fraction(0)
+        return Fraction(1, max(first_disagreement(y, p) for p in s.points) + 1)
     raise TypeError("unknown set representation: %r" % (s,))
 
 

@@ -18,6 +18,7 @@ the search verdicts land on the true classification.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -62,6 +63,7 @@ from .trees import (
     is_ill_founded,
     max_entry_below_rank,
     node_rank,
+    rank_below,
     terminals,
 )
 
@@ -155,11 +157,17 @@ def f1_graph_member(gamma: CantorGridPoint, y: Fraction) -> bool:
 
 
 def _row_constraint_length(m: int, flat_bound: int) -> int:
-    """Least s with pair_index(m, s) >= flat_bound."""
-    s = 0
-    while pair_index(m, s) < flat_bound:
-        s += 1
-    return s
+    """Least s with pair_index(m, s) >= flat_bound.
+
+    That is the least anti-diagonal d >= m with d(d+1)/2 >= flat_bound - m,
+    less m: isqrt gives the greatest d with d(d+1)/2 at most that target,
+    and one step up corrects it when the target is not triangular.
+    """
+    target = max(flat_bound - m, 0)
+    d = (math.isqrt(8 * target + 1) - 1) // 2
+    if d * (d + 1) // 2 < target:
+        d += 1
+    return max(d - m, 0)
 
 
 def ones_completion(gamma: CantorGridPoint, flat_bound: int) -> CantorGridPoint:
@@ -167,8 +175,7 @@ def ones_completion(gamma: CantorGridPoint, flat_bound: int) -> CantorGridPoint:
     rows = []
     m = 0
     while pair_index(m, 0) < flat_bound:
-        s_max = _row_constraint_length(m, flat_bound)
-        prefix = tuple(gamma.entry(m, s) for s in range(s_max))
+        prefix = gamma.row(m).head(_row_constraint_length(m, flat_bound))
         rows.append((m, BairePoint(prefix, (1,))))
         m += 1
     return CantorGridPoint(tuple(rows), BairePoint((), (1,)))
@@ -219,7 +226,8 @@ def f1_witness(gamma: CantorGridPoint, window: int, cfg: CheckConfig) -> Continu
     With a witnessing row m: the integer m, and for each eps the radius
     that pins the grid cell (m, s_n) whose 1 forces every perturbation's
     value within eps of m.  Without one: for each value point, half its
-    offset as the refutation level, refuted by the all-ones completion.
+    offset as the refutation level, refuted by the all-ones completions,
+    built once per delta and shared by every value point.
     """
     witness_m = next((m for m in range(window + 1) if r_membership(gamma, m)), None)
     if witness_m is not None:
@@ -231,15 +239,14 @@ def f1_witness(gamma: CantorGridPoint, window: int, cfg: CheckConfig) -> Continu
             delta = Fraction(1, pair_index(witness_m, s_n) + 2)
             table.append((eps, delta))
         return ContinuityWitness(Fraction(witness_m), tuple(table), cfg.net_resolution)
+    counterexamples = tuple(
+        (delta, ones_completion(gamma, floor_reciprocal(delta)))
+        for delta in cfg.delta_schedule
+    )
     entries = []
     for m in range(window + 1):
         offset = Fraction(1, n_of(gamma, m) + 1)
-        eps_star = offset / 2
-        counterexamples = tuple(
-            (delta, ones_completion(gamma, floor_reciprocal(delta)))
-            for delta in cfg.delta_schedule
-        )
-        entries.append(RefutationEntry(Fraction(m) + offset, eps_star, counterexamples))
+        entries.append(RefutationEntry(Fraction(m) + offset, offset / 2, counterexamples))
     margin = min(e.eps_star for e in entries)
     return DiscontinuityWitness(tuple(entries), cfg.net_resolution, Fraction(0), margin)
 
@@ -255,7 +262,7 @@ def _deep_heads(center: Tree, rank_bound: int, depth: int) -> list[tuple[int, ..
     heads = []
     for beta in sorted(center.branches, key=BairePoint.sort_key):
         j = 0
-        while node_rank(beta.head(j)) < rank_bound:
+        while rank_below(beta.head(j), rank_bound):
             j += 1
         heads.append(beta.head(max(depth, j + 1)))
     return heads

@@ -109,7 +109,10 @@ def space_from_json(obj: dict, path: str = "space"):
         labels = _list(obj.get("labels", []), path + ".labels")
         if not all(isinstance(a, str) for a in labels):
             raise SchemaError(path + ".labels", "labels must be strings, got %r" % (labels,))
-        if obj.get("rational_labels", False):
+        rational = obj.get("rational_labels", False)
+        if not isinstance(rational, bool):
+            raise SchemaError(path + ".rational_labels", "expected true or false, got %r" % (rational,))
+        if rational:
             try:
                 labels = [parse_rational(a) for a in labels]
             except ValueError as exc:

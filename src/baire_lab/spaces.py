@@ -22,7 +22,11 @@ interval and rational finite spaces also name, through
 region (a set of heads, or a union of open intervals), which witnesses
 density ball by ball.  The graded enumeration of all finite sequences
 lives here too: it indexes the dense sequence of sequence space and the
-tree metric.  All values are immutable; all operations are pure.
+tree metric.  Its grade w (length + entry sum) holds 2^(w-1) sequences
+for w >= 1, and they take exactly the ranks [2^(w-1), 2^w), so a rank is
+compared with a bound by weight alone unless the weight is the bound's
+bit length (`trees.rank_below`).  All values are immutable; all
+operations are pure.
 """
 
 from __future__ import annotations
@@ -96,22 +100,23 @@ class BairePoint:
         return (self.prefix + per * reps)[:n]
 
     def starts_with(self, u: Sequence[int]) -> bool:
-        lp = len(self.prefix)
-        k = min(len(u), lp)
-        if tuple(u[:k]) != self.prefix[:k]:
-            return False
-        per, m = self.period, len(self.period)
-        return all(u[i] == per[(i - lp) % m] for i in range(lp, len(u)))
+        u = tuple(u)
+        return self.head(len(u)) == u
 
     def shift_entries(self) -> "BairePoint":
         """Entrywise +1; used for the tree shift."""
-        return BairePoint(tuple(x + 1 for x in self.prefix), tuple(x + 1 for x in self.period))
+        return BairePoint(shift_node(self.prefix), shift_node(self.period))
 
     def sort_key(self) -> tuple:
         return (self.prefix, self.period)
 
     def __str__(self) -> str:
         return format_baire_point(self)
+
+
+def shift_node(u: tuple[int, ...]) -> tuple[int, ...]:
+    """Entrywise +1."""
+    return tuple(map((1).__add__, u))
 
 
 def eventually_zero(head: Iterable[int]) -> BairePoint:
@@ -147,8 +152,8 @@ def first_disagreement(a: BairePoint, b: BairePoint) -> int | None:
     if a == b:
         return None
     bound = max(len(a.prefix), len(b.prefix)) + math.lcm(len(a.period), len(b.period))
-    for n in range(bound):
-        if a.entry(n) != b.entry(n):
+    for n, (x, y) in enumerate(zip(a.head(bound), b.head(bound))):
+        if x != y:
             return n
     return None
 
@@ -342,17 +347,19 @@ def node_weight(u: tuple[int, ...]) -> int:
 
 
 def _lex_rank(u: tuple[int, ...], total: int) -> int:
-    """Rank of u among length-len(u) sequences of naturals summing to total."""
+    """Rank of u among length-len(u) sequences of naturals summing to total.
+
+    Entry i with value v passes the sequences that put c < v there, and
+    with p entries left, sum over c < v of comb(r - c + p - 1, p - 1) is
+    comb(r + p, p) - comb(r - v + p, p) by the hockey-stick identity.  The
+    last entry equals what remains, so it passes nothing.
+    """
     rank = 0
     remaining = total
-    length = len(u)
-    for i, value in enumerate(u):
-        parts_left = length - i - 1
-        for c in range(value):
-            if parts_left == 0:
-                rank += 1 if remaining - c == 0 else 0
-            else:
-                rank += math.comb(remaining - c + parts_left - 1, parts_left - 1)
+    parts_left = len(u)
+    for value in u[:-1]:
+        parts_left -= 1
+        rank += math.comb(remaining + parts_left, parts_left) - math.comb(remaining - value + parts_left, parts_left)
         remaining -= value
     return rank
 

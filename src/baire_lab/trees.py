@@ -21,7 +21,15 @@ from fractions import Fraction
 from typing import Iterable
 
 from .rationals import floor_reciprocal
-from .spaces import BairePoint, first_disagreement, format_baire_point, node_rank, parse_baire_point
+from .spaces import (
+    BairePoint,
+    first_disagreement,
+    format_baire_point,
+    node_rank,
+    node_weight,
+    parse_baire_point,
+    shift_node,
+)
 
 Node = tuple[int, ...]
 
@@ -36,6 +44,18 @@ def prefix_closure(nodes: Iterable[Node]) -> frozenset[Node]:
             out.add(v)
             v = v[:-1]
     return frozenset(out)
+
+
+def rank_below(u: Node, bound: int) -> bool:
+    """node_rank(u) < bound.
+
+    The ranks of weight-w nodes fill [2^(w-1), 2^w) (the empty node, of
+    weight 0, has rank 0), so the weight decides the comparison unless it
+    equals the bit length of the bound (of 0 when negative); only then is
+    u ranked.
+    """
+    w, b = node_weight(u), max(bound, 0).bit_length()
+    return w < b if w != b else node_rank(u) < bound
 
 
 def max_entry_below_rank(k: int) -> int:
@@ -69,13 +89,13 @@ class Tree:
 
     def __post_init__(self) -> None:
         fp = frozenset(self.finite_part)
-        for u in fp:
-            if any(e < 0 for e in u):
-                raise ValueError("node entries must be naturals")
+        if any(u and min(u) < 0 for u in fp):
+            raise ValueError("node entries must be naturals")
         if EMPTY_NODE not in fp or any(u[:-1] not in fp for u in fp if u):
             raise ValueError("finite part must be closed under initial segments")
-        off = {u for u in fp if not self._on_some_branch(u, self.branches)}
-        object.__setattr__(self, "finite_part", prefix_closure(off))
+        if self.branches:  # without branches every node is off-branch
+            fp = prefix_closure(u for u in fp if not self._on_some_branch(u, self.branches))
+        object.__setattr__(self, "finite_part", fp)
 
     @staticmethod
     def _on_some_branch(u: Node, branches: frozenset[BairePoint]) -> bool:
@@ -103,7 +123,7 @@ def generated_by(seed: Iterable[Node]) -> Tree:
 def tree_shift(t: Tree) -> Tree:
     """Entrywise +1 on every node and branch; all shifted entries >= 1."""
     return Tree(
-        frozenset(tuple(e + 1 for e in u) for u in t.finite_part),
+        frozenset(map(shift_node, t.finite_part)),
         frozenset(b.shift_entries() for b in t.branches),
     )
 
@@ -157,13 +177,15 @@ def tree_dist(a: Tree, b: Tree) -> Fraction:
     and per uncovered branch, the least prefix depth not a member of the
     other tree (memberships of deeper prefixes only stay different, and
     rank increases with depth, so the least rank per branch is there).
+    Candidates are keyed by the enumeration's order (weight, length,
+    lexicographic), and only the least one is ranked.
     """
     if a == b:
         return Fraction(0)
-    candidates: list[int] = []
+    candidates: list[tuple[int, int, Node]] = []
     for u in a.finite_part | b.finite_part:
         if a.contains(u) != b.contains(u):
-            candidates.append(node_rank(u))
+            candidates.append((len(u) + sum(u), len(u), u))
     for src, dst in ((a, b), (b, a)):
         for beta in src.branches:
             if beta in dst.branches:
@@ -171,11 +193,11 @@ def tree_dist(a: Tree, b: Tree) -> Fraction:
             for j in range(_branch_cover_bound(beta, dst) + 1):
                 u = beta.head(j)
                 if not dst.contains(u):
-                    candidates.append(node_rank(u))
+                    candidates.append((len(u) + sum(u), len(u), u))
                     break
     if not candidates:
         raise AssertionError("unequal trees must differ at some node")
-    return Fraction(1, min(candidates) + 1)
+    return Fraction(1, node_rank(min(candidates)[2]) + 1)
 
 
 def constrained_members(t: Tree, rank_bound: int) -> frozenset[Node]:
@@ -183,12 +205,13 @@ def constrained_members(t: Tree, rank_bound: int) -> frozenset[Node]:
 
     rank(b|j) is strictly increasing in j (weight strictly grows, and the
     enumeration is graded by weight), so branch prefixes are collected by a
-    short scan even when rank_bound is astronomically large.
+    short scan even when rank_bound is astronomically large; along it, at
+    most one prefix has the weight that makes `rank_below` rank it.
     """
     out = {u for u in t.finite_part if node_rank(u) < rank_bound}
     for beta in t.branches:
         j = 0
-        while node_rank(beta.head(j)) < rank_bound:
+        while rank_below(beta.head(j), rank_bound):
             out.add(beta.head(j))
             j += 1
     return frozenset(out)

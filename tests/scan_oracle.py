@@ -1,14 +1,20 @@
-"""The dense-index search by enumeration, the oracle of the closed form.
+"""Oracles that walk an enumeration step by step, for the closed forms.
 
 `checkers._dense_search` finds the least dense index passing a level from a
 region the codomain can index.  `scan_search` finds it by walking a dense
 sequence index by index; swapped in for `_dense_search` with monkeypatch,
 it must give the same reports.
+
+The rank layer and the grid completions compute in closed form what the
+functions below count one value, one candidate or one cell at a time.
 """
 
+import math
 from fractions import Fraction
 
 from baire_lab.closed_sets import dist_to_set
+from baire_lab.spaces import BairePoint, CantorGridPoint, node_rank, pair_index
+from baire_lab.trees import _branch_cover_bound
 
 
 def scan_search(dense, cfg):
@@ -27,3 +33,53 @@ def scan_search(dense, cfg):
         return None
 
     return search
+
+
+def lex_rank_by_values(u, total):
+    """`spaces._lex_rank` by counting, for each entry, the sequences that
+    put each smaller value there."""
+    rank = 0
+    remaining = total
+    length = len(u)
+    for i, value in enumerate(u):
+        parts_left = length - i - 1
+        for c in range(value):
+            if parts_left == 0:
+                rank += 1 if remaining - c == 0 else 0
+            else:
+                rank += math.comb(remaining - c + parts_left - 1, parts_left - 1)
+        remaining -= value
+    return rank
+
+
+def tree_dist_ranking_every_candidate(a, b):
+    """`trees.tree_dist` with every differing candidate node ranked: the
+    finite-part nodes where membership differs, and per uncovered branch
+    its least prefix missing from the other tree."""
+    if a == b:
+        return Fraction(0)
+    ranks = [node_rank(u) for u in a.finite_part | b.finite_part if a.contains(u) != b.contains(u)]
+    for src, dst in ((a, b), (b, a)):
+        for beta in src.branches - dst.branches:
+            j = next(j for j in range(_branch_cover_bound(beta, dst) + 1) if not dst.contains(beta.head(j)))
+            ranks.append(node_rank(beta.head(j)))
+    return Fraction(1, min(ranks) + 1)
+
+
+def row_constraint_length_by_steps(m, flat_bound):
+    """`gallery._row_constraint_length` by stepping s up from 0."""
+    s = 0
+    while pair_index(m, s) < flat_bound:
+        s += 1
+    return s
+
+
+def ones_completion_by_cells(gamma, flat_bound):
+    """`gallery.ones_completion` read cell by cell from gamma."""
+    rows = []
+    m = 0
+    while pair_index(m, 0) < flat_bound:
+        s_max = row_constraint_length_by_steps(m, flat_bound)
+        rows.append((m, BairePoint(tuple(gamma.entry(m, s) for s in range(s_max)), (1,))))
+        m += 1
+    return CantorGridPoint(tuple(rows), BairePoint((), (1,)))

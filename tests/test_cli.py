@@ -353,6 +353,9 @@ def affine(scale="2", shift="1"):
      | {"super_space": {"kind": ["finite_points"]}}, "multimap.super_space.kind"),
     ({"kind": "compose", "pi": {"kind": ["affine"]}, "base": {"kind": "f2"}}, "multimap.pi.kind"),
     (tabular({"kind": "real_line"}, {"kind": ["finite_real"], "points": ["1"]}), "multimap.values.1.kind"),
+    # the rational_labels flag is a JSON boolean
+    *[({"kind": "tabular", "space": {**TWO_POINTS, "rational_labels": flag}, "values": {}},
+       "multimap.space.rational_labels") for flag in ("false", 0, 1, None)],
 ])
 def test_check_rejects_a_malformed_multimap_at_its_path(tmp_path, multimap, path):
     instance = tmp_path / "malformed.json"

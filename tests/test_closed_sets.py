@@ -30,7 +30,7 @@ from baire_lab.closed_sets import (
     set_separation,
     tree_body_points,
 )
-from baire_lab.spaces import BAIRE_SPACE, REAL_LINE, eventually_zero, parse_baire_point
+from baire_lab.spaces import BAIRE_SPACE, REAL_LINE, baire_dist, eventually_zero, parse_baire_point
 from baire_lab.trees import generated_by, make_tree
 
 
@@ -44,6 +44,16 @@ def test_dist_spec_examples():
     assert dist_to_set(Fr(17, 5), Empty()) == 1  # the empty-set convention
     body = f2_value(make_tree([(0,)]))
     assert dist_to_set(parse_baire_point("1;0"), body) == 0
+
+
+def test_baire_dist_to_a_finite_set_is_the_least_pairwise_distance():
+    rng = random.Random(67)
+    pool = [eventually_zero(u) for u in ((), (0, 1), (0, 2), (1,), (0, 1, 1), (2, 0, 0, 3))]
+    pool += [parse_baire_point(";0,1"), parse_baire_point("0;1"), parse_baire_point("0,1;1,0")]
+    for _ in range(500):
+        points = frozenset(rng.sample(pool, rng.randrange(1, 5)))
+        y = rng.choice(pool)
+        assert dist_to_set(y, FiniteBaireSet(points)) == min(baire_dist(y, p) for p in points)
 
 
 def test_dist_interval_cases():

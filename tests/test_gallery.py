@@ -6,6 +6,8 @@ import pytest
 
 from baire_lab.checkers import (
     ContinuityWitness,
+    DiscontinuityWitness,
+    RefutationEntry,
     check_continuity,
     check_strong_continuity,
     continuity_points,
@@ -30,6 +32,7 @@ from baire_lab.gallery import (
     f1_value,
     f1_witness,
     f2_multimap,
+    f2_probes,
     f2_witness,
     first_one_at_or_after,
     flip_completion,
@@ -41,10 +44,12 @@ from baire_lab.gallery import (
     last_one_index,
     n_of,
     ones_completion,
+    _row_constraint_length,
     r_membership,
     spike_function,
     whole_space_repr,
 )
+from baire_lab.instances import witness_to_json
 from baire_lab.rationals import floor_reciprocal
 from baire_lab.spaces import (
     REAL_LINE,
@@ -58,8 +63,13 @@ from baire_lab.spaces import (
 )
 from baire_lab.trees import is_ill_founded, make_tree, generated_by, parse_tree_literal, tree_dist
 
-from corpus_helpers import enumerate_prefix_closed_trees, grid_corpus
-from scan_oracle import scan_search
+from corpus_helpers import branch_bearing_trees, enumerate_prefix_closed_trees, grid_corpus
+from scan_oracle import (
+    ones_completion_by_cells,
+    row_constraint_length_by_steps,
+    scan_search,
+    tree_dist_ranking_every_candidate,
+)
 
 CFG = default_config()
 
@@ -150,6 +160,35 @@ def test_f1_completions_stay_in_their_balls():
             assert flipped != gamma
 
 
+def test_row_constraint_length_agrees_with_stepping():
+    for m in range(40):
+        for bound in range(3000):
+            assert _row_constraint_length(m, bound) == row_constraint_length_by_steps(m, bound), (m, bound)
+
+
+def test_ones_completion_agrees_with_cell_by_cell():
+    for gamma in grid_corpus():
+        for delta in CFG.delta_schedule:
+            bound = floor_reciprocal(delta)
+            assert ones_completion(gamma, bound) == ones_completion_by_cells(gamma, bound), (gamma, delta)
+
+
+def test_f1_witness_entries_serialise_as_built_one_by_one():
+    for gamma in grid_corpus():
+        witness = f1_witness(gamma, 8, CFG)
+        if isinstance(witness, ContinuityWitness):
+            continue
+        entries = []
+        for m in range(9):
+            offset = Fr(1, n_of(gamma, m) + 1)
+            counterexamples = tuple((delta, ones_completion_by_cells(gamma, floor_reciprocal(delta)))
+                                    for delta in CFG.delta_schedule)
+            entries.append(RefutationEntry(m + offset, offset / 2, counterexamples))
+        one_by_one = DiscontinuityWitness(tuple(entries), CFG.net_resolution, Fr(0),
+                                          min(e.eps_star for e in entries))
+        assert witness_to_json(witness) == witness_to_json(one_by_one), gamma
+
+
 def test_f1_witness_discontinuity_level_matches_construction():
     w = f1_witness(ALL_ZERO, 8, CFG)
     # every row is zero, so every offset is 1/2 and the level is a quarter
@@ -217,6 +256,17 @@ def test_f2_search_checker_matches_ill_foundedness():
                  make_tree([(3,)], branches=[parse_baire_point("0;1")])]:
         expected = "continuous" if is_ill_founded(tree) else "discontinuous"
         assert check_continuity(mm, tree, CFG, mm.default_probes).kind == expected
+
+
+def test_tree_dist_ranks_the_least_differing_node_of_certificate_probes():
+    gen = f2_probes()
+    centers = branch_bearing_trees()[5:8]  # ill-founded, with off-branch nodes or a second branch
+    for center in centers:
+        radii = [delta for _, delta in f2_witness(center, CFG).table]
+        for radius in radii + [Fr(1), Fr(1, 7)]:
+            trunk, sprout = gen(center, radius)
+            for a, b in ((center, trunk), (center, sprout), (trunk, sprout)):
+                assert tree_dist(a, b) == tree_dist_ranking_every_candidate(a, b), (center, radius)
 
 
 def test_f2_probes_stay_in_their_balls():

@@ -107,6 +107,18 @@ def test_baire_dist_agrees_with_naive_scan():
             assert d == Fr(1, got + 1)
 
 
+def test_starts_with_agrees_with_entries():
+    rng = random.Random(17)
+    for _ in range(2000):
+        a = random_baire_point(rng, max_entry=3)
+        u = a.head(rng.randrange(13))
+        if u and rng.random() < 0.5:
+            i = rng.randrange(len(u))
+            u = u[:i] + (rng.randrange(3),) + u[i + 1:]
+        assert a.starts_with(u) == all(a.entry(i) == e for i, e in enumerate(u))
+        assert a.starts_with(list(u)) == a.starts_with(u)
+
+
 def test_baire_dist_is_ultrametric_and_quantized():
     rng = random.Random(13)
     for _ in range(500):

@@ -4,12 +4,16 @@
 them, and reads two caches by name, and `perfbench/workloads.py` builds
 maps and instance files through the library's constructors and CLI.
 Renaming or deleting one of them, or changing what it accepts, would break
-only the benchmark run; these tests make it fail here as well.
+only the benchmark run; these tests make it fail here as well.  The
+`BENCH_*.json` records of measured changes must claim a workload and an
+end-to-end metric that `BENCHMARK.json` declares.
 """
 
+import json
 from pathlib import Path
 
-PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = str(ROOT / "perfbench")
 
 
 def _bound(owner, attr):
@@ -44,3 +48,15 @@ def test_every_workload_runs_and_judges_its_first_operations(monkeypatch, tmp_pa
         for op in workload(17, str(tmp_path / name)).round(0)[:3]:
             problems, _, _ = op.judge(op.run())
             assert problems == [], (name, op.kind, problems)
+
+
+def test_every_bench_record_claims_a_declared_workload_and_metric():
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = {w["name"] for w in declared["workloads"]}
+    metrics = {m["name"] for m in declared["end_to_end"]}
+    records = sorted(ROOT.glob("BENCH_*.json"))
+    assert records
+    for record in records:
+        claim = json.loads(record.read_text())["claim"]
+        assert claim["workload"] in workloads, record.name
+        assert claim["metric"] in metrics, record.name

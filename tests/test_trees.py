@@ -1,10 +1,12 @@
 """Tree combinatorics, the node enumeration, and the tree metric."""
 
+import itertools
 import random
 from fractions import Fraction as Fr
 
 import pytest
 
+from baire_lab import spaces
 from baire_lab.spaces import eventually_zero, node_rank, node_unrank, parse_baire_point
 from baire_lab.trees import (
     EMPTY_NODE,
@@ -19,10 +21,14 @@ from baire_lab.trees import (
     make_tree,
     max_entry_below_rank,
     parse_tree_literal,
+    rank_below,
     terminals,
     tree_dist,
     tree_shift,
 )
+
+from corpus_helpers import branch_bearing_trees
+from scan_oracle import lex_rank_by_values
 
 
 def random_tree(rng, with_branches=False):
@@ -123,6 +129,8 @@ def test_validation_rejects_non_closed_finite_parts():
         Tree(frozenset({(), (0, 1)}), frozenset())
     with pytest.raises(ValueError):
         Tree(frozenset({(0,)}), frozenset())  # missing the empty node
+    with pytest.raises(ValueError):
+        Tree(frozenset({(), (0,), (0, -1)}), frozenset())  # entries are naturals
 
 
 def test_canonical_representation_identifies_equal_node_sets():
@@ -152,6 +160,35 @@ def test_node_rank_roundtrip_and_order():
         prev = key
 
 
+def rank_layer_nodes():
+    """Seeded random nodes, every short node over {0..3}, and deep branch
+    prefixes of the length an ill-founded certificate pins."""
+    rng = random.Random(61)
+    nodes = [tuple(rng.randrange(5) for _ in range(rng.randrange(41))) for _ in range(20000)]
+    nodes += [u for length in range(6) for u in itertools.product(range(4), repeat=length)]
+    branches = {beta for t in branch_bearing_trees() for beta in t.branches}
+    nodes += [beta.head(j) for beta in branches for j in range(256, 262)]
+    return nodes
+
+
+def test_node_rank_agrees_with_the_per_value_sum(monkeypatch):
+    nodes = rank_layer_nodes()
+    closed_form = [node_rank.__wrapped__(u) for u in nodes]
+    monkeypatch.setattr(spaces, "_lex_rank", lex_rank_by_values)
+    assert closed_form == [node_rank.__wrapped__(u) for u in nodes]
+
+
+def test_rank_below_agrees_with_node_rank():
+    deep = [beta.head(256) for t in branch_bearing_trees() for beta in t.branches]
+    nodes = [EMPTY_NODE] + rank_layer_nodes()[::50] + deep
+    for u in nodes:
+        rank = node_rank(u)
+        bounds = [rank - 1, rank, rank + 1]
+        bounds += [2 ** k + d for k in range(301) for d in (-1, 0, 1)]
+        for bound in bounds:
+            assert rank_below(u, bound) == (rank < bound), (u, bound)
+
+
 def test_branch_prefix_ranks_increase():
     beta = parse_baire_point("2,0;1,3")
     ranks = [node_rank(beta.head(j)) for j in range(12)]
@@ -166,12 +203,13 @@ def test_max_entry_below_rank():
 
 
 def test_constrained_members_agrees_with_direct_filter():
-    t = make_tree([(0, 1), (2,)], branches=[parse_baire_point(";1")])
-    for bound in (1, 4, 16, 300, 10 ** 9):
+    beta = parse_baire_point(";1")
+    t = make_tree([(0, 1), (2,)], branches=[beta])
+    certificate_bound = node_rank(beta.head(256)) + 2  # the radius an ill-founded certificate uses
+    for bound in (1, 4, 16, 300, 10 ** 9, certificate_bound):
         got = constrained_members(t, bound)
         direct = {u for u in t.finite_part if node_rank(u) < bound}
         j = 0
-        beta = parse_baire_point(";1")
         while node_rank(beta.head(j)) < bound:
             direct.add(beta.head(j))
             j += 1
