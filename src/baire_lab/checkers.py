@@ -22,7 +22,9 @@ The net of the value at x is the only net built: the distance from a net
 point to the net of a probe's value is measured in closed form, since an
 interval's net is a grid.  `verify_witness` does not use the context or
 the closed form, so that a certificate is re-validated independently of
-the search that produced it.
+the search that produced it.  It shares the metric kernels with the
+checkers (`dist_to_set`, and `tree_dist` through the tree space's metric)
+but none of the search.
 
 Verdicts are correct relative to the probe set and schedules; on finite
 spaces probed exhaustively they coincide with brute-force evaluation of

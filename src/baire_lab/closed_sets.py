@@ -16,6 +16,15 @@ representable trees here (`tree_body_points`), so it is a
 radius of every one of a list of values: a set of heads in sequence space,
 a union of open intervals on the line.  `dist_to_net` gives the distance to
 the nearest point of an eps_net without building an interval's grid.
+
+Sequence-space distances are found without measuring every pair of
+points.  The metric is an ultrametric fixed by the least disagreement, so
+the distance from y to a finite set is 1/(d + 1) for the longest
+agreement d of y with a point of the set: walking y's entries and keeping
+the points that still agree with y finds d once at most one point is
+left, and only that point is compared with y as a whole
+(`_longest_agreement`).  The separation of two finite sets is the least
+such distance over the points of one of them.
 """
 
 from __future__ import annotations
@@ -137,8 +146,37 @@ def _interval_dist(y: Fraction, a: Fraction, b: Fraction) -> Fraction:
     return Fraction(0)
 
 
+def _longest_agreement(y: BairePoint, points) -> int | None:
+    """max(first_disagreement(y, p) for p in points), None when y is one of
+    the points: the length of y's longest agreement with a point.
+
+    At depth n the walk keeps the points that agree with y below n + 1.
+    Distinct points disagree somewhere, and y agrees with at most one of
+    two points where they disagree, so the walk ends.  When no point is
+    left, every point kept at depth n disagrees with y there, and n is the
+    answer; when one is left, it agrees with y longer than every point
+    dropped, and `first_disagreement` measures it.
+    """
+    n = 0
+    while len(points) > 1:
+        entry = y.entry(n)
+        points = [p for p in points if p.entry(n) == entry]
+        n += 1
+    if points:
+        (last,) = points
+        return first_disagreement(y, last)
+    return n - 1
+
+
 def dist_to_set(y, s: ClosedSetRepr) -> Fraction:
-    """Exact infimum distance; 1 for the empty set by convention."""
+    """Exact infimum distance; 1 for the empty set by convention.
+
+    For a finite sequence-space set: baire_dist(y, p) = 1/(d + 1) falls as
+    the first disagreement d moves out, so the nearest point is the one
+    that agrees with y longest, and `_longest_agreement` finds its d by
+    walking y's entries, with one whole comparison at most.  The distance
+    is 0 exactly when y is a point of the set.
+    """
     if isinstance(s, Empty):
         return Fraction(1)
     if isinstance(s, FiniteRealSet):
@@ -147,11 +185,8 @@ def dist_to_set(y, s: ClosedSetRepr) -> Fraction:
         # inf distance to an interval equals distance to its closure
         return min(_interval_dist(y, a, b) for a, b in s.intervals)
     if isinstance(s, FiniteBaireSet):
-        # baire_dist falls as the first disagreement moves out, so the
-        # nearest point is the one that agrees with y longest
-        if y in s.points:
-            return Fraction(0)
-        return Fraction(1, max(first_disagreement(y, p) for p in s.points) + 1)
+        d = _longest_agreement(y, s.points)
+        return Fraction(0) if d is None else Fraction(1, d + 1)
     raise TypeError("unknown set representation: %r" % (s,))
 
 
@@ -254,10 +289,15 @@ def dist_to_net(y, s: ClosedSetRepr, eps: Fraction, dist) -> Fraction | None:
     under |x - y|: the nearest point of an eps/2 grid is one of the two on
     either side of y, an end point of a closed interval, or the midpoint of
     an open interval too short for the grid.  `dist` then measures it.
-    Enumerated variants are their own nets.
+    Enumerated variants are their own nets.  A finite sequence-space set
+    is measured by `dist_to_set`: `fits_space` admits it only in sequence
+    space, whose `dist` is `baire_dist`, so the nearest net point is the
+    nearest point of the set and the two minima are the same.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
+    if isinstance(s, FiniteBaireSet):
+        return dist_to_set(y, s)
     points = _points(s)
     if points is not None:
         return min((dist(y, p) for p in points), default=None)
@@ -413,9 +453,22 @@ def set_separation(s1: ClosedSetRepr, s2: ClosedSetRepr) -> Fraction | None:
 
     None when either side is Empty (callers treat an empty value as an
     automatic refuter through the distance-1 convention).
+
+    Two finite sequence-space sets are 1/(d + 1) apart for the longest
+    agreement d between a point of one and a point of the other, so
+    `_longest_agreement` walks from each point of s1 into s2, and the
+    separation is 0 as soon as one of them is a point of s2.
     """
     if isinstance(s1, Empty) or isinstance(s2, Empty):
         return None
+    if isinstance(s1, FiniteBaireSet) and isinstance(s2, FiniteBaireSet):
+        longest = -1
+        for p in s1.points:
+            d = _longest_agreement(p, s2.points)
+            if d is None:
+                return Fraction(0)
+            longest = max(longest, d)
+        return Fraction(1, longest + 1)
     p1, p2 = enumerate_points(s1), enumerate_points(s2)
     if p1 is not None:
         return min(dist_to_set(p, s2) for p in p1)

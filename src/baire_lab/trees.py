@@ -170,31 +170,47 @@ def _branch_cover_bound(beta: BairePoint, t: Tree) -> int:
     return bound + 1
 
 
+def _least_missing_prefix(beta: BairePoint, t: Tree) -> Node:
+    """The shortest prefix of `beta` that is not a member of `t`, for a
+    branch `beta` that `t` does not designate.
+
+    t is prefix-closed, so beta.head(j) is a member for every j below some
+    least missing length and for none from there on.  The empty node is a
+    member and the head at `_branch_cover_bound` is not, so bisecting that
+    range finds the least missing length.
+    """
+    lo, hi = 0, _branch_cover_bound(beta, t)  # head(lo) is a member, head(hi) is not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if t.contains(beta.head(mid)):
+            lo = mid
+        else:
+            hi = mid
+    return beta.head(hi)
+
+
 def tree_dist(a: Tree, b: Tree) -> Fraction:
     """1/(least differing node rank + 1); 0 exactly on equal node sets.
 
-    Differing nodes are located among: finite-part nodes of either tree,
-    and per uncovered branch, the least prefix depth not a member of the
-    other tree (memberships of deeper prefixes only stay different, and
-    rank increases with depth, so the least rank per branch is there).
-    Candidates are keyed by the enumeration's order (weight, length,
-    lexicographic), and only the least one is ranked.
+    Differing nodes are located among: the finite-part nodes of one tree
+    outside the other's finite part and off its branches (a node in both
+    finite parts is a member of both trees), and per uncovered branch, the
+    least prefix that is not a member of the other tree (memberships of
+    deeper prefixes only stay different, and rank increases with depth, so
+    the least rank per branch is there; `_least_missing_prefix` finds it by
+    bisection).  Candidates are keyed by the enumeration's order (weight,
+    length, lexicographic), and only the least one is ranked.
     """
     if a == b:
         return Fraction(0)
     candidates: list[tuple[int, int, Node]] = []
-    for u in a.finite_part | b.finite_part:
-        if a.contains(u) != b.contains(u):
-            candidates.append((len(u) + sum(u), len(u), u))
     for src, dst in ((a, b), (b, a)):
-        for beta in src.branches:
-            if beta in dst.branches:
-                continue
-            for j in range(_branch_cover_bound(beta, dst) + 1):
-                u = beta.head(j)
-                if not dst.contains(u):
-                    candidates.append((len(u) + sum(u), len(u), u))
-                    break
+        for u in src.finite_part - dst.finite_part:
+            if not Tree._on_some_branch(u, dst.branches):
+                candidates.append((len(u) + sum(u), len(u), u))
+        for beta in src.branches - dst.branches:
+            u = _least_missing_prefix(beta, dst)
+            candidates.append((len(u) + sum(u), len(u), u))
     if not candidates:
         raise AssertionError("unequal trees must differ at some node")
     return Fraction(1, node_rank(min(candidates)[2]) + 1)

@@ -3,7 +3,13 @@
 `checkers._dense_search` finds the least dense index passing a level from a
 region the codomain can index.  `scan_search` finds it by walking a dense
 sequence index by index; swapped in for `_dense_search` with monkeypatch,
-it must give the same reports.
+it must give the same reports.  It measures sequence-space values pair by
+pair, so that it does not share the walk of `closed_sets` with the code it
+checks.
+
+`closed_sets` measures a finite sequence-space set by walking to the
+least disagreement; `baire_dist_to_points` and `separation_by_pairs`
+measure every pair of points with `baire_dist`.
 
 The rank layer and the grid completions compute in closed form what the
 functions below count one value, one candidate or one cell at a time.
@@ -12,9 +18,23 @@ functions below count one value, one candidate or one cell at a time.
 import math
 from fractions import Fraction
 
-from baire_lab.closed_sets import dist_to_set
-from baire_lab.spaces import BairePoint, CantorGridPoint, node_rank, pair_index
+from baire_lab.closed_sets import FiniteBaireSet, dist_to_set
+from baire_lab.spaces import BairePoint, CantorGridPoint, baire_dist, node_rank, pair_index
 from baire_lab.trees import _branch_cover_bound
+
+
+def baire_dist_to_points(y, s):
+    """`closed_sets.dist_to_set`, with a finite sequence-space set measured
+    as the least `baire_dist` from y to one of its points."""
+    if isinstance(s, FiniteBaireSet):
+        return min(baire_dist(y, p) for p in s.points)
+    return dist_to_set(y, s)
+
+
+def separation_by_pairs(s1, s2):
+    """`closed_sets.set_separation` of two finite sequence-space sets, as
+    the least `baire_dist` over every pair of points."""
+    return min(baire_dist(p, q) for p in s1.points for q in s2.points)
 
 
 def scan_search(dense, cfg):
@@ -28,7 +48,7 @@ def scan_search(dense, cfg):
         for s in range(cfg.dense_bound + 1):
             y = dense(s)
             for delta in cfg.delta_schedule:
-                if all(dist_to_set(y, v) < threshold for v in values[delta]):
+                if all(baire_dist_to_points(y, v) < threshold for v in values[delta]):
                     return n, s, delta
         return None
 

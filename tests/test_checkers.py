@@ -32,6 +32,7 @@ from baire_lab.closed_sets import (
 from baire_lab.spaces import REAL_LINE, UNIT_INTERVAL, rational_points_space
 from baire_lab.trees import TREE_SPACE
 
+from corpus_helpers import branch_bearing_trees
 from scan_oracle import scan_search
 
 # ---------------------------------------------------------------------------
@@ -420,6 +421,45 @@ def test_the_table_loop_measures_interval_nets_in_closed_form(monkeypatch):
     assert verdict.kind == "discontinuous"
     assert calls["eps_net"] == 1
     assert calls["dist"] <= 1000
+
+
+def test_sequence_space_distances_walk_to_the_least_disagreement(monkeypatch):
+    """On f2 trees the checkers measure sequence-space values without
+    measuring pairs of points: no `baire_dist` call, and at most one
+    `first_disagreement` in `closed_sets` per point-to-set distance (each
+    dist_to_set and dist_to_net, and each point of the first set of a
+    set_separation)."""
+    from collections import Counter
+
+    from baire_lab import checkers, closed_sets, spaces
+    from baire_lab.gallery import f2_multimap
+    from baire_lab.trees import generated_by
+
+    calls = Counter()
+
+    def counted(name, original, queries=lambda *args: 0):
+        def wrapper(*args):
+            calls[name] += 1
+            calls["queries"] += queries(*args)
+            return original(*args)
+        return wrapper
+
+    monkeypatch.setattr(spaces, "baire_dist", counted("baire_dist", spaces.baire_dist))
+    monkeypatch.setattr(closed_sets, "first_disagreement",
+                        counted("first_disagreement", closed_sets.first_disagreement))
+    for name in ("dist_to_set", "dist_to_net"):
+        monkeypatch.setattr(checkers, name, counted(name, getattr(checkers, name), lambda *args: 1))
+    monkeypatch.setattr(checkers, "set_separation",
+                        counted("set_separation", checkers.set_separation, lambda a, b: len(a.points)))
+    f2 = f2_multimap()
+    trees = [generated_by([(0, 1), (1, 0)]), generated_by([(0, 0), (0, 2), (2, 1)]), generated_by([(1, 1)])]
+    trees += branch_bearing_trees()[5:8]
+    for tree in trees:
+        check_continuity(f2, tree, default_config(), f2.default_probes)
+        eval_star(f2, tree, default_config(), f2.default_probes)
+    assert calls["baire_dist"] == 0
+    assert calls["dist_to_net"] and calls["set_separation"]
+    assert 0 < calls["first_disagreement"] <= calls["queries"]
 
 
 # ---------------------------------------------------------------------------

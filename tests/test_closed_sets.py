@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from baire_lab.closed_sets import (
     ClosedIntervalUnion,
@@ -30,8 +32,11 @@ from baire_lab.closed_sets import (
     set_separation,
     tree_body_points,
 )
-from baire_lab.spaces import BAIRE_SPACE, REAL_LINE, baire_dist, eventually_zero, parse_baire_point
+from baire_lab.gallery import F2_DEEP_DEPTH
+from baire_lab.spaces import BAIRE_SPACE, REAL_LINE, BairePoint, baire_dist, eventually_zero, parse_baire_point
 from baire_lab.trees import generated_by, make_tree
+
+from scan_oracle import baire_dist_to_points, separation_by_pairs
 
 
 def f2_value(t):
@@ -46,14 +51,86 @@ def test_dist_spec_examples():
     assert dist_to_set(parse_baire_point("1;0"), body) == 0
 
 
+def _short_points():
+    """Every point with a 0/1 prefix of length <= 2 and a 0/1 period of
+    length 1 to 3: many agree up to the max-prefix-plus-lcm bound, and
+    many are equally far from a third."""
+    out = set()
+    for pre_len in range(3):
+        for per_len in range(1, 4):
+            for bits in range(2 ** (pre_len + per_len)):
+                entries = tuple((bits >> i) & 1 for i in range(pre_len + per_len))
+                out.add(BairePoint(entries[:pre_len], entries[pre_len:]))
+    return sorted(out, key=BairePoint.sort_key)
+
+
+def _deep_points():
+    """Points sharing at least F2_DEEP_DEPTH entries, as the padded deep
+    heads of an ill-founded f2 probe do with the shifted branch."""
+    beta = parse_baire_point(";1,2")
+    trunk = beta.head(F2_DEEP_DEPTH)
+    return [beta, eventually_zero(trunk), eventually_zero(trunk + (3,)), eventually_zero(trunk + (1, 2, 1)),
+            eventually_zero(beta.head(F2_DEEP_DEPTH + 9)), BairePoint(trunk, (1, 2, 2)), BairePoint(trunk + (1,), (2, 1))]
+
+
 def test_baire_dist_to_a_finite_set_is_the_least_pairwise_distance():
+    """dist_to_set, dist_to_net and set_separation on finite sequence-space
+    sets against the pairwise scans, with every case the walk can meet
+    drawn at least once."""
     rng = random.Random(67)
-    pool = [eventually_zero(u) for u in ((), (0, 1), (0, 2), (1,), (0, 1, 1), (2, 0, 0, 3))]
-    pool += [parse_baire_point(";0,1"), parse_baire_point("0;1"), parse_baire_point("0,1;1,0")]
-    for _ in range(500):
-        points = frozenset(rng.sample(pool, rng.randrange(1, 5)))
-        y = rng.choice(pool)
-        assert dist_to_set(y, FiniteBaireSet(points)) == min(baire_dist(y, p) for p in points)
+    mixed = [eventually_zero(u) for u in ((), (0, 1), (0, 2), (1,), (0, 1, 1), (2, 0, 0, 3))]
+    mixed += [parse_baire_point(";0,1"), parse_baire_point("0;1"), parse_baire_point("0,1;1,0")]
+    pools = (_short_points(), _deep_points(), mixed + _deep_points())
+    seen = set()
+    for _ in range(1500):
+        pool = rng.choice(pools)
+        s1 = FiniteBaireSet(frozenset(rng.sample(pool, rng.randrange(1, 6))))
+        y = rng.choice(sorted(s1.points, key=BairePoint.sort_key)) if rng.random() < 0.25 else rng.choice(pool)
+        s2 = frozenset(rng.sample(pool, rng.randrange(1, 6)))
+        if rng.random() < 0.25:
+            s2 |= {rng.choice(sorted(s1.points, key=BairePoint.sort_key))}
+        s2 = FiniteBaireSet(s2)
+        expected = baire_dist_to_points(y, s1)
+        assert dist_to_set(y, s1) == expected, (y, s1)
+        for eps in (Fr(1), Fr(1, 16)):
+            assert dist_to_net(y, s1, eps, BAIRE_SPACE.dist) == expected, (y, s1)
+        assert set_separation(s1, s2) == separation_by_pairs(s1, s2), (s1, s2)
+        assert set_separation(s2, s1) == separation_by_pairs(s1, s2), (s1, s2)
+        seen.add("y inside" if expected == 0 else "y outside")
+        if sum(baire_dist(y, p) == expected for p in s1.points) > 1:
+            seen.add("tie")
+        if expected and expected <= Fr(1, F2_DEEP_DEPTH + 1):
+            seen.add("deep")
+        if max(len(p.period) for p in s1.points) == 3:
+            seen.add("period 3")
+        if s1.points & s2.points:
+            seen.add("intersecting")
+    assert seen == {"y inside", "y outside", "tie", "deep", "period 3", "intersecting"}
+
+
+_POINTS = st.builds(
+    lambda trunk, prefix, period: BairePoint(trunk + tuple(prefix), tuple(period)),
+    st.sampled_from([(), parse_baire_point(";1,2").head(F2_DEEP_DEPTH)]),
+    st.lists(st.integers(0, 2), max_size=3),
+    st.lists(st.integers(0, 2), min_size=1, max_size=3),
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(data=st.data())
+def test_sequence_space_kernels_match_the_pairwise_oracles_on_drawn_sets(data):
+    """The same comparison on drawn points: prefixes of up to three entries
+    and periods of one to three, after no trunk or a trunk of F2_DEEP_DEPTH
+    entries; y is sometimes a point of s1, and s2 sometimes meets s1."""
+    s1 = FiniteBaireSet(data.draw(st.frozensets(_POINTS, min_size=1, max_size=5)))
+    own = st.sampled_from(sorted(s1.points, key=BairePoint.sort_key))
+    y = data.draw(st.one_of(_POINTS, own))
+    s2 = FiniteBaireSet(data.draw(st.frozensets(_POINTS, min_size=1, max_size=4))
+                        | data.draw(st.frozensets(own, max_size=1)))
+    expected = baire_dist_to_points(y, s1)
+    assert dist_to_set(y, s1) == expected
+    assert dist_to_net(y, s1, Fr(1, 8), BAIRE_SPACE.dist) == expected
+    assert set_separation(s1, s2) == separation_by_pairs(s1, s2)
 
 
 def test_dist_interval_cases():

@@ -259,9 +259,12 @@ def test_f2_search_checker_matches_ill_foundedness():
 
 
 def test_tree_dist_ranks_the_least_differing_node_of_certificate_probes():
+    """tree_dist against ranking every candidate, with each branch's least
+    missing prefix found by a step-by-step scan, on each branch-bearing
+    center and its own f2 probes: deep heads, and a sprout one node past a
+    head, put that prefix at or below the top of the bisected range."""
     gen = f2_probes()
-    centers = branch_bearing_trees()[5:8]  # ill-founded, with off-branch nodes or a second branch
-    for center in centers:
+    for center in branch_bearing_trees():
         radii = [delta for _, delta in f2_witness(center, CFG).table]
         for radius in radii + [Fr(1), Fr(1, 7)]:
             trunk, sprout = gen(center, radius)
