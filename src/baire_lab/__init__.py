@@ -29,11 +29,10 @@ from .checkers import (
     verify_witness,
 )
 from .closed_sets import (
-    ClosedIntervalUnion,
     Empty,
     FiniteBaireSet,
     FiniteRealSet,
-    OpenIntervalUnion,
+    IntervalUnion,
     closure,
     dist_to_set,
     eps_net,

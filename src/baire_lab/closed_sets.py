@@ -1,10 +1,18 @@
 """Finitely representable closed (and open) subsets of the target spaces.
 
 Variants denote subsets of the real line / unit interval (finite point
-sets, closed or open interval unions), of the sequence space (finite point
-sets), or the empty set.  Point-to-set distance is exact; the empty set is
-at distance 1 from everything, following the convention the truncated
-criteria rely on.
+sets, interval unions), of the sequence space (finite point sets), or the
+empty set.  Point-to-set distance is exact; the empty set is at distance 1
+from everything, following the convention the truncated criteria rely on.
+
+`IntervalUnion` is one variant whose `closed` flag says whether the ends
+belong to the set; its wire `kind` is "closed_intervals" or
+"open_intervals".  Only membership, `closure`, clipping and the net grid
+read the flag: distances, separations and neighbourhoods of an interval
+equal those of its closure.  The eps-net of an interval is one eps/2 grid,
+written once (`_interval_grid`): `eps_net` lists it, and `dist_to_net`
+finds the nearest net point without building the net, from the two grid
+points on either side of y.
 
 The value of the tree-indexed gallery map at a tree, the body of the
 +1-shifted tree together with every terminal of the shifted tree padded
@@ -14,8 +22,7 @@ representable trees here (`tree_body_points`), so it is a
 
 `common_heads` and `common_neighbourhood` describe the points within a
 radius of every one of a list of values: a set of heads in sequence space,
-a union of open intervals on the line.  `dist_to_net` gives the distance to
-the nearest point of an eps_net without building an interval's grid.
+a union of open intervals on the line.
 
 Sequence-space distances are found without measuring every pair of
 points.  The metric is an ultrametric fixed by the least disagreement, so
@@ -34,8 +41,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import ceil
 
-from .spaces import BairePoint, BaireSpace, RealLine, eventually_zero, first_disagreement, real_flavored
-from .trees import Tree, terminals, tree_shift
+from .spaces import BairePoint, BaireSpace, RealLine, eventually_zero, first_disagreement, real_flavored, shift_node
+from .trees import Tree, terminals
 
 
 @dataclass(frozen=True)
@@ -51,33 +58,23 @@ class FiniteRealSet:
 
 
 @dataclass(frozen=True)
-class ClosedIntervalUnion:
-    intervals: tuple[tuple[Fraction, Fraction], ...]
+class IntervalUnion:
+    """A union of intervals, all closed or all open.  The values of the
+    paper's maps are closed; open unions exist to exercise the closure map."""
 
-    kind = "closed_intervals"
+    intervals: tuple[tuple[Fraction, Fraction], ...]
+    closed: bool
 
     def __post_init__(self) -> None:
         if not self.intervals:
             raise ValueError("interval union must be nonempty; use Empty")
         for a, b in self.intervals:
-            if a > b:
-                raise ValueError("closed interval needs a <= b")
+            if a > b or (a == b and not self.closed):
+                raise ValueError("closed interval needs a <= b" if self.closed else "open interval needs a < b")
 
-
-@dataclass(frozen=True)
-class OpenIntervalUnion:
-    """Not closed; exists to exercise the closure map."""
-
-    intervals: tuple[tuple[Fraction, Fraction], ...]
-
-    kind = "open_intervals"
-
-    def __post_init__(self) -> None:
-        if not self.intervals:
-            raise ValueError("interval union must be nonempty; use Empty")
-        for a, b in self.intervals:
-            if a >= b:
-                raise ValueError("open interval needs a < b")
+    @property
+    def kind(self) -> str:
+        return "closed_intervals" if self.closed else "open_intervals"
 
 
 @dataclass(frozen=True)
@@ -96,46 +93,38 @@ class Empty:
     kind = "empty"
 
 
-ClosedSetRepr = FiniteRealSet | ClosedIntervalUnion | OpenIntervalUnion | FiniteBaireSet | Empty
+ClosedSetRepr = FiniteRealSet | IntervalUnion | FiniteBaireSet | Empty
 
 
 def finite_real(*points) -> FiniteRealSet:
     return FiniteRealSet(frozenset(Fraction(p) for p in points))
 
 
-def closed_intervals(*intervals) -> ClosedIntervalUnion:
-    return ClosedIntervalUnion(tuple((Fraction(a), Fraction(b)) for a, b in intervals))
+def closed_intervals(*intervals) -> IntervalUnion:
+    return IntervalUnion(tuple((Fraction(a), Fraction(b)) for a, b in intervals), True)
 
 
-def open_intervals(*intervals) -> OpenIntervalUnion:
-    return OpenIntervalUnion(tuple((Fraction(a), Fraction(b)) for a, b in intervals))
+def open_intervals(*intervals) -> IntervalUnion:
+    return IntervalUnion(tuple((Fraction(a), Fraction(b)) for a, b in intervals), False)
 
 
 @lru_cache(maxsize=4096)
 def tree_body_points(t: Tree) -> frozenset[BairePoint]:
-    """The f2 value at t: shifted branches and padded terminals."""
-    shifted = tree_shift(t)
+    """The f2 value at t: shifted branches and padded terminals.  The shift
+    keeps prefixes, so the terminals of the shifted tree are the shifted
+    terminals of t."""
     points = {b.shift_entries() for b in t.branches}
-    for u in terminals(shifted):
-        points.add(eventually_zero(u))
+    points.update(eventually_zero(shift_node(u)) for u in terminals(t))
     return frozenset(points)
 
 
-def _points(s: ClosedSetRepr):
+def enumerate_points(s: ClosedSetRepr):
     """The denotation of a point-enumerable variant, unordered, else None."""
     if isinstance(s, (FiniteRealSet, FiniteBaireSet)):
         return s.points
     if isinstance(s, Empty):
         return frozenset()
     return None
-
-
-def enumerate_points(s: ClosedSetRepr):
-    """Finite sorted list of the denotation for point-enumerable variants, else None."""
-    points = _points(s)
-    if points is None:
-        return None
-    return sorted(points, key=None if isinstance(s, FiniteRealSet) else BairePoint.sort_key)
 
 
 def _interval_dist(y: Fraction, a: Fraction, b: Fraction) -> Fraction:
@@ -181,7 +170,7 @@ def dist_to_set(y, s: ClosedSetRepr) -> Fraction:
         return Fraction(1)
     if isinstance(s, FiniteRealSet):
         return min(abs(y - p) for p in s.points)
-    if isinstance(s, (ClosedIntervalUnion, OpenIntervalUnion)):
+    if isinstance(s, IntervalUnion):
         # inf distance to an interval equals distance to its closure
         return min(_interval_dist(y, a, b) for a, b in s.intervals)
     if isinstance(s, FiniteBaireSet):
@@ -190,16 +179,15 @@ def dist_to_set(y, s: ClosedSetRepr) -> Fraction:
     raise TypeError("unknown set representation: %r" % (s,))
 
 
+def _in_interval(y, a: Fraction, b: Fraction, closed: bool) -> bool:
+    return a <= y <= b if closed else a < y < b
+
+
 def set_contains(y, s: ClosedSetRepr) -> bool:
     """Exact membership in the denotation."""
-    if isinstance(s, Empty):
-        return False
-    if isinstance(s, OpenIntervalUnion):
-        return any(a < y < b for a, b in s.intervals)
-    if isinstance(s, ClosedIntervalUnion):
-        return any(a <= y <= b for a, b in s.intervals)
-    points = enumerate_points(s)
-    return y in points
+    if isinstance(s, IntervalUnion):
+        return any(_in_interval(y, a, b, s.closed) for a, b in s.intervals)
+    return y in enumerate_points(s)
 
 
 def fits_space(s: ClosedSetRepr, space) -> bool:
@@ -211,74 +199,48 @@ def fits_space(s: ClosedSetRepr, space) -> bool:
         return isinstance(s, (Empty, FiniteBaireSet))
     if isinstance(s, FiniteRealSet):
         return real_flavored(space) and all(map(space.contains, s.points))
-    if isinstance(s, (ClosedIntervalUnion, OpenIntervalUnion)):
+    if isinstance(s, IntervalUnion):
         return isinstance(space, RealLine) and all(space.contains(end) for iv in s.intervals for end in iv)
     return isinstance(s, Empty)
 
 
 def closure(s: ClosedSetRepr) -> ClosedSetRepr:
     """Topological closure; open interval unions close, the rest are closed."""
-    if isinstance(s, OpenIntervalUnion):
-        return ClosedIntervalUnion(s.intervals)
+    if isinstance(s, IntervalUnion) and not s.closed:
+        return IntervalUnion(s.intervals, True)
     return s
 
 
-def _grid_points(a: Fraction, b: Fraction, eps: Fraction) -> list[Fraction]:
-    step = eps / 2
-    out = [a]
-    k = 1
-    while a + k * step < b:
-        out.append(a + k * step)
-        k += 1
-    if b != a:
-        out.append(b)
-    return out
+def _interval_grid(a: Fraction, b: Fraction, step: Fraction, closed: bool) -> tuple[int, int, tuple]:
+    """One interval's share of an eps_net, as (first, last, extra): the
+    grid points a + k*step for first <= k <= last, which lie in [a, b),
+    plus the extra points: b for a closed interval, the midpoint for an
+    open one no longer than the step."""
+    last = ceil((b - a) / step) - 1  # the last k with a + k*step < b
+    if closed:
+        return 0, last, (b,)
+    return 1, last, () if last else ((a + b) / 2,)
 
 
 def eps_net(s: ClosedSetRepr, eps: Fraction) -> list:
     """Finite subset of the denotation with every point within eps of it.
 
     Finite variants are their own nets (covering radius 0).  Interval
-    unions get an eps/2-spaced grid, so the covering property holds with a
-    strict margin.  Empty yields the empty list; callers fall back on the
-    distance-1 convention.
+    unions get an eps/2-spaced grid (`_interval_grid`), so the covering
+    property holds with a strict margin.  Empty yields the empty list;
+    callers fall back on the distance-1 convention.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if isinstance(s, Empty):
-        return []
-    if isinstance(s, ClosedIntervalUnion):
-        out: list[Fraction] = []
-        for a, b in s.intervals:
-            out.extend(_grid_points(a, b, eps))
-        return sorted(set(out))
-    if isinstance(s, OpenIntervalUnion):
-        out = []
-        for a, b in s.intervals:
-            step = eps / 2
-            if b - a <= step:
-                out.append((a + b) / 2)
-            else:
-                k = 1
-                while a + k * step < b:
-                    out.append(a + k * step)
-                    k += 1
-        return sorted(set(out))
-    return enumerate_points(s)
-
-
-def _near_grid_points(y: Fraction, a: Fraction, b: Fraction, step: Fraction, closed: bool) -> tuple:
-    """The points of one interval's share of an eps_net that can be
-    nearest to y: the grid points a + k*step on either side of y, with k
-    clamped to the grid's index range, and b for a closed interval."""
-    if closed and a == b:
-        return (a,)
-    if not closed and b - a <= step:
-        return ((a + b) / 2,)
-    last = ceil((b - a) / step) - 1  # the last k with a + k*step < b
-    k = min(max((y - a) // step, 0 if closed else 1), last)
-    near = (a + k * step, a + min(k + 1, last) * step)
-    return near + (b,) if closed else near
+    if not isinstance(s, IntervalUnion):
+        return sorted(enumerate_points(s))
+    step = eps / 2
+    out = set()
+    for a, b in s.intervals:
+        first, last, extra = _interval_grid(a, b, step, s.closed)
+        out.update(a + k * step for k in range(first, last + 1))
+        out.update(extra)
+    return sorted(out)
 
 
 def dist_to_net(y, s: ClosedSetRepr, eps: Fraction, dist) -> Fraction | None:
@@ -286,33 +248,34 @@ def dist_to_net(y, s: ClosedSetRepr, eps: Fraction, dist) -> Fraction | None:
     empty, without building the net of an interval union.
 
     An interval union is a set of reals, so its nearest net point is found
-    under |x - y|: the nearest point of an eps/2 grid is one of the two on
-    either side of y, an end point of a closed interval, or the midpoint of
-    an open interval too short for the grid.  `dist` then measures it.
-    Enumerated variants are their own nets.  A finite sequence-space set
-    is measured by `dist_to_set`: `fits_space` admits it only in sequence
-    space, whose `dist` is `baire_dist`, so the nearest net point is the
-    nearest point of the set and the two minima are the same.
+    under |x - y|: in each interval's grid it is one of the two grid points
+    on either side of y, with k clamped to the grid's range, or an extra
+    point.  `dist` then measures it.  Enumerated variants are their own
+    nets.  A finite sequence-space set is measured by `dist_to_set`:
+    `fits_space` admits it only in sequence space, whose `dist` is
+    `baire_dist`, so the nearest net point is the nearest point of the set
+    and the two minima are the same.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     if isinstance(s, FiniteBaireSet):
         return dist_to_set(y, s)
-    points = _points(s)
-    if points is not None:
-        return min((dist(y, p) for p in points), default=None)
-    closed = isinstance(s, ClosedIntervalUnion)
-    nearest = min((p for a, b in s.intervals for p in _near_grid_points(y, a, b, eps / 2, closed)),
-                  key=lambda p: abs(y - p))
-    return dist(y, nearest)
+    if not isinstance(s, IntervalUnion):
+        return min((dist(y, p) for p in enumerate_points(s)), default=None)
+    step = eps / 2
+    near = []
+    for a, b in s.intervals:
+        first, last, extra = _interval_grid(a, b, step, s.closed)
+        near += extra
+        if first <= last:
+            k = min(max((y - a) // step, first), last)
+            near += (a + k * step, a + min(k + 1, last) * step)
+    return dist(y, min(near, key=lambda p: abs(y - p)))
 
 
 def net_with_radius(s: ClosedSetRepr, eps: Fraction) -> tuple[list, Fraction]:
     """eps_net plus its exact covering radius (0 for enumerated variants)."""
-    net = eps_net(s, eps)
-    if isinstance(s, (ClosedIntervalUnion, OpenIntervalUnion)):
-        return net, eps
-    return net, Fraction(0)
+    return eps_net(s, eps), eps if isinstance(s, IntervalUnion) else Fraction(0)
 
 
 def meets_open_ball(s: ClosedSetRepr, center, radius: Fraction) -> bool:
@@ -336,20 +299,14 @@ def clip_to_interval(s: ClosedSetRepr, lo: Fraction, hi: Fraction) -> ClosedSetR
     if isinstance(s, FiniteRealSet):
         kept = frozenset(p for p in s.points if lo <= p <= hi)
         return FiniteRealSet(kept) if kept else Empty()
-    if isinstance(s, ClosedIntervalUnion):
+    if isinstance(s, IntervalUnion):
         kept_iv = []
         for a, b in s.intervals:
             a2, b2 = max(a, lo), min(b, hi)
-            if a2 <= b2:
+            # a single point is left when it lies in the interval
+            if a2 < b2 or (a2 == b2 and _in_interval(a2, a, b, s.closed)):
                 kept_iv.append((a2, b2))
-        return ClosedIntervalUnion(tuple(kept_iv)) if kept_iv else Empty()
-    if isinstance(s, OpenIntervalUnion):
-        kept_iv = []
-        for a, b in s.intervals:
-            a2, b2 = max(a, lo), min(b, hi)
-            if a2 < b2 or (a2 == b2 and a < a2 < b):
-                kept_iv.append((a2, b2))
-        return ClosedIntervalUnion(tuple(kept_iv)) if kept_iv else Empty()
+        return IntervalUnion(tuple(kept_iv), True) if kept_iv else Empty()
     raise TypeError("interval clipping is for real-flavored variants: %r" % (s,))
 
 
@@ -359,7 +316,7 @@ def clips_properly(s: ClosedSetRepr, lo: Fraction, hi: Fraction) -> bool:
         return False
     if isinstance(s, FiniteRealSet):
         return any(not lo <= p <= hi for p in s.points)
-    if isinstance(s, (ClosedIntervalUnion, OpenIntervalUnion)):
+    if isinstance(s, IntervalUnion):
         return any(a < lo or b > hi for a, b in s.intervals)
     raise TypeError("interval clipping is for real-flavored variants: %r" % (s,))
 
@@ -378,7 +335,7 @@ def neighbourhood(s: ClosedSetRepr, r: Fraction) -> list[tuple[Fraction, Fractio
         return []
     if isinstance(s, FiniteRealSet):
         spans = sorted((p - r, p + r) for p in s.points)
-    elif isinstance(s, (ClosedIntervalUnion, OpenIntervalUnion)):
+    elif isinstance(s, IntervalUnion):
         spans = sorted((a - r, b + r) for a, b in s.intervals)
     else:
         raise TypeError("neighbourhoods are for real-flavored variants: %r" % (s,))
@@ -433,7 +390,7 @@ def common_neighbourhood(values, r: Fraction, known: dict | None = None) -> list
 def _heads(s: ClosedSetRepr, length: int) -> frozenset[tuple[int, ...]]:
     if not isinstance(s, (Empty, FiniteBaireSet)):
         raise TypeError("heads are for sequence-space variants: %r" % (s,))
-    return frozenset(p.head(length) for p in _points(s))
+    return frozenset(p.head(length) for p in enumerate_points(s))
 
 
 def common_heads(values, length: int, known: dict | None = None) -> frozenset[tuple[int, ...]]:
@@ -474,12 +431,7 @@ def set_separation(s1: ClosedSetRepr, s2: ClosedSetRepr) -> Fraction | None:
         return min(dist_to_set(p, s2) for p in p1)
     if p2 is not None:
         return min(dist_to_set(p, s1) for p in p2)
-    best = None
-    for a1, b1 in s1.intervals:
-        for a2, b2 in s2.intervals:
-            gap = max(Fraction(0), a2 - b1, a1 - b2)
-            best = gap if best is None else min(best, gap)
-    return best
+    return min(max(Fraction(0), a2 - b1, a1 - b2) for a1, b1 in s1.intervals for a2, b2 in s2.intervals)
 
 
 # --- JSON wire form ---------------------------------------------------------
@@ -493,10 +445,9 @@ def set_from_json(obj: dict) -> ClosedSetRepr:
     kind = obj.get("kind")
     if kind == "finite_real":
         return FiniteRealSet(frozenset(parse_rational(p) for p in obj["points"]))
-    if kind == "closed_intervals":
-        return ClosedIntervalUnion(tuple((parse_rational(a), parse_rational(b)) for a, b in obj["intervals"]))
-    if kind == "open_intervals":
-        return OpenIntervalUnion(tuple((parse_rational(a), parse_rational(b)) for a, b in obj["intervals"]))
+    if kind in ("closed_intervals", "open_intervals"):
+        intervals = tuple((parse_rational(a), parse_rational(b)) for a, b in obj["intervals"])
+        return IntervalUnion(intervals, kind == "closed_intervals")
     if kind == "finite_baire":
         return FiniteBaireSet(frozenset(parse_baire_point(p) for p in obj["points"]))
     if kind == "tree_body":

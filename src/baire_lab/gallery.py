@@ -32,12 +32,11 @@ from .checkers import (
     full_domain_probes,
 )
 from .closed_sets import (
-    ClosedIntervalUnion,
     ClosedSetRepr,
     Empty,
     FiniteBaireSet,
     FiniteRealSet,
-    OpenIntervalUnion,
+    IntervalUnion,
     finite_real,
     tree_body_points,
 )
@@ -260,7 +259,7 @@ F2_DEEP_DEPTH = 260  # past every schedule eps: 1/(261+1) < 2^-8
 
 def _deep_heads(center: Tree, rank_bound: int, depth: int) -> list[tuple[int, ...]]:
     heads = []
-    for beta in sorted(center.branches, key=BairePoint.sort_key):
+    for beta in sorted(center.branches):
         j = 0
         while rank_below(beta.head(j), rank_bound):
             j += 1
@@ -316,7 +315,7 @@ def f2_witness(t: Tree, cfg: CheckConfig) -> ContinuityWitness | DiscontinuityWi
     generated-by perturbation with a fresh child entry.
     """
     if is_ill_founded(t):
-        beta = min(t.branches, key=BairePoint.sort_key)
+        beta = min(t.branches)
         y = beta.shift_entries()
         table = []
         for eps in cfg.eps_schedule:
@@ -529,7 +528,7 @@ class IdentityEmbedding:
 def whole_space_repr(codomain) -> ClosedSetRepr:
     """A representation of the entire codomain, where one exists."""
     if isinstance(codomain, UnitInterval):
-        return ClosedIntervalUnion(((Fraction(0), Fraction(1)),))
+        return IntervalUnion(((Fraction(0), Fraction(1)),), True)
     if isinstance(codomain, FinitePoints) and codomain.rational_labels:
         return FiniteRealSet(frozenset(codomain.points()))
     raise ValueError(
@@ -572,12 +571,12 @@ class AffineMap:
             return s
         if isinstance(s, FiniteRealSet):
             return FiniteRealSet(frozenset(self.apply(p) for p in s.points))
-        if isinstance(s, (ClosedIntervalUnion, OpenIntervalUnion)):
+        if isinstance(s, IntervalUnion):
             mapped = []
             for a, b in s.intervals:
                 fa, fb = self.apply(a), self.apply(b)
                 mapped.append((min(fa, fb), max(fa, fb)))
-            return type(s)(tuple(mapped))
+            return IntervalUnion(tuple(mapped), s.closed)
         raise ValueError("affine image of %r is not representable" % (s,))
 
     target = REAL_LINE

@@ -5,7 +5,7 @@ and a probe spec.  Everything numeric is a canonical "p/q" string; keys
 are sorted on output, so identical inputs produce byte-identical reports.
 A `finite_points` space's labels are its points: strings, or, with
 `rational_labels`, rationals parsed here once, so that "2/4" names the
-point 1/2 and its distance table must be |x - y|.
+point 1/2 and its distance table must be |x - y|; left out, it is derived.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .checkers import (
     ContinuityWitness,
     DiscontinuityWitness,
     MultiMap,
+    RefutationEntry,
     Verdict,
     default_config,
     full_domain_probes,
@@ -120,10 +121,11 @@ def space_from_json(obj: dict, path: str = "space"):
         rows = [_list(row, "%s.table[%d]" % (path, i))
                 for i, row in enumerate(_list(obj.get("table", []), path + ".table"))]
         try:
-            return FinitePoints(
-                tuple(labels),
-                tuple(tuple(parse_rational(d) for d in row) for row in rows),
-            )
+            if rational and "table" not in obj:
+                table = tuple(tuple(abs(a - b) for b in labels) for a in labels)
+            else:
+                table = tuple(tuple(parse_rational(d) for d in row) for row in rows)
+            return FinitePoints(tuple(labels), table)
         except (AttributeError, TypeError, ValueError) as exc:  # also numbers where literals belong
             raise SchemaError(path, str(exc)) from exc
     raise SchemaError(path + ".kind", "unknown space kind %r" % kind)
@@ -344,6 +346,8 @@ def encode_value(value) -> Any:
         return grid_point_to_json(value)
     if isinstance(value, Tree):
         return format_tree_literal(value)
+    if isinstance(value, RefutationEntry):
+        return encode_value(vars(value))
     if isinstance(value, dict):
         return {str(k): encode_value(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -351,33 +355,14 @@ def encode_value(value) -> Any:
     return value
 
 
+_WITNESS_KINDS = {ContinuityWitness: "continuity", DiscontinuityWitness: "discontinuity"}
+
+
 def witness_to_json(witness) -> dict:
-    if isinstance(witness, ContinuityWitness):
-        return {
-            "kind": "continuity",
-            "y": encode_value(witness.y),
-            "table": [[format_rational(e), format_rational(d)] for e, d in witness.table],
-            "net_resolution": format_rational(witness.net_resolution),
-        }
-    if isinstance(witness, DiscontinuityWitness):
-        return {
-            "kind": "discontinuity",
-            "entries": [
-                {
-                    "y": encode_value(entry.y),
-                    "eps_star": format_rational(entry.eps_star),
-                    "counterexamples": [
-                        [format_rational(d), encode_value(xp)] for d, xp in entry.counterexamples
-                    ],
-                }
-                for entry in witness.entries
-            ],
-            "net_resolution": format_rational(witness.net_resolution),
-            "net_radius": format_rational(witness.net_radius),
-            "margin": format_rational(witness.margin),
-            "notion": witness.notion,
-        }
-    raise TypeError("not a witness: %r" % (witness,))
+    """The witness's fields, encoded, under its kind."""
+    if type(witness) not in _WITNESS_KINDS:
+        raise TypeError("not a witness: %r" % (witness,))
+    return {"kind": _WITNESS_KINDS[type(witness)], **encode_value(vars(witness))}
 
 
 def verdict_to_json(verdict: Verdict) -> dict:

@@ -70,9 +70,10 @@ def canonical_seq(prefix: Sequence[int], period: Sequence[int]) -> tuple[tuple[i
     return pre, per
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class BairePoint:
-    """Eventually periodic sequence of naturals, in canonical form."""
+    """Eventually periodic sequence of naturals, in canonical form, ordered
+    by (prefix, period)."""
 
     prefix: tuple[int, ...]
     period: tuple[int, ...]
@@ -106,9 +107,6 @@ class BairePoint:
     def shift_entries(self) -> "BairePoint":
         """Entrywise +1; used for the tree shift."""
         return BairePoint(shift_node(self.prefix), shift_node(self.period))
-
-    def sort_key(self) -> tuple:
-        return (self.prefix, self.period)
 
     def __str__(self) -> str:
         return format_baire_point(self)

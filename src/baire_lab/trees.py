@@ -284,7 +284,7 @@ def parse_node(text: str) -> Node:
 
 def format_tree_literal(t: Tree) -> str:
     nodes = ",".join(format_node(u) for u in sorted(t.finite_part))
-    branches = ",".join('"%s"' % format_baire_point(b) for b in sorted(t.branches, key=BairePoint.sort_key))
+    branches = ",".join('"%s"' % format_baire_point(b) for b in sorted(t.branches))
     if branches:
         return "tree{nodes:[%s],branches:[%s]}" % (nodes, branches)
     return "tree{nodes:[%s]}" % nodes

@@ -9,7 +9,9 @@ checks.
 
 `closed_sets` measures a finite sequence-space set by walking to the
 least disagreement; `baire_dist_to_points` and `separation_by_pairs`
-measure every pair of points with `baire_dist`.
+measure every pair of points with `baire_dist`.  It also takes the f2 value
+from t's own terminals; `shifted_tree_body_points` builds the shifted tree
+and reads the terminals of that.
 
 The rank layer and the grid completions compute in closed form what the
 functions below count one value, one candidate or one cell at a time.
@@ -19,8 +21,8 @@ import math
 from fractions import Fraction
 
 from baire_lab.closed_sets import FiniteBaireSet, dist_to_set
-from baire_lab.spaces import BairePoint, CantorGridPoint, baire_dist, node_rank, pair_index
-from baire_lab.trees import _branch_cover_bound
+from baire_lab.spaces import BairePoint, CantorGridPoint, baire_dist, eventually_zero, node_rank, pair_index
+from baire_lab.trees import _branch_cover_bound, terminals, tree_shift
 
 
 def baire_dist_to_points(y, s):
@@ -35,6 +37,14 @@ def separation_by_pairs(s1, s2):
     """`closed_sets.set_separation` of two finite sequence-space sets, as
     the least `baire_dist` over every pair of points."""
     return min(baire_dist(p, q) for p in s1.points for q in s2.points)
+
+
+def shifted_tree_body_points(t):
+    """`closed_sets.tree_body_points`, from the validated +1-shifted tree:
+    t's shifted branches and the shifted tree's terminals padded with zeros."""
+    points = {b.shift_entries() for b in t.branches}
+    points.update(eventually_zero(u) for u in terminals(tree_shift(t)))
+    return frozenset(points)
 
 
 def scan_search(dense, cfg):

@@ -10,6 +10,7 @@ from baire_lab.checkers import (
     DiscontinuityWitness,
     DomainError,
     MultiMap,
+    ProbeContext,
     check_continuity,
     check_strong_continuity,
     continuity_points,
@@ -312,6 +313,11 @@ def test_interval_valued_maps_use_net_margins():
     mm = tabular_multimap(space, values, UNIT_INTERVAL)
     out = check_strong_continuity(mm, Fr(0), default_config(), full_domain_probes(space))
     assert out.kind == "continuous"
+    # a closed and an open interval with the same ends are two distinct values
+    space = rational_points_space([Fr(0), Fr(1, 1024)])
+    values = {Fr(0): closed_intervals((0, 1)), Fr(1, 1024): open_intervals((0, 1))}
+    ctx = ProbeContext(tabular_multimap(space, values, UNIT_INTERVAL), Fr(0), default_config(), full_domain_probes(space))
+    assert ctx.value_lists()[Fr(1)] == [closed_intervals((0, 1)), open_intervals((0, 1))]
 
 
 def test_probe_generator_contract_is_enforced():

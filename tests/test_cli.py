@@ -188,6 +188,11 @@ def test_check_empty_value_at_a_listed_point(tmp_path):
         },
         "points": ["0", "1/1024"],
     }))
+    # the same space without its table, which rational labels determine
+    untabled = tmp_path / "empty_untabled.json"
+    obj = json.loads(instance.read_text())
+    del obj["multimap"]["space"]["table"]
+    untabled.write_text(json.dumps(obj))
     expected = {"plain": "discontinuous", "strong": "continuous"}
     for mode, kind in expected.items():
         out = run_cli("check", str(instance), "--mode", mode)
@@ -198,6 +203,12 @@ def test_check_empty_value_at_a_listed_point(tmp_path):
         assert at_empty["verdict"] == kind
         assert "witness" not in at_empty
         assert "empty" in at_empty["report"]["reason"]
+        derived = run_cli("check", str(untabled), "--mode", mode)
+        assert derived.returncode == 0, derived.stderr
+        # the reports differ only in the digest of the instance file
+        report, derived_report = json.loads(out.stdout), json.loads(derived.stdout)
+        assert report.pop("digest") != derived_report.pop("digest")
+        assert report == derived_report
 
 
 def test_check_dagger_mode(tmp_path):

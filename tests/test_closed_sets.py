@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from baire_lab.closed_sets import (
-    ClosedIntervalUnion,
     Empty,
     FiniteBaireSet,
     FiniteRealSet,
-    OpenIntervalUnion,
+    IntervalUnion,
     clip_to_interval,
     clips_properly,
     closed_intervals,
@@ -36,7 +35,8 @@ from baire_lab.gallery import F2_DEEP_DEPTH
 from baire_lab.spaces import BAIRE_SPACE, REAL_LINE, BairePoint, baire_dist, eventually_zero, parse_baire_point
 from baire_lab.trees import generated_by, make_tree
 
-from scan_oracle import baire_dist_to_points, separation_by_pairs
+from corpus_helpers import branch_bearing_trees, depth3_tree_sample, enumerate_prefix_closed_trees
+from scan_oracle import baire_dist_to_points, separation_by_pairs, shifted_tree_body_points
 
 
 def f2_value(t):
@@ -61,7 +61,7 @@ def _short_points():
             for bits in range(2 ** (pre_len + per_len)):
                 entries = tuple((bits >> i) & 1 for i in range(pre_len + per_len))
                 out.add(BairePoint(entries[:pre_len], entries[pre_len:]))
-    return sorted(out, key=BairePoint.sort_key)
+    return sorted(out)
 
 
 def _deep_points():
@@ -85,10 +85,10 @@ def test_baire_dist_to_a_finite_set_is_the_least_pairwise_distance():
     for _ in range(1500):
         pool = rng.choice(pools)
         s1 = FiniteBaireSet(frozenset(rng.sample(pool, rng.randrange(1, 6))))
-        y = rng.choice(sorted(s1.points, key=BairePoint.sort_key)) if rng.random() < 0.25 else rng.choice(pool)
+        y = rng.choice(sorted(s1.points)) if rng.random() < 0.25 else rng.choice(pool)
         s2 = frozenset(rng.sample(pool, rng.randrange(1, 6)))
         if rng.random() < 0.25:
-            s2 |= {rng.choice(sorted(s1.points, key=BairePoint.sort_key))}
+            s2 |= {rng.choice(sorted(s1.points))}
         s2 = FiniteBaireSet(s2)
         expected = baire_dist_to_points(y, s1)
         assert dist_to_set(y, s1) == expected, (y, s1)
@@ -123,7 +123,7 @@ def test_sequence_space_kernels_match_the_pairwise_oracles_on_drawn_sets(data):
     and periods of one to three, after no trunk or a trunk of F2_DEEP_DEPTH
     entries; y is sometimes a point of s1, and s2 sometimes meets s1."""
     s1 = FiniteBaireSet(data.draw(st.frozensets(_POINTS, min_size=1, max_size=5)))
-    own = st.sampled_from(sorted(s1.points, key=BairePoint.sort_key))
+    own = st.sampled_from(sorted(s1.points))
     y = data.draw(st.one_of(_POINTS, own))
     s2 = FiniteBaireSet(data.draw(st.frozensets(_POINTS, min_size=1, max_size=4))
                         | data.draw(st.frozensets(own, max_size=1)))
@@ -154,7 +154,7 @@ def test_membership_iff_zero_distance_on_closed_variants():
     probes_baire = [eventually_zero((1,)), parse_baire_point(";2"), eventually_zero(()),
                     parse_baire_point("1;0"), parse_baire_point("3,1;0"), parse_baire_point(";1")]
     for s in sets:
-        probes = probes_real if isinstance(s, (FiniteRealSet, ClosedIntervalUnion)) else probes_baire
+        probes = probes_real if isinstance(s, (FiniteRealSet, IntervalUnion)) else probes_baire
         for y in probes:
             assert (dist_to_set(y, s) == 0) == set_contains(y, s)
 
@@ -168,6 +168,7 @@ def test_open_variant_membership_is_strict():
 
 def test_closure_examples_and_idempotence():
     assert closure(open_intervals((0, 1))) == closed_intervals((0, 1))
+    assert closed_intervals((0, 1)) != open_intervals((0, 1))  # the ends tell them apart
     for s in [finite_real(2), f2_value(make_tree()), closed_intervals((0, 1)), Empty()]:
         assert closure(s) == s
         assert closure(closure(s)) == closure(s)
@@ -197,8 +198,7 @@ def test_eps_net_soundness():
             net, radius = net_with_radius(s, eps)
             for member in net:
                 assert dist_to_set(member, s) == 0
-                if not isinstance(s, OpenIntervalUnion):
-                    assert set_contains(member, s)
+                assert set_contains(member, s)  # open intervals too: their grid lies inside
             # probes of the denotation are covered within eps
             probes = enumerate_points(s)
             if probes is None:
@@ -208,7 +208,7 @@ def test_eps_net_soundness():
             for y in probes:
                 assert min(abs(y - m) if isinstance(y, Fr) else dist_to_set(y, FiniteBaireSet(frozenset([m])))
                            for m in net) <= eps
-            assert radius == (eps if isinstance(s, (ClosedIntervalUnion, OpenIntervalUnion)) else 0)
+            assert radius == (eps if isinstance(s, IntervalUnion) else 0)
 
 
 def test_dist_to_net_matches_the_net_scan():
@@ -240,6 +240,14 @@ def test_dist_to_net_matches_the_net_scan():
         dist = REAL_LINE.dist if isinstance(s, FiniteRealSet) else BAIRE_SPACE.dist
         assert dist_to_net(y, s, Fr(1, 16), dist) == min((dist(y, p) for p in eps_net(s, Fr(1, 16))), default=None)
     assert dist_to_net(Fr(0), Empty(), Fr(1), REAL_LINE.dist) is None
+    # a degenerate closed interval is its own net, an open interval no
+    # longer than eps/2 has its midpoint, and y lies beyond both ends
+    cases = [(closed_intervals((1, 1)), [Fr(1)]), (open_intervals((0, Fr(1, 4))), [Fr(1, 8)]),
+             (closed_intervals((0, 1)), [Fr(k, 4) for k in range(5)]), (open_intervals((0, 1)), [Fr(k, 4) for k in (1, 2, 3)])]
+    for s, net in cases:
+        assert eps_net(s, Fr(1, 2)) == net
+        for y in (Fr(-3), Fr(-1, 7), Fr(9, 8), Fr(5)):
+            assert dist_to_net(y, s, Fr(1, 2), REAL_LINE.dist) == min(abs(y - p) for p in net), (s, y)
     with pytest.raises(ValueError):
         dist_to_net(Fr(0), closed_intervals((0, 1)), Fr(0), REAL_LINE.dist)
 
@@ -260,6 +268,10 @@ def test_tree_body_denotation_and_nonemptiness():
                  for _ in range(rng.randrange(1, 4))]
         branches = [parse_baire_point(";1")] if rng.random() < 0.3 else []
         assert tree_body_points(make_tree(seeds, branches))
+    # t's own terminals, shifted, are the terminals of the shifted tree (acceptance 04's trees)
+    corpus = [make_tree(nodes) for nodes in enumerate_prefix_closed_trees(3, 2)]
+    for t in corpus + depth3_tree_sample(2000) + branch_bearing_trees():
+        assert tree_body_points(t) == shifted_tree_body_points(t), t
 
 
 def test_clipping():
@@ -268,6 +280,10 @@ def test_clipping():
     assert clip_to_interval(closed_intervals((0, 3)), Fr(1), Fr(2)) == closed_intervals((1, 2))
     assert clip_to_interval(open_intervals((0, 1)), Fr(-1), Fr(2)) == closed_intervals((0, 1))
     assert isinstance(clip_to_interval(open_intervals((0, 1)), Fr(2), Fr(3)), Empty)
+    # clipping to a single point keeps it only where it belongs to the set
+    assert clip_to_interval(closed_intervals((0, 1)), Fr(1), Fr(2)) == closed_intervals((1, 1))
+    assert isinstance(clip_to_interval(open_intervals((0, 1)), Fr(1), Fr(2)), Empty)
+    assert clip_to_interval(open_intervals((0, 1)), Fr(1, 2), Fr(1, 2)) == closed_intervals((Fr(1, 2), Fr(1, 2)))
     assert clips_properly(finite_real(0, 5), Fr(-1), Fr(1))
     assert not clips_properly(finite_real(0), Fr(-1), Fr(1))
 
@@ -299,10 +315,12 @@ def test_set_from_json_decodes_every_kind():
 def test_nonempty_variant_validation():
     with pytest.raises(ValueError):
         FiniteRealSet(frozenset())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^closed interval needs a <= b$"):
         closed_intervals((1, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^open interval needs a < b$"):
         open_intervals((1, 1))
+    with pytest.raises(ValueError, match="^interval union must be nonempty; use Empty$"):
+        open_intervals()
 
 
 def test_common_neighbourhood_is_the_points_near_every_value():

@@ -7,8 +7,12 @@ Renaming or deleting one of them, or changing what it accepts, would break
 only the benchmark run; these tests make it fail here as well.  The
 `BENCH_*.json` records of measured changes must claim a workload and an
 end-to-end metric that `BENCHMARK.json` declares.
+
+The library's modules also carry no leftovers: every import is used, and
+every private top-level name is referenced in its own module.
 """
 
+import ast
 import json
 from pathlib import Path
 
@@ -60,3 +64,26 @@ def test_every_bench_record_claims_a_declared_workload_and_metric():
         claim = json.loads(record.read_text())["claim"]
         assert claim["workload"] in workloads, record.name
         assert claim["metric"] in metrics, record.name
+
+
+def test_library_modules_leave_no_unused_import_or_private_helper():
+    leftovers = []
+    for path in sorted((ROOT / "src" / "baire_lab").glob("*.py")):
+        if path.name == "__init__.py":  # its imports are the package's exports
+            continue
+        tree = ast.parse(path.read_text())
+        loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+                leftovers += [(path.name, "import", name) for name in bound if name not in loaded]
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, ast.Assign):
+                defined = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            leftovers += [(path.name, "private", name) for name in defined
+                          if name.startswith("_") and not name.startswith("__") and name not in loaded]
+    assert leftovers == []
