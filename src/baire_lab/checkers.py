@@ -45,6 +45,12 @@ union of open intervals on the line, the unit interval and rational finite
 spaces) and the codomain names the least index inside it.  Every other
 codomain carries only empty values, whose region is empty.
 `eval_strong_star` enumerates the dense sequence.
+
+`MODES` names the evaluator of each mode of `baire-lab check`: the two
+definition checkers (plain, strong), the two criterion evaluators (star,
+dagger) and the lower-Fell check (fell).  `continuity_points` runs a mode
+over a sample of points and returns the verdict at each: the truncated set
+of points of continuity, with the evidence at every other point.
 """
 
 from __future__ import annotations
@@ -67,6 +73,7 @@ from .closed_sets import (
     eps_net,
     meets_open_ball,
     net_with_radius,
+    set_contains,
     set_separation,
 )
 from .spaces import BaireSpace, UnitInterval
@@ -282,17 +289,18 @@ class ProbeContext:
         return None
 
 
-def _counterexamples(ctx: ProbeContext, y) -> tuple[list, Fraction]:
-    """Per delta, the first probe whose value lies farthest from y; also
-    the least of those farthest distances."""
-    far: dict = {}  # value index -> distance from y to the value
+def _counterexamples(ctx: ProbeContext, miss: Callable[[int], Any]) -> tuple[tuple, Any]:
+    """Per delta, the first probe whose value misses most, by `miss` of the
+    value's index (measured once per distinct value); also the least of
+    those largest misses."""
+    misses: dict = {}  # value index -> its miss
     out = []
     for delta, ball in ctx.balls():
         for i in ball:
-            if i not in far:
-                far[i] = dist_to_set(y, ctx.distinct[i])
-        out.append((delta, max(ctx.probes[delta], key=lambda xp: far[ctx.at(xp)])))
-    return out, min(far[ctx.at(xp)] for _, xp in out)
+            if i not in misses:
+                misses[i] = miss(i)
+        out.append((delta, max(ctx.probes[delta], key=lambda xp: misses[ctx.at(xp)])))
+    return tuple(out), min(misses[ctx.at(xp)] for _, xp in out)
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +327,10 @@ def _validate_table(ctx: ProbeContext, y):
 
 
 def _refute_entry(ctx: ProbeContext, y, net_radius: Fraction):
-    counterexamples, level = _counterexamples(ctx, y)
+    counterexamples, level = _counterexamples(ctx, lambda i: dist_to_set(y, ctx.distinct[i]))
     for eps in ctx.cfg.eps_schedule:
         if eps <= level and eps - net_radius > 0:
-            return RefutationEntry(y, eps, tuple(counterexamples))
+            return RefutationEntry(y, eps, counterexamples)
     return None
 
 
@@ -577,10 +585,10 @@ def eval_strong_star(multimap: MultiMap, x, cfg: CheckConfig, probes: ProbeGen) 
             if dist_to_set(ys, ctx.value_at_x) > Fraction(1, 3 * (n + 1)):
                 continue
             if ctx.first_delta(lambda i: dist_to_set(ys, ctx.distinct[i]) < _threshold(n)) is None:
-                counterexamples, _ = _counterexamples(ctx, ys)
+                counterexamples, _ = _counterexamples(ctx, lambda i: dist_to_set(ys, ctx.distinct[i]))
                 return Verdict(DISCONTINUOUS, report={
                     "criterion": "strong_star", "failing": (n, s), "y": ys,
-                    "counterexamples": tuple(counterexamples),
+                    "counterexamples": counterexamples,
                 })
     return Verdict(CONTINUOUS, report={"criterion": "strong_star"})
 
@@ -606,10 +614,7 @@ def eval_lower_fell(multimap: MultiMap, x, cfg: CheckConfig, probes: ProbeGen,
 
         found = ctx.first_delta(meets)
         if found is None:
-            counterexamples = tuple(
-                (delta, next(xp for xp in ctx.probes[delta] if not meets(ctx.at(xp))))
-                for delta in cfg.delta_schedule
-            )
+            counterexamples, _ = _counterexamples(ctx, lambda i: not meets(i))
             return Verdict(DISCONTINUOUS, report={
                 "criterion": "lower_fell", "ball": (center, radius),
                 "counterexamples": counterexamples,
@@ -635,7 +640,7 @@ def verify_witness(multimap: MultiMap, x, witness, probes: ProbeGen) -> bool:
 def _verify_continuity(multimap, x, w: ContinuityWitness, probes) -> bool:
     if not multimap.domain.contains(x):
         return False
-    if dist_to_set(w.y, multimap.value(x)) != 0:
+    if not set_contains(w.y, multimap.value(x)):
         return False
     if not w.table:
         return False
@@ -681,10 +686,20 @@ def _verify_discontinuity(multimap, x, w: DiscontinuityWitness) -> bool:
     return True
 
 
-def continuity_points(multimap: MultiMap, sample: Sequence, mode: str,
-                      cfg: CheckConfig, probes: ProbeGen) -> dict:
-    """Pointwise application of the selected checker; aggregation only."""
-    if mode not in ("plain", "strong"):
-        raise ValueError("mode must be 'plain' or 'strong'")
-    checker = check_continuity if mode == "plain" else check_strong_continuity
-    return {x: checker(multimap, x, cfg, probes) for x in sample}
+MODES = {
+    "plain": check_continuity,
+    "strong": check_strong_continuity,
+    "star": eval_star,
+    "dagger": eval_dagger,
+    "fell": eval_lower_fell,
+}
+
+
+def continuity_points(multimap: MultiMap, sample: Sequence, mode: str, cfg: CheckConfig,
+                      probes: ProbeGen, test_balls: Sequence[tuple[Any, Fraction]] = ()) -> dict:
+    """The verdict at each distinct point of the sample under the mode's
+    evaluator; lower-Fell mode also takes the test balls."""
+    if not isinstance(mode, str) or mode not in MODES:
+        raise ValueError("unknown mode %r (valid: %s)" % (mode, ", ".join(MODES)))
+    extra = (test_balls,) if mode == "fell" else ()
+    return {x: MODES[mode](multimap, x, cfg, probes, *extra) for x in sample}

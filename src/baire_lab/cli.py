@@ -14,16 +14,7 @@ import sys
 import time
 
 from . import __version__
-from .checkers import (
-    ContinuityWitness,
-    check_continuity,
-    check_strong_continuity,
-    default_config,
-    eval_dagger,
-    eval_lower_fell,
-    eval_star,
-    verify_witness,
-)
+from .checkers import MODES, ContinuityWitness, continuity_points, default_config, verify_witness
 from .gallery import (
     F1_DEFAULT_WINDOW,
     baire_embed,
@@ -33,10 +24,8 @@ from .gallery import (
     f2_witness,
 )
 from .instances import (
-    MODES,
     SchemaError,
     balls_from_json,
-    config_to_json,
     domain_point_from_json,
     encode_value,
     instance_digest,
@@ -65,9 +54,9 @@ EXIT_INPUT = 2
 EXIT_INCONCLUSIVE = 3
 
 
-def _emit(report: dict, args, started: float) -> None:
-    if getattr(args, "timing", False):
-        report["wall_time_seconds"] = round(time.monotonic() - started, 6)
+def _emit(report: dict, args) -> None:
+    if args.timing:
+        report["wall_time_seconds"] = round(time.monotonic() - args.started, 6)
     print(json.dumps(report, sort_keys=True, indent=2))
 
 
@@ -77,15 +66,19 @@ def _report(command: str, **fields) -> dict:
     return out
 
 
-def cmd_classify(args) -> int:
-    started = time.monotonic()
+def _argument(name: str, parse, text: str):
+    """parse(text) for the command-line argument `name`; a ValueError
+    becomes a SchemaError at that name."""
     try:
-        trace = []
-        expr = parse_expr(args.expr)
-        result = classify(expr, trace)
-    except ParseError as exc:
-        print(json.dumps({"error": str(exc), "offset": exc.offset}, sort_keys=True), file=sys.stderr)
-        return EXIT_INPUT
+        return parse(text)
+    except ValueError as exc:
+        raise SchemaError(name, str(exc)) from exc
+
+
+def cmd_classify(args) -> int:
+    trace = []
+    expr = parse_expr(args.expr)
+    result = classify(expr, trace)
     _emit(_report(
         "classify",
         expr=str(expr),
@@ -94,63 +87,39 @@ def cmd_classify(args) -> int:
             {"expr": s.expr, "rule": s.rule, "inputs": list(s.inputs), "result": s.result}
             for s in trace
         ],
-    ), args, started)
+    ), args)
     return EXIT_OK
 
 
-_CHECKERS = {
-    "plain": check_continuity,
-    "strong": check_strong_continuity,
-    "star": eval_star,
-    "dagger": eval_dagger,
-}
-
-
 def cmd_check(args) -> int:
-    started = time.monotonic()
     try:
         with open(args.instance) as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(json.dumps({"error": "cannot read instance file: %s" % exc}), file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        multimap, points, mode, cfg, probes = load_instance(raw)
-        if args.point is not None:
-            points = [domain_point_from_json(multimap, args.point, "point")]
-        if args.mode is not None:
-            mode = args.mode
-        if mode == "dagger" and not real_flavored(multimap.codomain):
-            raise SchemaError("mode", "dagger clips values to intervals, so it needs a real_line, unit_interval "
-                                      "or rational finite_points codomain, not %s" % multimap.codomain.name)
-        if mode == "fell":
-            balls = balls_from_json(multimap.codomain, raw.get("test_balls"))
-        results = []
-        for point in points:
-            if mode == "fell":
-                verdict = eval_lower_fell(multimap, point, cfg, probes, balls)
-            else:
-                verdict = _CHECKERS[mode](multimap, point, cfg, probes)
-            results.append({
-                "point": encode_value(point),
-                **verdict_to_json(verdict),
-            })
-    except SchemaError as exc:
-        print(json.dumps({"error": str(exc), "path": exc.path}, sort_keys=True), file=sys.stderr)
-        return EXIT_INPUT
+    except (OSError, ValueError) as exc:  # also undecodable bytes
+        raise SchemaError("instance", "cannot read instance file: %s" % exc) from exc
+    multimap, points, mode, cfg, probes = load_instance(raw)
+    if args.point is not None:
+        points = [domain_point_from_json(multimap, args.point, "point")]
+    mode = args.mode or mode
+    if mode == "dagger" and not real_flavored(multimap.codomain):
+        raise SchemaError("mode", "dagger clips values to intervals, so it needs a real_line, unit_interval "
+                                  "or rational finite_points codomain, not %s" % multimap.codomain.name)
+    balls = balls_from_json(multimap.codomain, raw.get("test_balls")) if mode == "fell" else ()
+    verdicts = continuity_points(multimap, points, mode, cfg, probes, balls)
+    results = [{"point": encode_value(x), **verdict_to_json(verdicts[x])} for x in points]
     _emit(_report(
         "check",
         digest=instance_digest(raw),
         mode=mode,
-        config=config_to_json(cfg),
+        config=encode_value(vars(cfg)),
         results=results,
-    ), args, started)
+    ), args)
     if any(r["verdict"] == "inconclusive" for r in results):
         return EXIT_INCONCLUSIVE
     return EXIT_OK
 
 
-def _certify(command: str, multimap, x, witness, args, started: float, **fields) -> int:
+def _certify(command: str, multimap, x, witness, args, **fields) -> int:
     """Emit a gallery witness at x with its verdict and whether
     `verify_witness` accepts it."""
     accepted = verify_witness(multimap, x, witness, multimap.default_probes)
@@ -160,7 +129,7 @@ def _certify(command: str, multimap, x, witness, args, started: float, **fields)
         witness=witness_to_json(witness),
         witness_verified=accepted,
         **fields,
-    ), args, started)
+    ), args)
     return EXIT_OK if accepted else EXIT_INCONCLUSIVE
 
 
@@ -171,71 +140,58 @@ _NAMED_GAMMAS = {
 
 
 def cmd_gallery(args) -> int:
-    started = time.monotonic()
     cfg = default_config()
-    try:
-        if args.name == "f1":
-            if args.gamma is None:
-                raise SchemaError("gamma", "f1 needs --gamma (all_ones, all_zero, or JSON)")
-            if args.gamma in _NAMED_GAMMAS:
-                gamma = _NAMED_GAMMAS[args.gamma]()
-            else:
-                gamma = point_from_json(CANTOR_GRID, json.loads(args.gamma), "gamma")
-            return _certify("gallery f1", f1_multimap(), gamma, f1_witness(gamma, F1_DEFAULT_WINDOW, cfg), args, started,
-                            gamma=encode_value(gamma))
-        if args.name == "f2":
-            if args.tree is None:
-                raise SchemaError("tree", "f2 needs --tree 'tree{nodes:[...]}'")
-            tree = parse_tree_literal(args.tree)
-            return _certify("gallery f2", f2_multimap(), tree, f2_witness(tree, cfg), args, started,
-                            tree=format_tree_literal(tree), ill_founded=is_ill_founded(tree))
-        if args.name == "embed":
-            if args.alpha is None or args.depth is None:
-                raise SchemaError("alpha", "embed needs --alpha 'prefix;period' and --depth N")
-            alpha = parse_baire_point(args.alpha)
-            chain = [baire_embed(alpha, d) for d in range(args.depth + 1)]
-            _emit(_report(
-                "gallery embed",
-                alpha=args.alpha,
-                depth=args.depth,
-                intervals=[[format_rational(a), format_rational(b)] for a, b in chain],
-            ), args, started)
-            return EXIT_OK
-        raise SchemaError("name", "unknown gallery entry %r (valid: f1, f2, embed)" % args.name)
-    except (SchemaError, ValueError, json.JSONDecodeError) as exc:
-        print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
-        return EXIT_INPUT
+    if args.name == "f1":
+        if args.gamma is None:
+            raise SchemaError("gamma", "f1 needs --gamma (all_ones, all_zero, or JSON)")
+        if args.gamma in _NAMED_GAMMAS:
+            gamma = _NAMED_GAMMAS[args.gamma]()
+        else:
+            gamma = point_from_json(CANTOR_GRID, _argument("gamma", json.loads, args.gamma), "gamma")
+        return _certify("gallery f1", f1_multimap(), gamma, f1_witness(gamma, F1_DEFAULT_WINDOW, cfg), args,
+                        gamma=encode_value(gamma))
+    if args.name == "f2":
+        if args.tree is None:
+            raise SchemaError("tree", "f2 needs --tree 'tree{nodes:[...]}'")
+        tree = _argument("tree", parse_tree_literal, args.tree)
+        return _certify("gallery f2", f2_multimap(), tree, f2_witness(tree, cfg), args,
+                        tree=format_tree_literal(tree), ill_founded=is_ill_founded(tree))
+    if args.name == "embed":
+        if args.alpha is None or args.depth is None:
+            raise SchemaError("alpha", "embed needs --alpha 'prefix;period' and --depth N")
+        alpha = _argument("alpha", parse_baire_point, args.alpha)
+        chain = [baire_embed(alpha, d) for d in range(args.depth + 1)]
+        _emit(_report(
+            "gallery embed",
+            alpha=args.alpha,
+            depth=args.depth,
+            intervals=[[format_rational(a), format_rational(b)] for a, b in chain],
+        ), args)
+        return EXIT_OK
+    raise SchemaError("name", "unknown gallery entry %r (valid: f1, f2, embed)" % args.name)
 
 
 def cmd_tree(args) -> int:
-    started = time.monotonic()
-    try:
-        if args.op == "generate":
-            nodes = [parse_node(t.strip()) for t in args.nodes.split()] if args.nodes else []
-            if not nodes:
-                raise SchemaError("nodes", "generate needs --nodes '(..) (..)'")
-            tree = generated_by(nodes)
-        else:
-            if args.tree is None:
-                raise SchemaError("tree", "%s needs --tree 'tree{...}'" % args.op)
-            tree = parse_tree_literal(args.tree)
-        if args.op == "shift":
-            result = {"tree": format_tree_literal(tree_shift(tree))}
-        elif args.op == "trm":
-            result = {"terminals": [format_node(u) for u in sorted(terminals(tree))]}
-        elif args.op == "illfounded":
-            result = {
-                "ill_founded": is_ill_founded(tree),
-                "body_depth_3": [format_node(u) for u in sorted(body_prefixes(tree, 3))],
-            }
-        elif args.op == "generate":
-            result = {"tree": format_tree_literal(tree)}
-        else:
-            raise SchemaError("op", "unknown tree operation %r" % args.op)
-    except (SchemaError, ValueError) as exc:
-        print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
-        return EXIT_INPUT
-    _emit(_report("tree %s" % args.op, **result), args, started)
+    if args.op == "generate":
+        if not (args.nodes or "").split():
+            raise SchemaError("nodes", "generate needs --nodes '(..) (..)'")
+        tree = _argument("nodes", lambda text: generated_by([parse_node(t) for t in text.split()]), args.nodes)
+    else:
+        if args.tree is None:
+            raise SchemaError("tree", "%s needs --tree 'tree{...}'" % args.op)
+        tree = _argument("tree", parse_tree_literal, args.tree)
+    if args.op == "shift":
+        result = {"tree": format_tree_literal(tree_shift(tree))}
+    elif args.op == "trm":
+        result = {"terminals": [format_node(u) for u in sorted(terminals(tree))]}
+    elif args.op == "illfounded":
+        result = {
+            "ill_founded": is_ill_founded(tree),
+            "body_depth_3": [format_node(u) for u in sorted(body_prefixes(tree, 3))],
+        }
+    else:
+        result = {"tree": format_tree_literal(tree)}
+    _emit(_report("tree %s" % args.op, **result), args)
     return EXIT_OK
 
 
@@ -280,8 +236,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  Only here is an input error written: a
+    SchemaError with its field path, a ParseError with its offset."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    args.started = time.monotonic()
+    try:
+        return args.fn(args)
+    except SchemaError as exc:
+        error = {"error": str(exc), "path": exc.path}
+    except ParseError as exc:
+        error = {"error": str(exc), "offset": exc.offset}
+    print(json.dumps(error, sort_keys=True), file=sys.stderr)
+    return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -78,10 +78,11 @@ def has_infinitely_many_ones(row: BairePoint) -> bool:
 
 
 def last_one_index(row: BairePoint) -> int | None:
-    """Index of the last 1, for rows with finitely many 1s."""
+    """Index of the last 1, for rows with finitely many 1s: in canonical
+    form such a row has period (0,) and a prefix that is empty or ends in 1."""
     if has_infinitely_many_ones(row):
         raise ValueError("row has infinitely many ones")
-    return max((s for s, bit in enumerate(row.prefix) if bit == 1), default=None)
+    return len(row.prefix) - 1 if row.prefix else None
 
 
 def first_one_at_or_after(row: BairePoint, n: int) -> int | None:
@@ -97,13 +98,12 @@ def r_membership(gamma: CantorGridPoint, m: int) -> bool:
 
 
 def n_of(gamma: CantorGridPoint, m: int) -> int:
-    """least n with the row all zero from n on, plus one."""
+    """least n with the row all zero from n on, plus one: the length of
+    the row's canonical prefix, plus one."""
     row = gamma.row(m)
     if has_infinitely_many_ones(row):
         raise ValueError("value undefined: row %d has infinitely many 1s" % m)
-    last = last_one_index(row)
-    least = 0 if last is None else last + 1
-    return least + 1
+    return len(row.prefix) + 1
 
 
 def f1_value(gamma: CantorGridPoint, window: int = F1_DEFAULT_WINDOW) -> FiniteRealSet:
@@ -267,6 +267,15 @@ def _deep_heads(center: Tree, rank_bound: int, depth: int) -> list[tuple[int, ..
     return heads
 
 
+def _sprouting(t: Tree, ends: list, radius: Fraction) -> tuple[set, int]:
+    """The generated-by perturbation of a well-founded t inside the ball of
+    the radius: the constrained members it keeps, and the fresh entry that
+    extends a terminal, larger than every entry of the terminals `ends`."""
+    bound = ball_rank_bound(radius)
+    top_entry = 1 + max((max(u, default=0) for u in ends), default=0)
+    return constrained_members(t, bound), max(max_entry_below_rank(bound), top_entry)
+
+
 def f2_probes() -> Callable:
     """Tree perturbations following the proof's two sides.
 
@@ -278,21 +287,17 @@ def f2_probes() -> Callable:
     """
 
     def gen(center: Tree, radius: Fraction):
-        bound = ball_rank_bound(radius)
-        kept = constrained_members(center, bound)
-        fresh = max_entry_below_rank(bound)
         if is_ill_founded(center):
+            bound = ball_rank_bound(radius)
+            kept = constrained_members(center, bound)
             heads = _deep_heads(center, bound, F2_DEEP_DEPTH)
             trunk = generated_by(set(heads) | kept)
-            sprout = generated_by(set(heads) | kept | {heads[0] + (fresh,)})
+            sprout = generated_by(set(heads) | kept | {heads[0] + (max_entry_below_rank(bound),)})
             return [trunk, sprout]
         ends = sorted(terminals(center))
-        fresh = max(fresh, 1 + max((max(u, default=0) for u in ends), default=0))
-        all_extended = generated_by({u + (fresh,) for u in ends} | kept)
-        out = [all_extended]
-        for u in ends:
-            out.append(generated_by({u + (fresh,)} | kept))
-        return out
+        kept, fresh = _sprouting(center, ends, radius)
+        return [generated_by({u + (fresh,) for u in ends} | kept),
+                *(generated_by({u + (fresh,)} | kept) for u in ends)]
 
     return gen
 
@@ -325,13 +330,7 @@ def f2_witness(t: Tree, cfg: CheckConfig) -> ContinuityWitness | DiscontinuityWi
             table.append((eps, delta))
         return ContinuityWitness(y, tuple(table), cfg.net_resolution)
     ends = sorted(terminals(t))
-    top_entry = 1 + max((max(w, default=0) for w in ends), default=0)
-    per_delta = []
-    for delta in cfg.delta_schedule:
-        bound = ball_rank_bound(delta)
-        kept = constrained_members(t, bound)
-        fresh = max(max_entry_below_rank(bound), top_entry)
-        per_delta.append((delta, kept, fresh))
+    per_delta = [(delta, *_sprouting(t, ends, delta)) for delta in cfg.delta_schedule]
     entries = []
     for u in ends:
         shifted = tuple(e + 1 for e in u)
@@ -582,29 +581,32 @@ class AffineMap:
     target = REAL_LINE
 
 
+def _nested(u: Sequence[int]) -> tuple[Fraction, Fraction]:
+    """The start and length of the interval the scheme assigns to u."""
+    a, length = Fraction(0), Fraction(1)
+    for c in u:
+        a += length * (1 - Fraction(1, 2 ** c))
+        length *= Fraction(1, 2 ** (c + 2))
+    return a, length
+
+
 class BaireEmbedding:
     """The nested-interval injection of the sequence space into [0, 1].
 
     Intervals: the root is [0, 1]; inside [a, a + L] the child with entry
-    c starts at a + L(1 - 2^-c) with length min(2^-(depth+1), L*2^-(c+2)).
-    Children sit inside their parent, siblings are pairwise disjoint with
-    gaps, and lengths decay at least like 2^-depth.  For an eventually
-    periodic point the nested chain's common point is an exact rational:
-    the length recursion is purely multiplicative (the depth clause never
-    binds below the root), so the periodic tail sums a geometric series.
+    c starts at a + L(1 - 2^-c) with length L*2^-(c+2).  Children sit
+    inside their parent, siblings are pairwise disjoint with gaps, and each
+    step multiplies the length by at most 1/4, so lengths decay at least
+    like 4^-depth.  For an eventually periodic point the nested chain's
+    common point is an exact rational: the recursion is affine, so the
+    periodic tail sums a geometric series.
     """
 
     target = UNIT_INTERVAL
 
     def apply(self, alpha: BairePoint) -> Fraction:
-        a, length = Fraction(0), Fraction(1)
-        for c in alpha.prefix:
-            a += length * (1 - Fraction(1, 2 ** c))
-            length *= Fraction(1, 2 ** (c + 2))
-        gain, factor = Fraction(0), Fraction(1)
-        for c in alpha.period:
-            gain += factor * (1 - Fraction(1, 2 ** c))
-            factor *= Fraction(1, 2 ** (c + 2))
+        a, length = _nested(alpha.prefix)
+        gain, factor = _nested(alpha.period)
         return a + length * gain / (1 - factor)
 
     def image_set(self, s: ClosedSetRepr) -> ClosedSetRepr:
@@ -617,11 +619,7 @@ class BaireEmbedding:
 
 def interval_of(u: Sequence[int]) -> tuple[Fraction, Fraction]:
     """The closed interval assigned to a finite sequence by the scheme."""
-    a, length = Fraction(0), Fraction(1)
-    for depth, c in enumerate(u):
-        child_len = min(Fraction(1, 2 ** (depth + 1)), length * Fraction(1, 2 ** (c + 2)))
-        a += length * (1 - Fraction(1, 2 ** c))
-        length = child_len
+    a, length = _nested(u)
     return a, a + length
 
 

@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Any
 
 from .checkers import (
+    MODES,
     CheckConfig,
     ContinuityWitness,
     DiscontinuityWitness,
@@ -306,18 +307,6 @@ def config_from_json(obj: dict, path: str = "config") -> CheckConfig:
         raise SchemaError(path, str(exc)) from exc
 
 
-def config_to_json(cfg: CheckConfig) -> dict:
-    return {
-        "eps_schedule": [format_rational(v) for v in cfg.eps_schedule],
-        "delta_schedule": [format_rational(v) for v in cfg.delta_schedule],
-        "probe_budget": cfg.probe_budget,
-        "net_resolution": format_rational(cfg.net_resolution),
-        "dense_bound": cfg.dense_bound,
-        "n_bound": cfg.n_bound,
-        "m_bound": cfg.m_bound,
-    }
-
-
 def probes_from_json(obj: dict, multimap: MultiMap, path: str = "probe_spec"):
     kind = _kind(obj, path, "default")
     if kind == "default":
@@ -378,15 +367,12 @@ def verdict_to_json(verdict: Verdict) -> dict:
 # instance files
 # ---------------------------------------------------------------------------
 
-MODES = ("plain", "strong", "star", "dagger", "fell")
-
-
 def load_instance(obj: dict):
     """Decode an instance file into (multimap, points, mode, cfg, probes)."""
     _object(obj, "$")
     multimap = multimap_from_json(obj.get("multimap", {}), "multimap")
     mode = obj.get("mode", "plain")
-    if mode not in MODES:
+    if not isinstance(mode, str) or mode not in MODES:
         raise SchemaError("mode", "unknown mode %r (valid: %s)" % (mode, ", ".join(MODES)))
     cfg = config_from_json(obj.get("config", {}), "config")
     probes = probes_from_json(obj.get("probe_spec", {"kind": "default"}), multimap, "probe_spec")

@@ -24,7 +24,6 @@ bi-analytic).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 # ---------------------------------------------------------------------------
 # pointclasses and their order
@@ -64,10 +63,6 @@ def sigma0(n: int) -> Pointclass:
 
 def pi0(n: int) -> Pointclass:
     return Pointclass(PI, 0, n)
-
-
-def delta0(n: int) -> Pointclass:
-    return Pointclass(DELTA, 0, n)
 
 
 def sigma1(n: int) -> Pointclass:
@@ -365,9 +360,3 @@ def replay_trace(trace: list[TraceStep]) -> bool:
         del done[len(done) - len(e.args):]
         done.append((e, step.result))
     return len(done) == 1
-
-
-def iter_subexpressions(e: SetExpr) -> Iterator[SetExpr]:
-    yield e
-    for a in e.args:
-        yield from iter_subexpressions(a)

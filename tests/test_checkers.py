@@ -6,6 +6,7 @@ from fractions import Fraction as Fr
 import pytest
 
 from baire_lab.checkers import (
+    MODES,
     ContinuityWitness,
     DiscontinuityWitness,
     DomainError,
@@ -30,6 +31,7 @@ from baire_lab.closed_sets import (
     finite_real,
     open_intervals,
 )
+from baire_lab.instances import verdict_to_json
 from baire_lab.spaces import REAL_LINE, UNIT_INTERVAL, rational_points_space
 from baire_lab.trees import TREE_SPACE
 
@@ -248,6 +250,49 @@ def test_verify_rejects_corrupted_witnesses():
     # a witness point outside the value set
     stray = ContinuityWitness(Fr(7), cw.table, cw.net_resolution)
     assert not verify_witness(mm, Fr(1), stray, probes)
+
+
+def test_verify_rejects_a_witness_point_only_in_the_closure_of_the_value():
+    # 0 is no point of the open value (0, 1), though at distance 0 from it,
+    # and the value's net comes within eps of 0
+    space = rational_points_space([Fr(0), Fr(1)])
+    mm = tabular_multimap(space, {p: open_intervals((0, 1)) for p in space.points()}, REAL_LINE)
+    probes = full_domain_probes(space)
+    table = ((Fr(1, 2), Fr(1)),)
+    assert not verify_witness(mm, Fr(0), ContinuityWitness(Fr(0), table, Fr(1, 16)), probes)
+    assert verify_witness(mm, Fr(0), ContinuityWitness(Fr(1, 32), table, Fr(1, 16)), probes)
+
+
+def test_continuity_points_runs_each_mode_through_its_evaluator():
+    # 1/512 and 1/256 lie inside every schedule ball around 0; 1/2 and 1 do not
+    space = rational_points_space([Fr(0), Fr(1, 512), Fr(1, 256), Fr(1, 2), Fr(1)])
+    values = {Fr(0): closed_intervals((0, Fr(1, 2))), Fr(1, 512): finite_real(1),
+              Fr(1, 256): open_intervals((Fr(1, 4), Fr(3, 4))), Fr(1, 2): finite_real(Fr(1, 2)), Fr(1): Empty()}
+    mm = tabular_multimap(space, values, UNIT_INTERVAL)
+    cfg = default_config()
+    probes = full_domain_probes(space)
+    balls = [(Fr(1), Fr(1, 8)), (Fr(1, 4), Fr(1, 16))]
+    evaluators = {
+        "plain": check_continuity,
+        "strong": check_strong_continuity,
+        "star": eval_star,
+        "dagger": eval_dagger,
+        "fell": lambda mm, x, cfg, probes: eval_lower_fell(mm, x, cfg, probes, balls),
+    }
+    assert list(evaluators) == list(MODES)
+    sample = [Fr(1), Fr(0), Fr(1, 512), Fr(0), Fr(1, 256), Fr(1, 2)]
+    kinds = set()
+    for mode, evaluate in evaluators.items():
+        verdicts = continuity_points(mm, sample, mode, cfg, probes, balls)
+        assert list(verdicts) == [Fr(1), Fr(0), Fr(1, 512), Fr(1, 256), Fr(1, 2)]  # a repeated point once
+        for x, verdict in verdicts.items():
+            assert verdict_to_json(verdict) == verdict_to_json(evaluate(mm, x, cfg, probes)), (mode, x)
+            kinds.add((mode, verdict.kind))
+    assert {mode for mode, kind in kinds if kind == "continuous"} == set(MODES)
+    assert {mode for mode, kind in kinds if kind == "discontinuous"} == set(MODES)
+    for mode in ("sideways", "", "Plain", [], None):
+        with pytest.raises(ValueError):
+            continuity_points(mm, sample, mode, cfg, probes)
 
 
 def test_eval_dagger_constant_map_and_empty_convention():

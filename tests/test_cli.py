@@ -119,6 +119,47 @@ def test_tree_subcommands():
     assert run_cli("tree", "shift").returncode == 2
 
 
+@pytest.mark.parametrize("argv, path", [
+    (["gallery", "f1"], "gamma"),
+    (["gallery", "f1", "--gamma", "{"], "gamma"),
+    (["gallery", "f1", "--gamma", "[]"], "gamma"),
+    (["gallery", "f1", "--gamma", '{"default_row": "1"}'], "gamma"),
+    (["gallery", "f2"], "tree"),
+    (["gallery", "f2", "--tree", "tree{"], "tree"),
+    (["gallery", "embed", "--depth", "2"], "alpha"),
+    (["gallery", "embed", "--alpha", "x", "--depth", "2"], "alpha"),
+    (["gallery", "embed", "--alpha", "1;", "--depth", "2"], "alpha"),
+    (["gallery", "unknown"], "name"),
+    (["tree", "shift"], "tree"),
+    (["tree", "trm", "--tree", "bad"], "tree"),
+    (["tree", "illfounded", "--tree", "tree{nodes:[(0)"], "tree"),
+    (["tree", "generate"], "nodes"),
+    (["tree", "generate", "--nodes", " "], "nodes"),
+    # the tree's own validation, inside generated_by
+    (["tree", "generate", "--nodes", "(-1)"], "nodes"),
+    (["tree", "generate", "--nodes", "(a)"], "nodes"),
+    (["check", "no/such/instance.json"], "instance"),
+])
+def test_malformed_command_line_arguments_exit_2_at_their_name(argv, path):
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()) as stdout, contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    assert code == 2
+    assert stdout.getvalue() == ""
+    error = json.loads(stderr.getvalue())
+    assert error["path"] == path
+    assert error["error"].startswith(path + ": ")
+
+
+def test_check_refuses_an_instance_file_that_is_not_utf8_json(tmp_path):
+    instance = tmp_path / "binary.json"
+    instance.write_bytes(b"\xff\xfe{")
+    out = run_cli("check", str(instance))
+    assert out.returncode == 2, out.stderr
+    assert "Traceback" not in out.stderr
+    assert json.loads(out.stderr)["path"] == "instance"
+
+
 def test_reports_are_byte_identical(tmp_path):
     instance = tmp_path / "split.json"
     instance.write_text(json.dumps({

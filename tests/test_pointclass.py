@@ -11,11 +11,9 @@ from baire_lab.pointclass import (
     SetExpr,
     TraceStep,
     classify,
-    delta0,
     delta1,
     dual,
     dual_expr,
-    iter_subexpressions,
     join,
     leq,
     parse_expr,
@@ -26,6 +24,17 @@ from baire_lab.pointclass import (
     sigma0,
     sigma1,
 )
+
+
+def delta0(n: int) -> Pointclass:
+    return Pointclass("Delta", 0, n)
+
+
+def iter_subexpressions(e: SetExpr):
+    yield e
+    for a in e.args:
+        yield from iter_subexpressions(a)
+
 
 ALL_CLASSES = [
     Pointclass(kind, side, index)
