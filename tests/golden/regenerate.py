@@ -1,10 +1,13 @@
-"""Golden `baire-lab check` reports.
+"""Golden `baire-lab` reports.
 
 Each `<name>.json` in this folder is an instance file, and `<name>.out` is
 the exact stdout of `baire-lab check <name>.json`.  The instances cover
 every multimap kind and all five modes, an Inconclusive verdict, an empty
-value and a point listed twice.  After a change that alters a report on
-purpose, rewrite the reports from the root of a checkout with
+value and a point listed twice.  Each `<name>.argv` holds a JSON list of
+command-line arguments, and `<name>.out` is the exact stdout of
+`baire-lab` run with them: the `gallery` certificates of f1 and f2 and the
+`tree` operations.  After a change that alters a report on purpose,
+rewrite the reports from the root of a checkout with
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
@@ -26,16 +29,23 @@ from baire_lab import cli
 GOLDEN = Path(__file__).resolve().parent
 
 
-def render(instance: Path) -> tuple[int, str]:
-    """The exit code and stdout of `baire-lab check` on the instance."""
+def cases() -> list[Path]:
+    """The instance files and argument lists, in name order."""
+    return sorted([*GOLDEN.glob("*.json"), *GOLDEN.glob("*.argv")])
+
+
+def render(case: Path) -> tuple[int, str]:
+    """The exit code and stdout of `baire-lab check` on an instance file,
+    or of `baire-lab` with the arguments of an argv file."""
+    argv = json.loads(case.read_text()) if case.suffix == ".argv" else ["check", str(case)]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = cli.main(["check", str(instance)])
+        code = cli.main(argv)
     return code, out.getvalue()
 
 
 def main(argv: list[str]) -> int:
-    reports = {p.stem: render(p) for p in sorted(GOLDEN.glob("*.json"))}
+    reports = {p.stem: render(p) for p in cases()}
     if argv == ["--print"]:
         print(json.dumps(reports, sort_keys=True))
         return 0

@@ -1,7 +1,8 @@
 """Golden reports: `baire-lab check` on the committed instances of
-`tests/golden/` gives the committed bytes, under two hash seeds.
+`tests/golden/`, and `baire-lab` on its committed argument lists, give the
+committed bytes, under two hash seeds.
 
-One subprocess per seed renders every instance; `tests/golden/regenerate.py`
+One subprocess per seed renders every case; `tests/golden/regenerate.py`
 documents the files and rewrites them.
 """
 
@@ -19,9 +20,14 @@ GOLDEN = ROOT / "tests" / "golden"
 
 def test_golden_folder_pairs_every_instance_with_its_report():
     instances = sorted(p.stem for p in GOLDEN.glob("*.json"))
+    argvs = sorted(p.stem for p in GOLDEN.glob("*.argv"))
     reports = sorted(p.stem for p in GOLDEN.glob("*.out"))
     assert len(instances) >= 15
-    assert instances == reports
+    assert len(argvs) >= 7
+    assert not set(instances) & set(argvs)
+    assert sorted(instances + argvs) == reports
+    commands = {tuple(json.loads((GOLDEN / (name + ".argv")).read_text())[:2]) for name in argvs}
+    assert {("gallery", "f1"), ("gallery", "f2"), ("tree", "shift"), ("tree", "trm")} <= commands
 
 
 @pytest.mark.parametrize("seed", ["1", "2"])
@@ -31,8 +37,13 @@ def test_check_reports_match_the_golden_bytes(seed):
     out = subprocess.run([sys.executable, str(GOLDEN / "regenerate.py"), "--print"],
                          capture_output=True, text=True, env=env, check=True)
     rendered = json.loads(out.stdout)
-    assert sorted(rendered) == sorted(p.stem for p in GOLDEN.glob("*.json"))
+    assert sorted(rendered) == sorted(p.stem for p in [*GOLDEN.glob("*.json"), *GOLDEN.glob("*.argv")])
     for name, (code, report) in rendered.items():
         assert report == (GOLDEN / (name + ".out")).read_text(), name
-        verdicts = [r["verdict"] for r in json.loads(report)["results"]]
-        assert code == (3 if "inconclusive" in verdicts else 0), name
+        payload = json.loads(report)
+        if "results" in payload:
+            verdicts = [r["verdict"] for r in payload["results"]]
+            assert code == (3 if "inconclusive" in verdicts else 0), name
+        else:
+            assert code == 0, name
+            assert payload.get("witness_verified", True) is True, name
