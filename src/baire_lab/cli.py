@@ -1,7 +1,8 @@
 """Command-line surface with reproducible JSON reports.
 
-Exit codes: 0 for conclusive results, 2 for input errors, 3 when some
-verdict is Inconclusive.  Reports are deterministic: sorted keys,
+Exit codes: 0 for conclusive results, 1 for a gallery witness that
+`verify_witness` rejects (a fault of the program), 2 for input errors, 3
+when some verdict is Inconclusive.  Reports are deterministic: sorted keys,
 canonical "p/q" rationals, and no volatile fields unless --timing is
 given (wall time breaks byte-identity by nature).
 """
@@ -50,6 +51,7 @@ from .trees import (
 )
 
 EXIT_OK = 0
+EXIT_FAULT = 1
 EXIT_INPUT = 2
 EXIT_INCONCLUSIVE = 3
 
@@ -95,9 +97,12 @@ def cmd_check(args) -> int:
     try:
         with open(args.instance) as fh:
             raw = json.load(fh)
-    except (OSError, ValueError) as exc:  # also undecodable bytes
+    except (OSError, ValueError, RecursionError) as exc:  # also undecodable bytes and deep nesting
         raise SchemaError("instance", "cannot read instance file: %s" % exc) from exc
-    multimap, points, mode, cfg, probes = load_instance(raw)
+    try:
+        multimap, points, mode, cfg, probes = load_instance(raw)
+    except RecursionError as exc:  # the decoder recurses once per nested map
+        raise SchemaError("instance", "instance nests too deeply to decode: %s" % exc) from exc
     if args.point is not None:
         points = [domain_point_from_json(multimap, args.point, "point")]
     mode = args.mode or mode
@@ -120,17 +125,20 @@ def cmd_check(args) -> int:
 
 
 def _certify(command: str, multimap, x, witness, args, **fields) -> int:
-    """Emit a gallery witness at x with its verdict and whether
-    `verify_witness` accepts it."""
-    accepted = verify_witness(multimap, x, witness, multimap.default_probes)
+    """Emit a gallery witness at x with its verdict, once `verify_witness`
+    accepts it.  A rejected gallery witness is a fault of the program, not
+    a verdict: it is written to stderr as an error, with exit 1."""
+    if not verify_witness(multimap, x, witness, multimap.default_probes):
+        print(json.dumps({"error": "%s: verify_witness rejected the gallery witness" % command}), file=sys.stderr)
+        return EXIT_FAULT
     _emit(_report(
         command,
         verdict="continuous" if isinstance(witness, ContinuityWitness) else "discontinuous",
         witness=witness_to_json(witness),
-        witness_verified=accepted,
+        witness_verified=True,
         **fields,
     ), args)
-    return EXIT_OK if accepted else EXIT_INCONCLUSIVE
+    return EXIT_OK
 
 
 _NAMED_GAMMAS = {

@@ -48,7 +48,7 @@ def _primitive_period(period: tuple[int, ...]) -> tuple[int, ...]:
     """Shortest block whose repetition gives the same tail."""
     n = len(period)
     for d in range(1, n + 1):
-        if n % d == 0 and all(period[i] == period[i % d] for i in range(n)):
+        if n % d == 0 and period[:d] * (n // d) == period:
             return period[:d]
     return period
 
@@ -59,15 +59,19 @@ def canonical_seq(prefix: Sequence[int], period: Sequence[int]) -> tuple[tuple[i
     Dropping a trailing prefix entry equal to the period's last entry and
     rotating the period right by one preserves the denoted sequence, so
     value equality coincides with representation equality afterwards.
+    The k trailing entries that match the period read backwards are
+    dropped in one cut, with one rotation by k mod the period's length.
     """
     if not period:
         raise ValueError("period must be nonempty")
-    pre = tuple(int(x) for x in prefix)
-    per = _primitive_period(tuple(int(x) for x in period))
-    while pre and pre[-1] == per[-1]:
-        pre = pre[:-1]
-        per = per[-1:] + per[:-1]
-    return pre, per
+    pre = tuple(map(int, prefix))
+    per = _primitive_period(tuple(map(int, period)))
+    n, p = len(pre), len(per)
+    k = 0
+    while k < n and pre[n - 1 - k] == per[-1 - k % p]:
+        k += 1
+    r = p - k % p
+    return pre[:n - k], per[r:] + per[:r]
 
 
 @dataclass(frozen=True, order=True)
@@ -80,7 +84,7 @@ class BairePoint:
 
     def __post_init__(self) -> None:
         pre, per = canonical_seq(self.prefix, self.period)
-        if any(x < 0 for x in pre) or any(x < 0 for x in per):
+        if min(per) < 0 or min(pre, default=0) < 0:
             raise ValueError("entries must be naturals")
         object.__setattr__(self, "prefix", pre)
         object.__setattr__(self, "period", per)

@@ -89,9 +89,9 @@ class Tree:
 
     def __post_init__(self) -> None:
         fp = frozenset(self.finite_part)
-        if any(u and min(u) < 0 for u in fp):
+        if min(map(min, filter(None, fp)), default=0) < 0:
             raise ValueError("node entries must be naturals")
-        if EMPTY_NODE not in fp or any(u[:-1] not in fp for u in fp if u):
+        if EMPTY_NODE not in fp or not fp.issuperset([u[:-1] for u in fp if u]):
             raise ValueError("finite part must be closed under initial segments")
         if self.branches:  # without branches every node is off-branch
             fp = prefix_closure(u for u in fp if not self._on_some_branch(u, self.branches))
@@ -135,15 +135,10 @@ def terminals(t: Tree) -> frozenset[Node]:
     prefix-closed set any proper extension implies an immediate child, so
     terminals are exactly the off-branch nodes that parent nothing.
     """
-    parents = {u[:-1] for u in t.finite_part if u}
-    out = set()
-    for u in t.finite_part:
-        if u in parents:
-            continue
-        if Tree._on_some_branch(u, t.branches):
-            continue
-        out.add(u)
-    return frozenset(out)
+    out = t.finite_part - {u[:-1] for u in t.finite_part if u}
+    if t.branches:
+        out = frozenset(u for u in out if not Tree._on_some_branch(u, t.branches))
+    return out
 
 
 def is_ill_founded(t: Tree) -> bool:
@@ -206,7 +201,7 @@ def tree_dist(a: Tree, b: Tree) -> Fraction:
     candidates: list[tuple[int, int, Node]] = []
     for src, dst in ((a, b), (b, a)):
         for u in src.finite_part - dst.finite_part:
-            if not Tree._on_some_branch(u, dst.branches):
+            if not (dst.branches and Tree._on_some_branch(u, dst.branches)):
                 candidates.append((len(u) + sum(u), len(u), u))
         for beta in src.branches - dst.branches:
             u = _least_missing_prefix(beta, dst)

@@ -15,6 +15,13 @@ and reads the terminals of that.
 
 The rank layer and the grid completions compute in closed form what the
 functions below count one value, one candidate or one cell at a time.
+
+The point and tree constructors check and canonicalize their input with
+whole-tuple and set operations.  `canonical_seq_by_steps` drops one
+trailing prefix entry per step and rotates the period by one each time;
+`baire_point_by_steps` and `tree_finite_part_by_generators` check entry
+by entry and node by node, with the messages of the constructors;
+`terminals_by_scan` tests every node against the branches.
 """
 
 import math
@@ -22,7 +29,7 @@ from fractions import Fraction
 
 from baire_lab.closed_sets import FiniteBaireSet, dist_to_set
 from baire_lab.spaces import BairePoint, CantorGridPoint, baire_dist, eventually_zero, node_rank, pair_index
-from baire_lab.trees import _branch_cover_bound, terminals, tree_shift
+from baire_lab.trees import EMPTY_NODE, _branch_cover_bound, prefix_closure, terminals, tree_shift
 
 
 def baire_dist_to_points(y, s):
@@ -113,3 +120,50 @@ def ones_completion_by_cells(gamma, flat_bound):
         rows.append((m, BairePoint(tuple(gamma.entry(m, s) for s in range(s_max)), (1,))))
         m += 1
     return CantorGridPoint(tuple(rows), BairePoint((), (1,)))
+
+
+def canonical_seq_by_steps(prefix, period):
+    """`spaces.canonical_seq`, dropping one trailing prefix entry at a time:
+    while the prefix ends with the period's last entry, drop that entry and
+    rotate the period right by one.  The primitive period is found by
+    comparing entry i with entry i mod d for each divisor d."""
+    if not period:
+        raise ValueError("period must be nonempty")
+    pre = tuple(int(x) for x in prefix)
+    per = tuple(int(x) for x in period)
+    n = len(per)
+    per = next(per[:d] for d in range(1, n + 1) if n % d == 0 and all(per[i] == per[i % d] for i in range(n)))
+    while pre and pre[-1] == per[-1]:
+        pre = pre[:-1]
+        per = per[-1:] + per[:-1]
+    return pre, per
+
+
+def baire_point_by_steps(prefix, period):
+    """The canonical fields of `BairePoint(prefix, period)`, with its
+    entry check made entry by entry."""
+    pre, per = canonical_seq_by_steps(prefix, period)
+    if any(x < 0 for x in pre) or any(x < 0 for x in per):
+        raise ValueError("entries must be naturals")
+    return pre, per
+
+
+def tree_finite_part_by_generators(finite_part, branches):
+    """The canonical finite part of `Tree(finite_part, branches)`, with its
+    two checks made node by node."""
+    fp = frozenset(finite_part)
+    if any(u and min(u) < 0 for u in fp):
+        raise ValueError("node entries must be naturals")
+    if EMPTY_NODE not in fp or any(u[:-1] not in fp for u in fp if u):
+        raise ValueError("finite part must be closed under initial segments")
+    if branches:
+        fp = prefix_closure(u for u in fp if not any(b.starts_with(u) for b in branches))
+    return fp
+
+
+def terminals_by_scan(t):
+    """`trees.terminals`, testing every finite-part node for children and
+    for lying on a branch."""
+    parents = {u[:-1] for u in t.finite_part if u}
+    return frozenset(u for u in t.finite_part
+                     if u not in parents and not any(b.starts_with(u) for b in t.branches))

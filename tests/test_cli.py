@@ -107,6 +107,24 @@ def test_gallery_subcommands():
         assert "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["gallery", "f1", "--gamma", "all_ones"],
+    ["gallery", "f2", "--tree", "tree{nodes:[(),(0)]}"],
+    ["gallery", "f2", "--tree", 'tree{nodes:[()],branches:["0;1"]}'],
+])
+def test_gallery_exits_1_when_verify_witness_rejects_the_witness(monkeypatch, argv):
+    """A rejected gallery witness is a fault of the program: an error on
+    stderr and exit 1, with no report and no verdict."""
+    monkeypatch.setattr(cli, "verify_witness", lambda *args: False)
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()) as stdout, contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    assert code == 1
+    assert stdout.getvalue() == ""
+    assert json.loads(stderr.getvalue()) == {
+        "error": "gallery %s: verify_witness rejected the gallery witness" % argv[1]}
+
+
 def test_tree_subcommands():
     out = run_cli("tree", "shift", "--tree", "tree{nodes:[(),(0),(0,1)]}")
     assert json.loads(out.stdout)["tree"] == "tree{nodes:[(),(1),(1,2)]}"
@@ -504,6 +522,56 @@ def test_star_on_only_empty_values_into_codomains_without_a_dense_index(tmp_path
         assert results[0]["report"] == {"certificate": "probe value sets separated by 2/(n+1) at every delta",
                                         "criterion": "star", "refuted_n": 0}
         assert results[0]["report"] == results[1]["report"]
+
+
+def _nested_compose(depth, points):
+    """An instance whose multimap nests `depth` identity `compose` maps
+    around a tabular map, as JSON text (json.dumps recurses too deeply)."""
+    base = json.dumps(tabular({"kind": "real_line"}, finite("1")))
+    layer = '{"kind": "compose", "pi": {"kind": "affine", "scale": "1", "shift": "0"}, "base": '
+    return '{"multimap": %s, "points": %s}' % (layer * depth + base + "}" * depth, json.dumps(points))
+
+
+@pytest.mark.parametrize("text", ["[" * 100_000, _nested_compose(1500, ["1"])], ids=["brackets", "compose"])
+def test_check_refuses_a_deeply_nested_instance_at_instance(tmp_path, text):
+    instance = tmp_path / "deep.json"
+    instance.write_text(text)
+    out = run_cli("check", str(instance))
+    assert out.returncode == 2, out.stderr[-300:]
+    assert "Traceback" not in out.stderr
+    assert out.stdout == ""
+    error = json.loads(out.stderr)
+    assert error["path"] == "instance"
+    assert "recursion" in error["error"]
+
+
+def test_check_refuses_nesting_too_deep_for_the_decoder_at_instance(tmp_path):
+    """Past some depth the instance decoder recurses too deeply although
+    json.load still reads the file.  The least refused depth, found by
+    bisection, is refused by the decoder; the recursion limit itself by
+    json.load.  Both are refused at `instance`, and shallower instances
+    decode."""
+    instance = tmp_path / "deep.json"
+
+    def refusal(depth):
+        instance.write_text(_nested_compose(depth, []))
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = cli.main(["check", str(instance)])
+        if code == 0:
+            return None
+        assert code == 2, depth
+        error = json.loads(stderr.getvalue())
+        assert error["path"] == "instance", depth
+        return error["error"].split(":")[1].strip()
+
+    lo, hi = sys.getrecursionlimit() - 300, sys.getrecursionlimit()
+    assert refusal(lo) is None
+    assert refusal(hi) == "cannot read instance file"
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if refusal(mid) else (mid, hi)
+    assert refusal(hi) == "instance nests too deeply to decode"
 
 
 # --- mutated instances --------------------------------------------------------

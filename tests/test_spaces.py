@@ -13,6 +13,7 @@ from baire_lab.spaces import (
     UNIT_INTERVAL,
     BairePoint,
     baire_dist,
+    canonical_seq,
     eventually_zero,
     format_baire_point,
     grid_dist,
@@ -27,6 +28,7 @@ from baire_lab.spaces import (
 )
 
 from corpus_helpers import finite_points_space
+from scan_oracle import baire_point_by_steps, canonical_seq_by_steps
 
 
 def random_baire_point(rng, max_entry=4, max_len=4):
@@ -74,6 +76,52 @@ def test_canonical_form_is_value_faithful():
         raw_entries = [(pre + per * 30)[i] for i in range(24)]
         p = BairePoint(pre, per)
         assert [p.entry(i) for i in range(24)] == raw_entries
+
+
+def outcome(f, *args):
+    """f(*args), or the message of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return "ValueError: %s" % exc
+
+
+def drawn_sequence_pair(rng):
+    """A (prefix, period) pair whose period is often a power of a block and
+    whose prefix often ends in a run of the period read backwards, longer
+    than the period about half the time; sometimes with an empty prefix, a
+    negative entry or an empty period."""
+    block = tuple(rng.randrange(3) for _ in range(rng.randrange(1, 4)))
+    period = block * rng.randrange(1, 4)
+    run = rng.randrange(3 * len(period) + 1)
+    tail = (period * (run // len(period) + 1))[len(period) * (run // len(period) + 1) - run:]
+    head = tuple(rng.randrange(3) for _ in range(rng.choice([0, 0, 1, 2, 5])))
+    prefix = head + tail
+    roll = rng.random()
+    if roll < 0.05 and prefix:
+        i = rng.randrange(len(prefix))
+        prefix = prefix[:i] + (-1,) + prefix[i + 1:]
+    elif roll < 0.1:
+        i = rng.randrange(len(period))
+        period = period[:i] + (-1,) + period[i + 1:]
+    elif roll < 0.12:
+        period = ()
+    return prefix, period
+
+
+def test_canonical_seq_and_baire_point_match_the_step_by_step_oracle():
+    rng = random.Random(19)
+    pairs = [drawn_sequence_pair(rng) for _ in range(5000)]
+    pairs += [((), (0, 1) * 4), ((1,) * 40, (1,)), ((0, 1) * 7 + (0,), (1, 0)), ((2, 1, 0, 1), (0, 1)),
+              (["1", "0"], ["0"]), ((True,), (1,)), (("a",), (0,)), ((0,), ()), ((), (-1,)), ((-1, 1), (1,))]
+    cuts = [(len(pre) - len(cut[0]), len(cut[1])) for pre, per in pairs
+            for cut in [outcome(canonical_seq_by_steps, pre, per)] if not isinstance(cut, str)]
+    assert any(k > p > 1 and k % p for k, p in cuts)  # runs longer than the period, rotated
+    assert any(k >= p > 1 and not k % p for k, p in cuts)  # whole periods cut, not rotated
+    for prefix, period in pairs:
+        assert outcome(canonical_seq, prefix, period) == outcome(canonical_seq_by_steps, prefix, period)
+        point = outcome(lambda a, b: (lambda p: (p.prefix, p.period))(BairePoint(a, b)), prefix, period)
+        assert point == outcome(baire_point_by_steps, prefix, period), (prefix, period)
 
 
 def test_entry_total_and_literals():

@@ -21,6 +21,7 @@ from baire_lab.trees import (
     make_tree,
     max_entry_below_rank,
     parse_tree_literal,
+    prefix_closure,
     rank_below,
     terminals,
     tree_dist,
@@ -28,7 +29,24 @@ from baire_lab.trees import (
 )
 
 from corpus_helpers import branch_bearing_trees
-from scan_oracle import lex_rank_by_values
+from scan_oracle import (
+    lex_rank_by_values,
+    terminals_by_scan,
+    tree_dist_ranking_every_candidate,
+    tree_finite_part_by_generators,
+)
+
+
+def outcome(f, *args):
+    """f(*args), or the message of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return "ValueError: %s" % exc
+
+
+def finite_part_of_tree(finite_part, branches):
+    return Tree(finite_part, branches).finite_part
 
 
 def random_tree(rng, with_branches=False):
@@ -131,6 +149,43 @@ def test_validation_rejects_non_closed_finite_parts():
         Tree(frozenset({(0,)}), frozenset())  # missing the empty node
     with pytest.raises(ValueError):
         Tree(frozenset({(), (0,), (0, -1)}), frozenset())  # entries are naturals
+
+
+def test_tree_constructor_matches_the_node_by_node_checks():
+    """Drawn node sets, closed or not, with or without the empty node, some
+    with a negative entry, and the empty set; with and without branches.
+    The canonical finite part, or the message raised, is the oracle's."""
+    rng = random.Random(67)
+    branches = [frozenset(), frozenset({parse_baire_point(";0")}), frozenset({parse_baire_point("1;0,1")}),
+                frozenset({parse_baire_point("0;1"), parse_baire_point(";2")})]
+    messages = set()
+    for _ in range(3000):
+        nodes = {tuple(rng.randrange(3) for _ in range(rng.randrange(4))) for _ in range(rng.randrange(6))}
+        if rng.random() < 0.5:
+            nodes = set(prefix_closure(nodes))
+        if nodes and rng.random() < 0.1:
+            u = rng.choice(sorted(nodes, key=len, reverse=True))
+            nodes.add(u[:-1] + (-1,) if u else (-1,))
+        b = rng.choice(branches)
+        got = outcome(finite_part_of_tree, frozenset(nodes), b)
+        assert got == outcome(tree_finite_part_by_generators, frozenset(nodes), b), (nodes, b)
+        if isinstance(got, str):
+            messages.add(got)
+    assert messages == {"ValueError: node entries must be naturals",
+                        "ValueError: finite part must be closed under initial segments"}
+    assert outcome(finite_part_of_tree, frozenset(), frozenset()) == (
+        "ValueError: finite part must be closed under initial segments")
+
+
+def test_terminals_and_tree_dist_match_the_oracles_with_and_without_branches():
+    rng = random.Random(71)
+    trees = [random_tree(rng, with_branches=True) for _ in range(120)] + branch_bearing_trees()
+    assert any(t.branches for t in trees) and any(not t.branches for t in trees)
+    for t in trees:
+        assert terminals(t) == terminals_by_scan(t), t
+    for _ in range(600):
+        a, b = rng.choice(trees), rng.choice(trees)
+        assert tree_dist(a, b) == tree_dist_ranking_every_candidate(a, b), (a, b)
 
 
 def test_canonical_representation_identifies_equal_node_sets():
