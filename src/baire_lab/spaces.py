@@ -84,7 +84,7 @@ class BairePoint:
 
     def __post_init__(self) -> None:
         pre, per = canonical_seq(self.prefix, self.period)
-        if min(per) < 0 or min(pre, default=0) < 0:
+        if min(pre + per) < 0:
             raise ValueError("entries must be naturals")
         object.__setattr__(self, "prefix", pre)
         object.__setattr__(self, "period", per)
