@@ -122,6 +122,15 @@ def ones_completion_by_cells(gamma, flat_bound):
     return CantorGridPoint(tuple(rows), BairePoint((), (1,)))
 
 
+def outcome(f, *args):
+    """f(*args), or the message of the ValueError it raises: what an oracle
+    and the code it checks must agree on."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return "ValueError: %s" % exc
+
+
 def canonical_seq_by_steps(prefix, period):
     """`spaces.canonical_seq`, dropping one trailing prefix entry at a time:
     while the prefix ends with the period's last entry, drop that entry and

@@ -28,7 +28,7 @@ from baire_lab.spaces import (
 )
 
 from corpus_helpers import finite_points_space
-from scan_oracle import baire_point_by_steps, canonical_seq_by_steps
+from scan_oracle import baire_point_by_steps, canonical_seq_by_steps, outcome
 
 
 def random_baire_point(rng, max_entry=4, max_len=4):
@@ -78,12 +78,9 @@ def test_canonical_form_is_value_faithful():
         assert [p.entry(i) for i in range(24)] == raw_entries
 
 
-def outcome(f, *args):
-    """f(*args), or the message of the ValueError it raises."""
-    try:
-        return f(*args)
-    except ValueError as exc:
-        return "ValueError: %s" % exc
+def baire_point_fields(prefix, period):
+    point = BairePoint(prefix, period)
+    return point.prefix, point.period
 
 
 def drawn_sequence_pair(rng):
@@ -94,7 +91,8 @@ def drawn_sequence_pair(rng):
     block = tuple(rng.randrange(3) for _ in range(rng.randrange(1, 4)))
     period = block * rng.randrange(1, 4)
     run = rng.randrange(3 * len(period) + 1)
-    tail = (period * (run // len(period) + 1))[len(period) * (run // len(period) + 1) - run:]
+    repeated = period * (run // len(period) + 1)
+    tail = repeated[len(repeated) - run:]
     head = tuple(rng.randrange(3) for _ in range(rng.choice([0, 0, 1, 2, 5])))
     prefix = head + tail
     roll = rng.random()
@@ -120,7 +118,7 @@ def test_canonical_seq_and_baire_point_match_the_step_by_step_oracle():
     assert any(k >= p > 1 and not k % p for k, p in cuts)  # whole periods cut, not rotated
     for prefix, period in pairs:
         assert outcome(canonical_seq, prefix, period) == outcome(canonical_seq_by_steps, prefix, period)
-        point = outcome(lambda a, b: (lambda p: (p.prefix, p.period))(BairePoint(a, b)), prefix, period)
+        point = outcome(baire_point_fields, prefix, period)
         assert point == outcome(baire_point_by_steps, prefix, period), (prefix, period)
 
 

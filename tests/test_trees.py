@@ -31,18 +31,11 @@ from baire_lab.trees import (
 from corpus_helpers import branch_bearing_trees
 from scan_oracle import (
     lex_rank_by_values,
+    outcome,
     terminals_by_scan,
     tree_dist_ranking_every_candidate,
     tree_finite_part_by_generators,
 )
-
-
-def outcome(f, *args):
-    """f(*args), or the message of the ValueError it raises."""
-    try:
-        return f(*args)
-    except ValueError as exc:
-        return "ValueError: %s" % exc
 
 
 def finite_part_of_tree(finite_part, branches):
