@@ -629,11 +629,17 @@ def baire_embed(alpha: BairePoint, depth: int) -> tuple[Fraction, Fraction]:
 
 
 def compose(pi, f: MultiMap) -> MultiMap:
-    """Post-compose the value sets with an injective coordinate change."""
+    """Post-compose the value sets with an injective coordinate change.  A
+    compose of a compose applies the whole chain of changes in one loop."""
+    base, changes = getattr(f, "composed", (f, ()))
+    changes += (pi,)
 
     def rule(x) -> ClosedSetRepr:
-        return pi.image_set(f.rule(x))
+        value = base.rule(x)
+        for change in changes:
+            value = change.image_set(value)
+        return value
 
-    return MultiMap(f.domain, pi.target, rule,
-                    name="compose(%s)" % f.name,
-                    default_probes=f.default_probes)
+    g = MultiMap(f.domain, pi.target, rule, name="compose(%s)" % f.name, default_probes=f.default_probes)
+    g.composed = (base, changes)
+    return g

@@ -18,6 +18,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import itemgetter, ne
 from typing import Iterable
 
 from .rationals import floor_reciprocal
@@ -44,6 +46,22 @@ def prefix_closure(nodes: Iterable[Node]) -> frozenset[Node]:
             out.add(v)
             v = v[:-1]
     return frozenset(out)
+
+
+_parent, _last = itemgetter(slice(-1)), itemgetter(-1)
+
+
+def _off_branches(nodes: frozenset[Node], branches: Iterable[BairePoint]) -> frozenset[Node]:
+    """The nodes that are a prefix of none of `branches`.
+
+    Each branch is read once, to the depth of the longest node, and every
+    node is compared with that head cut at its own length.
+    """
+    depth = max(map(len, nodes), default=0) if branches else 0
+    for beta in branches:
+        cut = beta.head(depth).__getitem__
+        nodes = frozenset(compress(nodes, map(ne, nodes, map(cut, map(slice, map(len, nodes))))))
+    return nodes
 
 
 def rank_below(u: Node, bound: int) -> bool:
@@ -89,23 +107,21 @@ class Tree:
 
     def __post_init__(self) -> None:
         fp = frozenset(self.finite_part)
-        if min(map(min, filter(None, fp)), default=0) < 0:
+        closed = EMPTY_NODE in fp and fp.issuperset(map(_parent, filter(None, fp)))
+        # in a closed set every entry is the last entry of some node
+        if min(map(_last if closed else min, filter(None, fp)), default=0) < 0:
             raise ValueError("node entries must be naturals")
-        if EMPTY_NODE not in fp or not fp.issuperset([u[:-1] for u in fp if u]):
+        if not closed:
             raise ValueError("finite part must be closed under initial segments")
         if self.branches:  # without branches every node is off-branch
-            fp = prefix_closure(u for u in fp if not self._on_some_branch(u, self.branches))
+            fp = prefix_closure(_off_branches(fp, self.branches))
         object.__setattr__(self, "finite_part", fp)
 
-    @staticmethod
-    def _on_some_branch(u: Node, branches: frozenset[BairePoint]) -> bool:
-        return any(branch.starts_with(u) for branch in branches)
-
     def contains(self, u: Node) -> bool:
-        return u in self.finite_part or self._on_some_branch(u, self.branches)
+        return u in self.finite_part or any(branch.starts_with(u) for branch in self.branches)
 
     def max_finite_length(self) -> int:
-        return max((len(u) for u in self.finite_part), default=0)
+        return max(map(len, self.finite_part), default=0)
 
 
 def make_tree(nodes: Iterable[Node] = (), branches: Iterable[BairePoint] = ()) -> Tree:
@@ -135,10 +151,7 @@ def terminals(t: Tree) -> frozenset[Node]:
     prefix-closed set any proper extension implies an immediate child, so
     terminals are exactly the off-branch nodes that parent nothing.
     """
-    out = t.finite_part - {u[:-1] for u in t.finite_part if u}
-    if t.branches:
-        out = frozenset(u for u in out if not Tree._on_some_branch(u, t.branches))
-    return out
+    return _off_branches(t.finite_part.difference(map(_parent, filter(None, t.finite_part))), t.branches)
 
 
 def is_ill_founded(t: Tree) -> bool:
@@ -200,9 +213,8 @@ def tree_dist(a: Tree, b: Tree) -> Fraction:
         return Fraction(0)
     candidates: list[tuple[int, int, Node]] = []
     for src, dst in ((a, b), (b, a)):
-        for u in src.finite_part - dst.finite_part:
-            if not (dst.branches and Tree._on_some_branch(u, dst.branches)):
-                candidates.append((len(u) + sum(u), len(u), u))
+        for u in _off_branches(src.finite_part - dst.finite_part, dst.branches):
+            candidates.append((len(u) + sum(u), len(u), u))
         for beta in src.branches - dst.branches:
             u = _least_missing_prefix(beta, dst)
             candidates.append((len(u) + sum(u), len(u), u))

@@ -20,7 +20,8 @@ The point and tree constructors check and canonicalize their input with
 whole-tuple and set operations.  `canonical_seq_by_steps` drops one
 trailing prefix entry per step and rotates the period by one each time;
 `baire_point_by_steps` and `tree_finite_part_by_generators` check entry
-by entry and node by node, with the messages of the constructors;
+by entry and node by node, with the messages of the constructors, and the
+latter closes the off-branch nodes itself;
 `terminals_by_scan` tests every node against the branches.
 """
 
@@ -29,7 +30,7 @@ from fractions import Fraction
 
 from baire_lab.closed_sets import FiniteBaireSet, dist_to_set
 from baire_lab.spaces import BairePoint, CantorGridPoint, baire_dist, eventually_zero, node_rank, pair_index
-from baire_lab.trees import EMPTY_NODE, _branch_cover_bound, prefix_closure, terminals, tree_shift
+from baire_lab.trees import EMPTY_NODE, _branch_cover_bound, terminals, tree_shift
 
 
 def baire_dist_to_points(y, s):
@@ -159,14 +160,20 @@ def baire_point_by_steps(prefix, period):
 
 def tree_finite_part_by_generators(finite_part, branches):
     """The canonical finite part of `Tree(finite_part, branches)`, with its
-    two checks made node by node."""
+    two checks made node by node.  The off-branch nodes are closed by keeping
+    the parent of each kept node, longest nodes first (not with
+    `trees.prefix_closure`, which the constructor uses)."""
     fp = frozenset(finite_part)
     if any(u and min(u) < 0 for u in fp):
         raise ValueError("node entries must be naturals")
     if EMPTY_NODE not in fp or any(u[:-1] not in fp for u in fp if u):
         raise ValueError("finite part must be closed under initial segments")
     if branches:
-        fp = prefix_closure(u for u in fp if not any(b.starts_with(u) for b in branches))
+        keep = {u for u in fp if not any(b.starts_with(u) for b in branches)} | {EMPTY_NODE}
+        for u in sorted(fp, key=len, reverse=True):  # a node's children come before it
+            if u and u in keep:
+                keep.add(u[:-1])
+        fp = frozenset(keep)
     return fp
 
 

@@ -574,6 +574,22 @@ def test_check_refuses_nesting_too_deep_for_the_decoder_at_instance(tmp_path):
     assert refusal(hi) == "instance nests too deeply to decode"
 
 
+def test_check_evaluates_a_compose_chain_as_deep_as_the_decoder_reads(tmp_path):
+    """977 identity `compose` maps around a tabular map decode in a fresh
+    process; the chain's value applies every coordinate change in one loop,
+    so the check does not recurse once per layer, and the verdicts are
+    those of the bare map."""
+    reports = []
+    for depth in (1, 977):
+        instance = tmp_path / ("chain%d.json" % depth)
+        instance.write_text(_nested_compose(depth, ["0", "1"]))
+        out = run_cli("check", str(instance))
+        assert out.returncode == 0, out.stderr[-300:]
+        reports.append(json.loads(out.stdout))
+    assert reports[1]["results"] == reports[0]["results"]
+    assert [r["verdict"] for r in reports[1]["results"]] == ["discontinuous", "continuous"]
+
+
 # --- mutated instances --------------------------------------------------------
 
 MUTATION_BASES = [

@@ -439,6 +439,15 @@ def test_composed_value_example():
     assert value == finite_real(Fr(1, 2))  # left endpoint of the (1)-interval
 
 
+def test_a_compose_chain_applies_every_change_innermost_first():
+    mm = f2_multimap()
+    inner = compose(BaireEmbedding(), mm)
+    chain = compose(AffineMap(Fr(3), Fr(0)), compose(AffineMap(Fr(1), Fr(1)), inner))
+    assert chain.value(make_tree([(0,)])) == finite_real(Fr(9, 2))  # 3 * (1/2 + 1)
+    assert chain.name == "compose(compose(compose(f2)))"
+    assert inner.value(make_tree([(0,)])) == finite_real(Fr(1, 2))  # the chain left it as it was
+
+
 # --- dense split and spikes -----------------------------------------------------
 
 

@@ -7,6 +7,8 @@ from fractions import Fraction as Fr
 import pytest
 
 from baire_lab import spaces
+from baire_lab.checkers import default_config
+from baire_lab.gallery import f2_probes
 from baire_lab.spaces import eventually_zero, node_rank, node_unrank, parse_baire_point
 from baire_lab.trees import (
     EMPTY_NODE,
@@ -179,6 +181,68 @@ def test_terminals_and_tree_dist_match_the_oracles_with_and_without_branches():
     for _ in range(600):
         a, b = rng.choice(trees), rng.choice(trees)
         assert tree_dist(a, b) == tree_dist_ranking_every_candidate(a, b), (a, b)
+
+
+F2_CENTERS = ['tree{nodes:[()],branches:[";0"]}', 'tree{nodes:[()],branches:["2,1;0,1"]}',
+              'tree{nodes:[(),(2)],branches:["0;1","1;0"]}']
+
+
+def f2_deep_probes():
+    """Each center of F2_CENTERS with the trunks and sprouts that
+    `gallery.f2_probes` emits around it at every delta of the default
+    schedule: chains of more than 260 nodes along each branch."""
+    gen = f2_probes()
+    out = []
+    for text in F2_CENTERS:
+        center = parse_tree_literal(text)
+        out.append((center, [p for delta in default_config().delta_schedule for p in gen(center, delta)]))
+    return out
+
+
+def test_tree_constructor_matches_the_node_by_node_checks_on_deep_trunks():
+    """The f2 trunks and sprouts, under no branches and under each center's
+    branches; and deep chains made unclosed by a dropped middle node or by
+    a node holding -1 at a non-last position, whose entry error must come
+    before the closure error, as in the node-by-node order."""
+    centers = f2_deep_probes()
+    branch_sets = [frozenset()] + [center.branches for center, _ in centers]
+    entries = "ValueError: node entries must be naturals"
+    closure = "ValueError: finite part must be closed under initial segments"
+    for _, probes in centers:
+        assert max(len(u) for p in probes for u in p.finite_part) > 260
+        for p in probes:
+            for b in branch_sets:
+                got = outcome(finite_part_of_tree, p.finite_part, b)
+                assert got == outcome(tree_finite_part_by_generators, p.finite_part, b), (p, b)
+        deep = max(probes[-1].finite_part, key=len)
+        bad = deep[:100] + (-1,) + deep[101:]
+        cases = [(probes[-1].finite_part | {bad}, entries),
+                 (probes[-1].finite_part - {deep[:50]}, closure),
+                 (probes[-1].finite_part - {deep[:50]} | {bad}, entries),
+                 (probes[-1].finite_part | {bad[:i] for i in range(101, len(bad) + 1)}, entries),
+                 (frozenset([EMPTY_NODE, bad]), entries),
+                 (frozenset([bad[:i] for i in range(1, len(bad) + 1)]), entries)]
+        for nodes, message in cases:
+            for b in branch_sets:
+                assert outcome(finite_part_of_tree, nodes, b) == message
+                assert outcome(tree_finite_part_by_generators, nodes, b) == message
+
+
+def test_terminals_and_tree_dist_match_the_oracles_on_deep_trunks():
+    """Each center with its f2 trunks and sprouts, and the last trunk and
+    sprout under the branches of every center (each keeps only its
+    off-branch nodes): terminals on all; tree_dist from the center to each,
+    between probes in emission order, and from the last trunk and sprout
+    to the re-branched trees and to every center."""
+    centers = f2_deep_probes()
+    for center, probes in centers:
+        rebranched = [Tree(p.finite_part, other.branches) for p in probes[-2:] for other, _ in centers]
+        for t in [center, *probes, *rebranched]:
+            assert terminals(t) == terminals_by_scan(t), t
+        pairs = [(center, t) for t in probes + rebranched] + list(zip(probes, probes[1:]))
+        pairs += [(p, t) for p in probes[-2:] for t in rebranched + [other for other, _ in centers]]
+        for a, b in pairs:
+            assert tree_dist(a, b) == tree_dist_ranking_every_candidate(a, b), (a, b)
 
 
 def test_canonical_representation_identifies_equal_node_sets():
