@@ -14,10 +14,10 @@ value sets, and bounded dense-sequence indices.  Outcomes are tri-valued:
 * Inconclusive — some truncation axis was exhausted without a verdict.
 
 One probe context feeds every checker: it gathers each delta ball once,
-evaluates the map at each distinct probe point once, on first use, and
-lists the distinct values of each ball.  The checkers are quantifier
-layers over it, and their predicates read only the value at a probe, so
-the table loops test each distinct value of a ball once, not each probe.
+when a quantifier first reaches it, evaluates the map at each distinct
+probe point once, and lists the distinct values of each ball.  The
+checkers are quantifier layers over it; their predicates read only the
+value at a probe, so a table loop tests each distinct value once.
 The net of the value at x is the only net built: the distance from a net
 point to the net of a probe's value is measured in closed form, since an
 interval's net is a grid.  `verify_witness` does not use the context or
@@ -237,12 +237,12 @@ def gather_probes(multimap: MultiMap, probes: ProbeGen, x, radius: Fraction, bud
 class ProbeContext:
     """The delta balls around x, each probe evaluated at most once.
 
-    Probes are gathered once per delta of the schedule.  The first time a
-    checker reaches a delta, F is evaluated at the probes of its ball not
-    yet evaluated, and the ball's distinct values are listed in the order
-    they first appear.  The quantifiers range over those values, since
-    every predicate reads only the value at a probe; each distinct value
-    of the context has an index into `distinct`, which keys the memos.
+    The first time a checker reaches a delta, the probes of its ball are
+    gathered and F is evaluated at those not yet evaluated; a ball that no
+    quantifier reaches is never gathered, so a generator fault there raises
+    nothing.  The quantifiers range over a ball's distinct values, listed
+    in the order they first appear, since every predicate reads only the
+    value at a probe; each has an index into `distinct`, keying the memos.
     """
 
     def __init__(self, multimap: MultiMap, x, cfg: CheckConfig, probes: ProbeGen):
@@ -253,10 +253,8 @@ class ProbeContext:
         self._at: dict = {}  # probe point -> index of its value
         self._balls: list = [None] * len(cfg.delta_schedule)
         self.value_at_x = self.distinct[self.at(x)]  # DomainError off the domain, before any probing
-        self.probes = {
-            delta: gather_probes(multimap, probes, x, delta, cfg.probe_budget)
-            for delta in cfg.delta_schedule
-        }
+        self._gather = lambda delta: gather_probes(multimap, probes, x, delta, cfg.probe_budget)
+        self.probes: dict = {}  # delta -> the probes of its ball, once a quantifier reaches it
 
     def at(self, xp) -> int:
         """The index of the value at xp; F is evaluated there on first use."""
@@ -273,6 +271,7 @@ class ProbeContext:
         the distinct values at the probes of its ball."""
         for k, delta in enumerate(self.cfg.delta_schedule):
             if self._balls[k] is None:
+                self.probes[delta] = self._gather(delta)
                 self._balls[k] = list(dict.fromkeys(self.at(xp) for xp in self.probes[delta]))
             yield delta, self._balls[k]
 

@@ -240,10 +240,11 @@ def grid_dist(a: CantorGridPoint, b: CantorGridPoint) -> Fraction:
     where the specs differ can contribute, and rows where both points use
     their defaults contribute at the least non-explicit row index.
     """
-    explicit = sorted({m for m, _ in a.explicit_rows} | {m for m, _ in b.explicit_rows})
+    rows_a, rows_b = dict(a.explicit_rows), dict(b.explicit_rows)
+    explicit = rows_a.keys() | rows_b.keys()
     candidates: list[int] = []
     for m in explicit:
-        s = first_disagreement(a.row(m), b.row(m))
+        s = first_disagreement(rows_a.get(m, a.default_row), rows_b.get(m, b.default_row))
         if s is not None:
             candidates.append(pair_index(m, s))
     s_default = first_disagreement(a.default_row, b.default_row)

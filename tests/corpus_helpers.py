@@ -1,8 +1,12 @@
 """Deterministic corpora shared by the gallery, acceptance and space tests."""
 
 import random
+from fractions import Fraction as Fr
 
-from baire_lab.spaces import FinitePoints, eventually_zero, grid_point, parse_baire_point
+from baire_lab.checkers import MultiMap
+from baire_lab.closed_sets import open_intervals
+from baire_lab.gallery import is_dyadic, split_probes
+from baire_lab.spaces import REAL_LINE, UNIT_INTERVAL, FinitePoints, eventually_zero, grid_point, parse_baire_point
 from baire_lab.trees import make_tree
 
 GRID_ROWS = {
@@ -29,6 +33,22 @@ def grid_corpus(size=56):
         default = GRID_ROWS[rng.choice(["zero", "single", "finite_burst", "one", "period01"])]
         corpus.append(grid_point(explicit, default))
     return corpus
+
+
+def open_split_maps():
+    """The open-interval-valued maps of criterion 10: a shorter interval on
+    the dyadics, and a second interval off them."""
+
+    def open_split(x):
+        return open_intervals((0, Fr(1, 4))) if is_dyadic(x) else open_intervals((0, 1))
+
+    def open_split_wide(x):
+        return open_intervals((0, 1)) if is_dyadic(x) else open_intervals((0, 1), (Fr(5, 4), Fr(3, 2)))
+
+    return [
+        MultiMap(UNIT_INTERVAL, UNIT_INTERVAL, open_split, name="open_split", default_probes=split_probes()),
+        MultiMap(UNIT_INTERVAL, REAL_LINE, open_split_wide, name="open_split_wide", default_probes=split_probes()),
+    ]
 
 
 DEPTH3_UNIVERSE = (

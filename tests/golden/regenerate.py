@@ -3,8 +3,10 @@
 Each `<name>.json` in this folder is an instance file, and `<name>.out` is
 the exact stdout of `baire-lab check <name>.json`.  The instances cover
 every multimap kind and all five modes, an Inconclusive verdict, an empty
-value, a point listed twice, and f2 trees with one or two branches in
-`plain` and `star` mode (`f2_branch_trees_*`).  Each `<name>.argv` holds a JSON list of
+value, a point listed twice, f2 trees with one or two branches in `plain`
+and `star` mode (`f2_branch_trees_*`), and checks that can stop at the
+first delta ball (`strong` and `fell` on f1 and the spike map, `plain` and
+`fell` on interval values, `plain` on the dyadic dense split).  Each `<name>.argv` holds a JSON list of
 command-line arguments, and `<name>.out` is the exact stdout of
 `baire-lab` run with them: the `gallery` certificates of f1 and f2 and the
 `tree` operations.  After a change that alters a report on purpose,

@@ -23,13 +23,31 @@ trailing prefix entry per step and rotates the period by one each time;
 by entry and node by node, with the messages of the constructors, and the
 latter closes the off-branch nodes itself;
 `terminals_by_scan` tests every node against the branches.
+
+`spaces.grid_dist` reads each explicit row of both points from a dict;
+`grid_dist_by_row_scans` finds each one with `CantorGridPoint.row`, a scan
+of the point's explicit rows.
+
+`checkers.ProbeContext` gathers a delta ball's probes when a quantifier
+first reaches that ball.  `EagerProbeContext` gathers every ball in its
+constructor; swapped in for `ProbeContext` with monkeypatch, it must give
+the same verdicts.
 """
 
 import math
 from fractions import Fraction
 
+from baire_lab.checkers import ProbeContext, gather_probes
 from baire_lab.closed_sets import FiniteBaireSet, dist_to_set
-from baire_lab.spaces import BairePoint, CantorGridPoint, baire_dist, eventually_zero, node_rank, pair_index
+from baire_lab.spaces import (
+    BairePoint,
+    CantorGridPoint,
+    baire_dist,
+    eventually_zero,
+    first_disagreement,
+    node_rank,
+    pair_index,
+)
 from baire_lab.trees import EMPTY_NODE, _branch_cover_bound, terminals, tree_shift
 
 
@@ -183,3 +201,43 @@ def terminals_by_scan(t):
     parents = {u[:-1] for u in t.finite_part if u}
     return frozenset(u for u in t.finite_part
                      if u not in parents and not any(b.starts_with(u) for b in t.branches))
+
+
+def grid_dist_by_row_scans(a, b):
+    """`spaces.grid_dist`, looking up each explicit row of either point
+    with `CantorGridPoint.row`, and the least row index that neither point
+    lists by testing a sorted list."""
+    explicit = sorted({m for m, _ in a.explicit_rows} | {m for m, _ in b.explicit_rows})
+    candidates = []
+    for m in explicit:
+        s = first_disagreement(a.row(m), b.row(m))
+        if s is not None:
+            candidates.append(pair_index(m, s))
+    s_default = first_disagreement(a.default_row, b.default_row)
+    if s_default is not None:
+        m0 = 0
+        while m0 in explicit:
+            m0 += 1
+        candidates.append(pair_index(m0, s_default))
+    if not candidates:
+        return Fraction(0)
+    return Fraction(1, min(candidates) + 1)
+
+
+class EagerProbeContext(ProbeContext):
+    """`checkers.ProbeContext` with the probes of every delta ball gathered
+    in the constructor, in schedule order, whether or not a quantifier
+    reaches the ball."""
+
+    def __init__(self, multimap, x, cfg, probes):
+        super().__init__(multimap, x, cfg, probes)
+        self.probes = {
+            delta: gather_probes(multimap, probes, x, delta, cfg.probe_budget)
+            for delta in cfg.delta_schedule
+        }
+
+    def balls(self):
+        for k, delta in enumerate(self.cfg.delta_schedule):
+            if self._balls[k] is None:
+                self._balls[k] = list(dict.fromkeys(self.at(xp) for xp in self.probes[delta]))
+            yield delta, self._balls[k]

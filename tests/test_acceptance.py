@@ -32,7 +32,6 @@ from baire_lab.closed_sets import (
     closure,
     dist_to_set,
     finite_real,
-    open_intervals,
 )
 from baire_lab.gallery import (
     AffineMap,
@@ -52,7 +51,6 @@ from baire_lab.gallery import (
     is_dyadic,
     r_membership,
     spike_function,
-    split_probes,
 )
 from baire_lab.pointclass import classify, parse_expr, replay_trace
 from baire_lab.spaces import (
@@ -66,7 +64,13 @@ from baire_lab.spaces import (
 )
 from baire_lab.trees import is_ill_founded, make_tree, tree_shift
 
-from corpus_helpers import branch_bearing_trees, depth3_tree_sample, enumerate_prefix_closed_trees, grid_corpus
+from corpus_helpers import (
+    branch_bearing_trees,
+    depth3_tree_sample,
+    enumerate_prefix_closed_trees,
+    grid_corpus,
+    open_split_maps,
+)
 
 CFG = default_config()
 
@@ -77,6 +81,23 @@ def report(capsys, num, ok, desc, elapsed, limit=None):
     line = "ACCEPTANCE %02d %s %s [%.2fs%s]" % (num, "PASS" if ok else "FAIL", desc, elapsed, bound)
     with capsys.disabled():
         print("\n" + line)
+
+
+def counted_gathers(monkeypatch) -> list:
+    """The radius of every `gather_probes` call from here on: a delta ball
+    is gathered only when a quantifier reaches it, so the count is a
+    deterministic measure of the probing work."""
+    from baire_lab import checkers
+
+    radii = []
+    original = checkers.gather_probes
+
+    def counted(multimap, probes, x, radius, budget):
+        radii.append(radius)
+        return original(multimap, probes, x, radius, budget)
+
+    monkeypatch.setattr(checkers, "gather_probes", counted)
+    return radii
 
 
 # -- 1 ------------------------------------------------------------------------
@@ -202,8 +223,9 @@ def _random_tabular(rng):
     return tabular_multimap(space, values, REAL_LINE)
 
 
-def test_criterion_05_criterion_equivalence(capsys):
+def test_criterion_05_criterion_equivalence(capsys, monkeypatch):
     started = time.monotonic()
+    gathered = counted_gathers(monkeypatch)
     mmf1 = f1_multimap(8)
     mmf2 = f2_multimap()
     instances = [(mmf1, gamma, mmf1.default_probes) for gamma in grid_corpus()]
@@ -230,13 +252,15 @@ def test_criterion_05_criterion_equivalence(capsys):
     report(capsys, 5, ok, "plain checker = inf-sup criterion on %d conclusive pairs" % compared, elapsed)
     assert not disagreements, disagreements[:5]
     assert compared >= 500
+    assert len(gathered) == 18671  # 19,278 when every ball was gathered up front
 
 
 # -- 6 ------------------------------------------------------------------------
 
 
-def test_criterion_06_strong_continuity_splits(capsys):
+def test_criterion_06_strong_continuity_splits(capsys, monkeypatch):
     started = time.monotonic()
+    gathered = counted_gathers(monkeypatch)
     ds = dense_split("dyadic")
     dyadics = [Fr(0), Fr(1), Fr(1, 2), Fr(1, 4), Fr(3, 4), Fr(1, 8), Fr(5, 8), Fr(3, 16), Fr(7, 32), Fr(1, 64)]
     non_dyadics = [Fr(1, 3), Fr(2, 3), Fr(1, 5), Fr(2, 5), Fr(5, 6), Fr(1, 7), Fr(3, 7), Fr(1, 9), Fr(4, 11), Fr(9, 13)]
@@ -260,6 +284,7 @@ def test_criterion_06_strong_continuity_splits(capsys):
     ok = not disagreements
     report(capsys, 6, ok, "dense-split strong verdicts = membership, spike plain verdicts = complement (40 points)", elapsed)
     assert not disagreements, disagreements
+    assert len(gathered) == 238  # 360 when every ball was gathered up front
 
 
 # -- 7 ------------------------------------------------------------------------
@@ -434,26 +459,14 @@ def test_criterion_09_oracle_equivalence_on_finite_spaces(capsys):
 
 
 def _fell_instances():
-    def open_split(x):
-        return open_intervals((0, Fr(1, 4))) if is_dyadic(x) else open_intervals((0, 1))
-
-    def open_split_wide(x):
-        return open_intervals((0, 1)) if is_dyadic(x) else open_intervals((0, 1), (Fr(5, 4), Fr(3, 2)))
-
-    maps = [
-        MultiMap(UNIT_INTERVAL, UNIT_INTERVAL, open_split, name="open_split",
-                 default_probes=split_probes()),
-        MultiMap(UNIT_INTERVAL, REAL_LINE, open_split_wide, name="open_split_wide",
-                 default_probes=split_probes()),
-        dense_split("dyadic"),
-        dense_split("thirds"),
-    ]
+    maps = open_split_maps() + [dense_split("dyadic"), dense_split("thirds")]
     points = [Fr(1, 2), Fr(1, 3), Fr(2, 3), Fr(3, 8), Fr(5, 6)]
     return [(mm, x) for mm in maps for x in points]
 
 
-def test_criterion_10_lower_fell_equivalence(capsys):
+def test_criterion_10_lower_fell_equivalence(capsys, monkeypatch):
     started = time.monotonic()
+    gathered = counted_gathers(monkeypatch)
     instances = _fell_instances()
     assert len(instances) == 20
     disagreements = []
@@ -481,6 +494,7 @@ def test_criterion_10_lower_fell_equivalence(capsys):
     report(capsys, 10, ok, "lower-Fell = strong continuity of the closure map (%d conclusive pairs)" % compared, elapsed)
     assert not disagreements, disagreements
     assert compared >= 12
+    assert len(gathered) == 324  # 540 when every ball was gathered up front
 
 
 # -- 11 -----------------------------------------------------------------------

@@ -35,8 +35,14 @@ from baire_lab.instances import verdict_to_json
 from baire_lab.spaces import REAL_LINE, UNIT_INTERVAL, rational_points_space
 from baire_lab.trees import TREE_SPACE
 
-from corpus_helpers import branch_bearing_trees
-from scan_oracle import scan_search
+from corpus_helpers import (
+    branch_bearing_trees,
+    depth3_tree_sample,
+    enumerate_prefix_closed_trees,
+    grid_corpus,
+    open_split_maps,
+)
+from scan_oracle import EagerProbeContext, scan_search
 
 # ---------------------------------------------------------------------------
 # the exhaustive oracle: the definitions' quantifiers over the whole finite
@@ -370,10 +376,113 @@ def test_probe_generator_contract_is_enforced():
     mm = tabular_multimap(space, {p: finite_real(0) for p in space.points()}, REAL_LINE)
 
     def bad_probes(center, radius):
-        return [p for p in space.points()]  # ignores the radius
+        return [p for p in space.points()]  # ignores the radius: 1 is not inside the first ball
 
-    with pytest.raises(ValueError):
-        check_continuity(mm, Fr(0), default_config(), bad_probes)
+    for mode, evaluate in MODES.items():
+        args = ([(Fr(0), Fr(1, 2))],) if mode == "fell" else ()
+        with pytest.raises(ValueError, match="outside the open ball"):
+            evaluate(mm, Fr(0), default_config(), bad_probes, *args)
+    with pytest.raises(ValueError, match="outside the open ball"):
+        eval_strong_star(mm, Fr(0), default_config(), bad_probes)
+
+
+def test_a_ball_is_gathered_only_when_a_quantifier_reaches_it():
+    from baire_lab.gallery import f2_multimap
+    from baire_lab.spaces import parse_baire_point
+    from baire_lab.trees import make_tree
+
+    f2 = f2_multimap()
+    radii = []
+
+    def counted_probes(center, radius):
+        radii.append(radius)
+        return f2.default_probes(center, radius)
+
+    cfg = default_config()
+    t = make_tree(branches=[parse_baire_point(";0")])  # ill-founded: the first ball holds every table
+    assert check_continuity(f2, t, cfg, counted_probes).kind == "continuous"
+    assert radii == [Fr(1)]
+    radii.clear()
+    eval_star(f2, t, cfg, counted_probes)  # the criterion reads every ball
+    assert radii == list(cfg.delta_schedule)
+
+    # a generator fault at a ball that no quantifier reaches raises nothing;
+    # a certificate holds only probes of the balls that were gathered
+    space = rational_points_space([Fr(0), Fr(1, 1024)])
+    mm = tabular_multimap(space, {p: finite_real(0) for p in space.points()}, REAL_LINE)
+
+    def faulty_below_a_half(center, radius):
+        return [Fr(5)] if radius < Fr(1, 2) else full_domain_probes(space)(center, radius)
+
+    verdict = check_continuity(mm, Fr(0), cfg, faulty_below_a_half)
+    assert verdict.kind == "continuous"
+    assert {delta for _, delta in verdict.witness.table} == {Fr(1)}
+    with pytest.raises(DomainError, match="outside the domain"):
+        eval_star(mm, Fr(0), cfg, faulty_below_a_half)
+
+
+def _eager_context_agrees(monkeypatch, evaluate, mm, x, cfg, probes, *args) -> str:
+    from baire_lab import checkers
+
+    lazy = verdict_to_json(evaluate(mm, x, cfg, probes, *args))
+    with monkeypatch.context() as patched:
+        patched.setattr(checkers, "ProbeContext", EagerProbeContext)
+        eager = verdict_to_json(evaluate(mm, x, cfg, probes, *args))
+    assert lazy == eager, (mm.name, x, evaluate.__name__)
+    return lazy["verdict"]
+
+
+def test_gathering_balls_on_first_use_changes_no_verdict(monkeypatch):
+    from baire_lab.closed_sets import closure, eps_net
+    from baire_lab.gallery import dense_split, f1_multimap, f2_multimap, harmonic_spike_set, spike_function
+    from baire_lab.trees import make_tree
+
+    rng = random.Random(211)
+    pools = {
+        REAL_LINE: [Fr(0), Fr(1, 4), Fr(1, 2), Fr(1), Fr(3, 2), Fr(-1, 2), Fr(1, 3)],
+        UNIT_INTERVAL: [Fr(0), Fr(1), Fr(1, 2), Fr(1, 3), Fr(2, 3), Fr(1, 4), Fr(5, 7)],
+    }
+    coords = [Fr(k, 4) for k in range(-4, 6)] + [Fr(k, 1024) for k in range(-4, 5)]
+    instances = []
+    for _ in range(4):
+        mm = random_tabular(rng)
+        instances += [(mm, x, full_domain_probes(mm.domain)) for x in mm.domain.points()]
+    for codomain, pool in pools.items():
+        for _ in range(4):
+            space = rational_points_space(rng.sample(coords, rng.randrange(2, 5)))
+            mm = tabular_multimap(space, {p: _random_real_value(rng, pool) for p in space.points()}, codomain)
+            instances += [(mm, x, full_domain_probes(space)) for x in space.points()]
+    splits = open_split_maps()
+    splits += [MultiMap(mm.domain, mm.codomain, lambda p, mm=mm: closure(mm.rule(p)),
+                        name="closure(%s)" % mm.name, default_probes=mm.default_probes) for mm in splits]
+    splits += [dense_split("dyadic"), dense_split("thirds")]
+    instances += [(mm, x, mm.default_probes) for mm in splits for x in (Fr(1, 2), Fr(1, 3), Fr(3, 8), Fr(0))]
+    spike = spike_function(harmonic_spike_set())
+    instances += [(spike, x, spike.default_probes) for x in (Fr(1, 2), Fr(1, 3), Fr(2, 5), Fr(0), Fr(2))]
+    f1 = f1_multimap(8)
+    instances += [(f1, gamma, f1.default_probes) for gamma in grid_corpus()[:6]]
+    f2 = f2_multimap()
+    trees = [make_tree(nodes) for nodes in enumerate_prefix_closed_trees(2, 2)][:3]
+    trees += depth3_tree_sample(2, seed=919) + branch_bearing_trees()[:4]
+    instances += [(f2, t, f2.default_probes) for t in trees]
+
+    cfg = default_config(dense_bound=16, n_bound=4, m_bound=2)
+    seen: dict = {}
+    for mm, x, probes in instances:
+        value = closure(mm.value(x))
+        balls = [(y, Fr(1, 8)) for y in eps_net(value, Fr(1, 4))[:3]] or [(mm.codomain.dense_point(0), Fr(1, 2))]
+        for evaluate in (check_continuity, check_strong_continuity, eval_star, eval_dagger):
+            if evaluate is eval_dagger and mm is f2:
+                continue  # clipping is for real values
+            seen.setdefault(evaluate.__name__, set()).add(
+                _eager_context_agrees(monkeypatch, evaluate, mm, x, cfg, probes))
+        seen.setdefault("eval_lower_fell", set()).add(
+            _eager_context_agrees(monkeypatch, eval_lower_fell, mm, x, cfg, probes, balls))
+        seen.setdefault("eval_strong_star", set()).add(
+            _eager_context_agrees(monkeypatch, eval_strong_star, mm, x, cfg, probes))
+    assert len(seen) == 6
+    for name, verdicts in seen.items():
+        assert {"continuous", "discontinuous"} <= verdicts, (name, verdicts)
 
 
 def test_empty_value_at_x_follows_the_definitions():

@@ -65,6 +65,7 @@ from baire_lab.trees import is_ill_founded, make_tree, generated_by, parse_tree_
 
 from corpus_helpers import branch_bearing_trees, enumerate_prefix_closed_trees, grid_corpus
 from scan_oracle import (
+    grid_dist_by_row_scans,
     ones_completion_by_cells,
     row_constraint_length_by_steps,
     scan_search,
@@ -158,6 +159,20 @@ def test_f1_completions_stay_in_their_balls():
             flipped = flip_completion(gamma, bound)
             assert grid_dist(gamma, flipped) == Fr(1, bound + 1)
             assert flipped != gamma
+
+
+def test_grid_dist_matches_the_row_scan_oracle_on_witness_completions():
+    probes = f1_multimap(8).default_probes
+    rows = 0
+    for gamma in grid_corpus()[:24]:
+        witness = f1_witness(gamma, 8, CFG)
+        if not isinstance(witness, ContinuityWitness):
+            continue
+        for _, delta in witness.table:
+            for beta in probes(gamma, delta):
+                assert grid_dist(gamma, beta) == grid_dist_by_row_scans(gamma, beta), (gamma, delta)
+                rows = max(rows, len(beta.explicit_rows))
+    assert rows > 200  # the smallest witness deltas complete hundreds of rows
 
 
 def test_row_constraint_length_agrees_with_stepping():

@@ -28,7 +28,7 @@ from baire_lab.spaces import (
 )
 
 from corpus_helpers import finite_points_space
-from scan_oracle import baire_point_by_steps, canonical_seq_by_steps, outcome
+from scan_oracle import baire_point_by_steps, canonical_seq_by_steps, grid_dist_by_row_scans, outcome
 
 
 def random_baire_point(rng, max_entry=4, max_len=4):
@@ -215,6 +215,24 @@ def test_grid_dist_agrees_with_flat_scan():
             assert d == 0 or d < Fr(1, 600)
         else:
             assert d == Fr(1, got + 1)
+
+
+def test_grid_dist_matches_the_row_scan_oracle():
+    rng = random.Random(29)
+
+    def random_row(rng):
+        pre = tuple(rng.randrange(2) for _ in range(rng.randrange(5)))
+        return pre, tuple(rng.randrange(2) for _ in range(rng.randrange(1, 3)))
+
+    for _ in range(300):
+        shared = {m: random_row(rng) for m in rng.sample(range(40), rng.randrange(20))}
+        points = []
+        for _ in range(2):
+            rows = {m: row for m, row in shared.items() if rng.random() < 0.8}
+            rows.update({m: random_row(rng) for m in rng.sample(range(40), rng.randrange(4))})
+            points.append(grid_point(rows, ((), (rng.randrange(2),))))
+        a, b = points
+        assert grid_dist(a, b) == grid_dist_by_row_scans(a, b) == grid_dist(b, a), (a, b)
 
 
 def test_grid_rows_are_zero_one_sequences():
