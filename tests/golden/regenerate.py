@@ -4,9 +4,12 @@ Each `<name>.json` in this folder is an instance file, and `<name>.out` is
 the exact stdout of `baire-lab check <name>.json`.  The instances cover
 every multimap kind and all five modes, an Inconclusive verdict, an empty
 value, a point listed twice, f2 trees with one or two branches in `plain`
-and `star` mode (`f2_branch_trees_*`), and checks that can stop at the
+and `star` mode (`f2_branch_trees_*`), checks that can stop at the
 first delta ball (`strong` and `fell` on f1 and the spike map, `plain` and
-`fell` on interval values, `plain` on the dyadic dense split).  Each `<name>.argv` holds a JSON list of
+`fell` on interval values, `plain` on the dyadic dense split), f1's
+separation certificates (`f1_star`), and sequence-space values with an
+empty value among them (`tabular_baire_*`): ties at distance 1, refutation
+levels between members and separation certificates between finite sets.  Each `<name>.argv` holds a JSON list of
 command-line arguments, and `<name>.out` is the exact stdout of
 `baire-lab` run with them: the `gallery` certificates of f1 and f2 and the
 `tree` operations.  After a change that alters a report on purpose,

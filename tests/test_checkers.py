@@ -622,6 +622,34 @@ def test_sequence_space_distances_walk_to_the_least_disagreement(monkeypatch):
     assert 0 < calls["first_disagreement"] <= calls["queries"]
 
 
+def test_fraction_comparisons_on_the_golden_f2_trees(monkeypatch):
+    """A deterministic work count for the probe layer on sequence-space
+    values: the `Fraction` rich comparisons that `check_continuity` and
+    `eval_star` make on the f2 trees of the golden instances."""
+    import json
+    from pathlib import Path
+
+    from baire_lab.gallery import f2_multimap
+    from baire_lab.trees import parse_tree_literal
+
+    golden = Path(__file__).resolve().parent / "golden"
+    trees = dict.fromkeys(parse_tree_literal(point) for case in sorted(golden.glob("f2_*.json"))
+                          for point in json.loads(case.read_text())["points"])
+    f2, cfg = f2_multimap(), default_config()
+    compared = []
+    for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+        def counted(a, b, original=getattr(Fr, name)):
+            compared.append(None)
+            return original(a, b)
+        monkeypatch.setattr(Fr, name, counted)
+    for tree in trees:
+        check_continuity(f2, tree, cfg, f2.default_probes)
+        eval_star(f2, tree, cfg, f2.default_probes)
+    monkeypatch.undo()
+    assert len(trees) == 10
+    assert len(compared) == 794
+
+
 # ---------------------------------------------------------------------------
 # the closed-form least dense index against the index-by-index scan of the
 # codomain's dense sequence, swapped in for the search
