@@ -18,6 +18,12 @@ when a quantifier first reaches it, evaluates the map at each distinct
 probe point once, and lists the distinct values of each ball.  The
 checkers are quantifier layers over it; their predicates read only the
 value at a probe, so a table loop tests each distinct value once.
+On sequence space every distance is 1/L for an integer level L, or 0
+(`closed_sets._distance_level`), and the probe layer compares levels, not
+Fractions: dist < eps is L > eps.denominator // eps.numerator, exact for an
+integer L; misses are keyed by level; and a separation 1/L reaches 2/(n+1)
+exactly when n + 1 >= 2L.  A Fraction is built only where a certificate
+stores one, such as a refutation's level.
 The net of the value at x is the only net built: the distance from a net
 point to the net of a probe's value is measured in closed form, since an
 interval's net is a grid.  `verify_witness` does not use the context or
@@ -63,6 +69,8 @@ from typing import Any, Callable, Sequence
 from .closed_sets import (
     ClosedSetRepr,
     Empty,
+    FiniteBaireSet,
+    _distance_level,
     clip_to_interval,
     clips_properly,
     closure,
@@ -309,16 +317,24 @@ def _counterexamples(ctx: ProbeContext, miss: Callable[[int], Any]) -> tuple[tup
 
 def _validate_table(ctx: ProbeContext, y):
     dist, resolution = ctx.multimap.codomain.dist, ctx.cfg.net_resolution
-    near: dict = {}  # value index -> distance from y to the value's net; None for an empty net
+    sequence = isinstance(ctx.multimap.codomain, BaireSpace)
+    near: dict = {}  # value index -> distance from y to the value's net (None for an empty net), or its level
 
-    def close(i, eps) -> bool:
-        if i not in near:
-            near[i] = dist_to_net(y, ctx.distinct[i], resolution, dist)
-        return near[i] is not None and near[i] < eps
+    if sequence:  # Empty has no net: level 0 passes no bound, a member (level None) every one
+        def close(i, bound) -> bool:
+            if i not in near:
+                near[i] = 0 if isinstance(ctx.distinct[i], Empty) else _distance_level(y, ctx.distinct[i])
+            return near[i] is None or near[i] > bound
+    else:
+        def close(i, bound) -> bool:
+            if i not in near:
+                near[i] = dist_to_net(y, ctx.distinct[i], resolution, dist)
+            return near[i] is not None and near[i] < bound
 
     table = []
     for eps in ctx.cfg.eps_schedule:
-        found = ctx.first_delta(lambda i: close(i, eps))
+        bound = eps.denominator // eps.numerator if sequence else eps
+        found = ctx.first_delta(lambda i: close(i, bound))
         if found is None:
             return None
         table.append((eps, found))
@@ -326,7 +342,14 @@ def _validate_table(ctx: ProbeContext, y):
 
 
 def _refute_entry(ctx: ProbeContext, y, net_radius: Fraction):
-    counterexamples, level = _counterexamples(ctx, lambda i: dist_to_set(y, ctx.distinct[i]))
+    if isinstance(ctx.multimap.codomain, BaireSpace):
+        def miss(i):  # ordered as the distances: (0, 0) at 0, (1, -L) at 1/L
+            level = _distance_level(y, ctx.distinct[i])
+            return (0, 0) if level is None else (1, -level)
+        counterexamples, (far, minus) = _counterexamples(ctx, miss)
+        level = Fraction(1, -minus) if far else Fraction(0)
+    else:
+        counterexamples, level = _counterexamples(ctx, lambda i: dist_to_set(y, ctx.distinct[i]))
     for eps in ctx.cfg.eps_schedule:
         if eps <= level and eps - net_radius > 0:
             return RefutationEntry(y, eps, counterexamples)
@@ -396,52 +419,49 @@ def _threshold(n: int) -> Fraction:
     return Fraction(1, n + 1)
 
 
-def _certificate_level(probe_values, separation, enough: Fraction) -> Fraction | None:
-    """Separation evidence at one delta: None when an empty value is
-    present (everything is distance 1 from it — full refutation), else
-    the largest pairwise separation between the distinct value sets, or
-    the first one that reaches `enough`.
-
-    Two values sep apart refute every point y at level sep/2: y cannot be
-    closer than sep/2 to both, so the probe sup is at least sep/2 no
-    matter which dense index produced y.  Equal values are 0 apart and
-    add nothing; `separation` measures each distinct pair.
-    """
-    if any(isinstance(v, Empty) for v in probe_values):
-        return None
-    best = Fraction(0)
-    for a, b in combinations(probe_values, 2):
-        best = max(best, separation(a, b))
-        if best >= enough:
-            break
-    return best
-
-
 def _certified_level(values: dict, cfg: CheckConfig, failing: int) -> int | None:
     """The least level n >= failing, up to n_bound, whose refutation is
-    certified at every delta: each delta has an empty value or two values
-    2/(n+1) apart.  None when there is no such level.
+    certified at every delta: each delta has an empty value (everything is
+    distance 1 from it) or two values 2/(n+1) apart.  None when there is no
+    such level.
+
+    Two values sep > 0 apart refute every point y at level sep/2: y cannot
+    be closer than sep/2 to both, so the probe sup is at least sep/2 no
+    matter which dense index produced y.  So the pair certifies every n
+    from ceil(2/sep) - 1 on, read from sep's integers, or from 2L - 1 on
+    for sequence-space values 1/L apart.
 
     Each unordered pair of distinct values is measured at most once, and
     a delta's pairs only until one certifies the level the deltas measured
     so far require.  The smallest balls come first: they have the fewest
     values and tend to require the highest level.
     """
-    separations: dict = {}
+    never = cfg.n_bound + 1
+    needs: dict = {}  # pair -> the least level it certifies
 
-    def separation(a, b) -> Fraction:
+    def need(a, b) -> int:
         pair = frozenset((a, b))
-        if pair not in separations:
-            separations[pair] = set_separation(a, b)
-        return separations[pair]
+        if pair not in needs:
+            if isinstance(a, FiniteBaireSet):
+                level = _distance_level(a, b)
+                needs[pair] = never if level is None else 2 * level - 1
+            else:
+                sep = set_separation(a, b)
+                needs[pair] = -(-2 * sep.denominator // sep.numerator) - 1 if sep else never
+        return needs[pair]
 
     n = failing
     for delta in reversed(cfg.delta_schedule):
-        level = _certificate_level(values[delta], separation, 2 * _threshold(n))
-        while level is not None and level < 2 * _threshold(n):
-            n += 1
-            if n > cfg.n_bound:
-                return None
+        if any(isinstance(v, Empty) for v in values[delta]):
+            continue
+        least = never
+        for a, b in combinations(values[delta], 2):
+            least = min(least, need(a, b))
+            if least <= n:
+                break
+        n = max(n, least)
+        if n > cfg.n_bound:
+            return None
     return n
 
 

@@ -30,8 +30,10 @@ the distance from y to a finite set is 1/(d + 1) for the longest
 agreement d of y with a point of the set: walking y's entries and keeping
 the points that still agree with y finds d once at most one point is
 left, and only that point is compared with y as a whole
-(`_longest_agreement`).  The separation of two finite sets is the least
-such distance over the points of one of them.
+(`_longest_agreement`).  `_distance_level` returns the integer level
+d + 1 (None at distance 0, 1 for Empty), which the probe layer compares
+exactly with integer arithmetic instead of building a Fraction; the level
+of the separation of two finite sets is the largest over the points of one.
 """
 
 from __future__ import annotations
@@ -157,25 +159,39 @@ def _longest_agreement(y: BairePoint, points) -> int | None:
     return n - 1
 
 
-def dist_to_set(y, s: ClosedSetRepr) -> Fraction:
-    """Exact infimum distance; 1 for the empty set by convention.
-
-    For a finite sequence-space set: baire_dist(y, p) = 1/(d + 1) falls as
-    the first disagreement d moves out, so the nearest point is the one
-    that agrees with y longest, and `_longest_agreement` finds its d by
-    walking y's entries, with one whole comparison at most.  The distance
-    is 0 exactly when y is a point of the set.
-    """
+def _distance_level(y, s: ClosedSetRepr) -> int | None:
+    """The integer level L of the distance 1/L from y to a sequence-space
+    value s, or None when the distance is 0: 1 for Empty, by the
+    convention, and d + 1 for the longest agreement d of y with a point of
+    a finite set (`_longest_agreement`).  For a finite set y, the level of
+    the separation: the largest level of a point of y, None as soon as one
+    lies in s."""
     if isinstance(s, Empty):
-        return Fraction(1)
+        return 1
+    if isinstance(y, FiniteBaireSet):
+        top = 0
+        for p in y.points:
+            level = _distance_level(p, s)
+            if level is None:
+                return None
+            top = max(top, level)
+        return top
+    d = _longest_agreement(y, s.points)
+    return None if d is None else d + 1
+
+
+def dist_to_set(y, s: ClosedSetRepr) -> Fraction:
+    """Exact infimum distance; 1 for the empty set by convention, and
+    1/L for the level L of `_distance_level` from a finite sequence-space
+    set (0 exactly when y is a point of the set)."""
+    if isinstance(s, (Empty, FiniteBaireSet)):
+        level = _distance_level(y, s)
+        return Fraction(0) if level is None else Fraction(1, level)
     if isinstance(s, FiniteRealSet):
         return min(abs(y - p) for p in s.points)
     if isinstance(s, IntervalUnion):
         # inf distance to an interval equals distance to its closure
         return min(_interval_dist(y, a, b) for a, b in s.intervals)
-    if isinstance(s, FiniteBaireSet):
-        d = _longest_agreement(y, s.points)
-        return Fraction(0) if d is None else Fraction(1, d + 1)
     raise TypeError("unknown set representation: %r" % (s,))
 
 
@@ -251,15 +267,10 @@ def dist_to_net(y, s: ClosedSetRepr, eps: Fraction, dist) -> Fraction | None:
     under |x - y|: in each interval's grid it is one of the two grid points
     on either side of y, with k clamped to the grid's range, or an extra
     point.  `dist` then measures it.  Enumerated variants are their own
-    nets.  A finite sequence-space set is measured by `dist_to_set`:
-    `fits_space` admits it only in sequence space, whose `dist` is
-    `baire_dist`, so the nearest net point is the nearest point of the set
-    and the two minima are the same.
+    nets.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if isinstance(s, FiniteBaireSet):
-        return dist_to_set(y, s)
     if not isinstance(s, IntervalUnion):
         return min((dist(y, p) for p in enumerate_points(s)), default=None)
     step = eps / 2
@@ -410,22 +421,9 @@ def set_separation(s1: ClosedSetRepr, s2: ClosedSetRepr) -> Fraction | None:
 
     None when either side is Empty (callers treat an empty value as an
     automatic refuter through the distance-1 convention).
-
-    Two finite sequence-space sets are 1/(d + 1) apart for the longest
-    agreement d between a point of one and a point of the other, so
-    `_longest_agreement` walks from each point of s1 into s2, and the
-    separation is 0 as soon as one of them is a point of s2.
     """
     if isinstance(s1, Empty) or isinstance(s2, Empty):
         return None
-    if isinstance(s1, FiniteBaireSet) and isinstance(s2, FiniteBaireSet):
-        longest = -1
-        for p in s1.points:
-            d = _longest_agreement(p, s2.points)
-            if d is None:
-                return Fraction(0)
-            longest = max(longest, d)
-        return Fraction(1, longest + 1)
     p1, p2 = enumerate_points(s1), enumerate_points(s2)
     if p1 is not None:
         return min(dist_to_set(p, s2) for p in p1)

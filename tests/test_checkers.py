@@ -584,14 +584,15 @@ def test_the_table_loop_measures_interval_nets_in_closed_form(monkeypatch):
 
 
 def test_sequence_space_distances_walk_to_the_least_disagreement(monkeypatch):
-    """On f2 trees the checkers measure sequence-space values without
-    measuring pairs of points: no `baire_dist` call, and at most one
-    `first_disagreement` in `closed_sets` per point-to-set distance (each
-    dist_to_set and dist_to_net, and each point of the first set of a
-    set_separation)."""
+    """On f2 trees the checkers measure sequence-space values by their
+    integer levels, without measuring pairs of points: every distance and
+    separation goes through `_distance_level`, with no `baire_dist` call,
+    no Fraction distance kernel, and at most one `first_disagreement` in
+    `closed_sets` per point-to-set query (one per point of a set)."""
     from collections import Counter
 
     from baire_lab import checkers, closed_sets, spaces
+    from baire_lab.closed_sets import FiniteBaireSet
     from baire_lab.gallery import f2_multimap
     from baire_lab.trees import generated_by
 
@@ -607,10 +608,11 @@ def test_sequence_space_distances_walk_to_the_least_disagreement(monkeypatch):
     monkeypatch.setattr(spaces, "baire_dist", counted("baire_dist", spaces.baire_dist))
     monkeypatch.setattr(closed_sets, "first_disagreement",
                         counted("first_disagreement", closed_sets.first_disagreement))
-    for name in ("dist_to_set", "dist_to_net"):
-        monkeypatch.setattr(checkers, name, counted(name, getattr(checkers, name), lambda *args: 1))
-    monkeypatch.setattr(checkers, "set_separation",
-                        counted("set_separation", checkers.set_separation, lambda a, b: len(a.points)))
+    for name in ("dist_to_set", "dist_to_net", "set_separation"):
+        monkeypatch.setattr(checkers, name, counted(name, getattr(checkers, name)))
+    monkeypatch.setattr(checkers, "_distance_level", counted(
+        "_distance_level", checkers._distance_level,
+        lambda y, s: len(y.points) if isinstance(y, FiniteBaireSet) else 1))
     f2 = f2_multimap()
     trees = [generated_by([(0, 1), (1, 0)]), generated_by([(0, 0), (0, 2), (2, 1)]), generated_by([(1, 1)])]
     trees += branch_bearing_trees()[5:8]
@@ -618,7 +620,8 @@ def test_sequence_space_distances_walk_to_the_least_disagreement(monkeypatch):
         check_continuity(f2, tree, default_config(), f2.default_probes)
         eval_star(f2, tree, default_config(), f2.default_probes)
     assert calls["baire_dist"] == 0
-    assert calls["dist_to_net"] and calls["set_separation"]
+    assert calls["dist_to_set"] == calls["dist_to_net"] == calls["set_separation"] == 0
+    assert calls["_distance_level"]
     assert 0 < calls["first_disagreement"] <= calls["queries"]
 
 
@@ -647,7 +650,7 @@ def test_fraction_comparisons_on_the_golden_f2_trees(monkeypatch):
         eval_star(f2, tree, cfg, f2.default_probes)
     monkeypatch.undo()
     assert len(trees) == 10
-    assert len(compared) == 794
+    assert len(compared) == 329  # 794 before the probe layer compared levels
 
 
 # ---------------------------------------------------------------------------
@@ -740,15 +743,14 @@ def test_star_scan_enumerates_no_dense_point_and_separates_each_pair_once(monkey
             return original(self, s)
 
         monkeypatch.setattr(cls, "dense_point", counted_dense)
-    original_separation = checkers.set_separation
+    for name in ("set_separation", "_distance_level"):  # real pairs, and sequence-space pairs by level
+        def counted_separation(a, b, original=getattr(checkers, name)):
+            pairs[frozenset((a, b))] += 1
+            return original(a, b)
 
-    def counted_separation(a, b):
-        pairs[frozenset((a, b))] += 1
-        return original_separation(a, b)
-
-    monkeypatch.setattr(checkers, "set_separation", counted_separation)
+        monkeypatch.setattr(checkers, name, counted_separation)
     f1, f2 = f1_multimap(), f2_multimap()
-    measured = 0
+    measured = sequence_pairs = 0
     for mm, x in (
         (f2, make_tree([(0, 1), (2,)])),
         (f2, make_tree([(0,)], branches=[parse_baire_point(";1")])),
@@ -760,4 +762,5 @@ def test_star_scan_enumerates_no_dense_point_and_separates_each_pair_once(monkey
         assert all(len(pair) == 2 for pair in pairs)  # equal values are never measured
         assert not pairs or max(pairs.values()) == 1
         measured += len(pairs)
-    assert measured and not dense_calls
+        sequence_pairs += mm is f2 and len(pairs)
+    assert measured > sequence_pairs > 0 and not dense_calls

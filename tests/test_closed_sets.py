@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from baire_lab.checkers import default_config
 from baire_lab.closed_sets import (
     Empty,
+    _distance_level,
     FiniteBaireSet,
     FiniteRealSet,
     IntervalUnion,
@@ -131,6 +133,40 @@ def test_sequence_space_kernels_match_the_pairwise_oracles_on_drawn_sets(data):
     assert dist_to_set(y, s1) == expected
     assert dist_to_net(y, s1, Fr(1, 8), BAIRE_SPACE.dist) == expected
     assert set_separation(s1, s2) == separation_by_pairs(s1, s2)
+
+
+_SCHEDULE = default_config().eps_schedule
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(data=st.data())
+def test_distance_levels_match_the_fraction_distances(data):
+    """`_distance_level` against `dist_to_set`, the pairwise oracles and the
+    empty-set convention, on drawn sets (Empty, one point or more, points
+    that share a deep trunk) and on y drawn from the set or outside it.
+    The integer tests the probe layer makes on a level agree with the
+    Fraction comparisons they replace: L > eps.denominator // eps.numerator
+    with 1/L < eps, over the default schedule and drawn eps, and
+    n + 1 >= 2L with 1/L >= 2/(n + 1)."""
+    points = data.draw(st.frozensets(_POINTS, max_size=5))
+    s = FiniteBaireSet(points) if points else Empty()
+    y = data.draw(st.one_of(_POINTS, st.sampled_from(sorted(points))) if points else _POINTS)
+    level = _distance_level(y, s)
+    expected = baire_dist_to_points(y, s) if points else Fr(1)
+    assert (Fr(0) if level is None else Fr(1, level)) == dist_to_set(y, s) == expected
+    assert (level is None) == set_contains(y, s)
+    if points:
+        other = FiniteBaireSet(data.draw(st.frozensets(_POINTS, min_size=1, max_size=4)))
+        separation = _distance_level(other, s)
+        assert (Fr(0) if separation is None else Fr(1, separation)) == separation_by_pairs(other, s)
+    if level is None:
+        return
+    drawn = data.draw(st.lists(st.fractions(min_value=Fr(1, 10 ** 6), max_value=2, max_denominator=10 ** 6),
+                               max_size=5))
+    for eps in (*_SCHEDULE, *drawn):
+        assert (level > eps.denominator // eps.numerator) == (Fr(1, level) < eps), (level, eps)
+    for n in range(2 * level + 2):
+        assert (n + 1 >= 2 * level) == (Fr(1, level) >= Fr(2, n + 1)), (level, n)
 
 
 def test_dist_interval_cases():
