@@ -26,13 +26,15 @@ from baire_lab.checkers import (
 )
 from baire_lab.closed_sets import (
     Empty,
+    FiniteBaireSet,
     closed_intervals,
     dist_to_set,
+    enumerate_points,
     finite_real,
     open_intervals,
 )
 from baire_lab.instances import verdict_to_json
-from baire_lab.spaces import REAL_LINE, UNIT_INTERVAL, rational_points_space
+from baire_lab.spaces import BAIRE_SPACE, REAL_LINE, UNIT_INTERVAL, parse_baire_point, rational_points_space
 from baire_lab.trees import TREE_SPACE
 
 from corpus_helpers import (
@@ -59,7 +61,7 @@ def _oracle_validated(mm, x, y, cfg):
         good_delta = False
         for delta in cfg.delta_schedule:
             if all(
-                any(abs(y - yp) < eps for yp in mm.value(xp).points)
+                any(mm.codomain.dist(y, yp) < eps for yp in enumerate_points(mm.value(xp)))
                 for xp in _ball(mm.domain, x, delta)
             ):
                 good_delta = True
@@ -73,7 +75,7 @@ def _oracle_refuted(mm, x, y, cfg):
     for eps in cfg.eps_schedule:
         if all(
             any(
-                min(abs(y - yp) for yp in mm.value(xp).points) >= eps
+                min((mm.codomain.dist(y, yp) for yp in enumerate_points(mm.value(xp))), default=1) >= eps
                 for xp in _ball(mm.domain, x, delta)
             )
             for delta in cfg.delta_schedule
@@ -83,7 +85,10 @@ def _oracle_refuted(mm, x, y, cfg):
 
 
 def brute_force_verdict(mm, x, cfg, mode):
-    ys = sorted(mm.value(x).points)
+    """The definitions over the whole finite domain, each distance measured
+    by the codomain's metric point by point; an empty value has no point to
+    be near and is 1 from every point."""
+    ys = sorted(enumerate_points(mm.value(x)))
     if mode == "plain":
         if any(_oracle_validated(mm, x, y, cfg) for y in ys):
             return "continuous"
@@ -130,6 +135,30 @@ def test_tabular_checkers_match_brute_force_oracle():
             for mode, checker in (("plain", check_continuity), ("strong", check_strong_continuity)):
                 got = checker(mm, x, cfg, probes)
                 assert got.kind == brute_force_verdict(mm, x, cfg, mode), (mm.name, x, mode)
+                if got.witness is not None:
+                    assert verify_witness(mm, x, got.witness, probes)
+
+
+_SEQUENCE_POOL = [parse_baire_point(text) for text in (";0", "0,1;0", "0,1,1;0", "0,1,1,1;0", "1;0", ";1", "2;0")]
+
+
+def test_sequence_space_tabular_checkers_match_brute_force_oracle():
+    """The level tests of the table loop and the refutation against
+    `baire_dist` point by point: eps values equal to realized distances
+    (1/2, 1/3, 1/4) and one above 1, and empty values among the others."""
+    rng = random.Random(109)
+    cfg = default_config(eps_schedule=(Fr(2), Fr(1), Fr(1, 2), Fr(1, 3), Fr(1, 4), Fr(1, 8)))
+    for _ in range(80):
+        coords = rng.sample([Fr(k, 1024) for k in range(-4, 5)] + [Fr(k, 4) for k in range(1, 5)], rng.randrange(2, 6))
+        space = rational_points_space(coords)
+        values = {p: FiniteBaireSet(frozenset(rng.sample(_SEQUENCE_POOL, rng.randrange(1, 4))))
+                  if rng.random() < 0.85 else Empty() for p in space.points()}
+        mm = tabular_multimap(space, values, BAIRE_SPACE)
+        probes = full_domain_probes(space)
+        for x in space.points():
+            for mode, checker in (("plain", check_continuity), ("strong", check_strong_continuity)):
+                got = checker(mm, x, cfg, probes)
+                assert got.kind == brute_force_verdict(mm, x, cfg, mode), (values, x, mode)
                 if got.witness is not None:
                     assert verify_witness(mm, x, got.witness, probes)
 
