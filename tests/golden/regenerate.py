@@ -1,15 +1,20 @@
 """Golden `baire-lab` reports.
 
 Each `<name>.json` in this folder is an instance file, and `<name>.out` is
-the exact stdout of `baire-lab check <name>.json`.  The instances cover
-every multimap kind and all five modes, an Inconclusive verdict, an empty
+the exact stdout of `baire-lab check <name>.json`, or its stderr when the
+check refuses the instance with exit 2.  The instances cover every
+multimap kind and all five modes, an Inconclusive verdict, an empty
 value, a point listed twice, f2 trees with one or two branches in `plain`
 and `star` mode (`f2_branch_trees_*`), checks that can stop at the
 first delta ball (`strong` and `fell` on f1 and the spike map, `plain` and
 `fell` on interval values, `plain` on the dyadic dense split), f1's
-separation certificates (`f1_star`), and sequence-space values with an
+separation certificates (`f1_star`), sequence-space values with an
 empty value among them (`tabular_baire_*`): ties at distance 1, refutation
-levels between members and separation certificates between finite sets.  Each `<name>.argv` holds a JSON list of
+levels between members, strong refutations and separation certificates
+between finite sets, the `dagger` mode on f1, the spike map and a tabular
+map, `star` on the dyadic dense split, and one refusal: f2 in `dagger`
+mode (`f2_dagger_refused`), whose report is the `{"error", "path"}`
+object.  Each `<name>.argv` holds a JSON list of
 command-line arguments, and `<name>.out` is the exact stdout of
 `baire-lab` run with them: the `gallery` certificates of f1 and f2 and the
 `tree` operations.  After a change that alters a report on purpose,
@@ -42,12 +47,13 @@ def cases() -> list[Path]:
 
 def render(case: Path) -> tuple[int, str]:
     """The exit code and stdout of `baire-lab check` on an instance file,
-    or of `baire-lab` with the arguments of an argv file."""
+    or of `baire-lab` with the arguments of an argv file; the stderr
+    instead when it exits 2, refusing its input."""
     argv = json.loads(case.read_text()) if case.suffix == ".argv" else ["check", str(case)]
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    return code, out.getvalue()
+    return code, (err if code == 2 else out).getvalue()
 
 
 def main(argv: list[str]) -> int:

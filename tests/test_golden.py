@@ -22,7 +22,7 @@ def test_golden_folder_pairs_every_instance_with_its_report():
     instances = sorted(p.stem for p in GOLDEN.glob("*.json"))
     argvs = sorted(p.stem for p in GOLDEN.glob("*.argv"))
     reports = sorted(p.stem for p in GOLDEN.glob("*.out"))
-    assert len(instances) >= 29
+    assert len(instances) >= 35
     assert len(argvs) >= 7
     assert not set(instances) & set(argvs)
     assert sorted(instances + argvs) == reports
@@ -41,7 +41,9 @@ def test_check_reports_match_the_golden_bytes(seed):
     for name, (code, report) in rendered.items():
         assert report == (GOLDEN / (name + ".out")).read_text(), name
         payload = json.loads(report)
-        if "results" in payload:
+        if set(payload) == {"error", "path"}:
+            assert code == 2, name  # a refused instance
+        elif "results" in payload:
             verdicts = [r["verdict"] for r in payload["results"]]
             assert code == (3 if "inconclusive" in verdicts else 0), name
         else:
