@@ -15,9 +15,11 @@ value sets, and bounded dense-sequence indices.  Outcomes are tri-valued:
 
 One probe context feeds every checker: it gathers each delta ball once,
 when a quantifier first reaches it, evaluates the map at each distinct
-probe point once, and lists the distinct values of each ball.  The
-checkers are quantifier layers over it; their predicates read only the
-value at a probe, so a table loop tests each distinct value once.
+probe point once, and keeps each ball's probes with their value indices,
+in probe order, and the distinct values of each ball; no probe point is
+hashed again after its ball is gathered.  The checkers are quantifier
+layers over it; their predicates read only the value at a probe, so a
+table loop tests each distinct value once.
 On sequence space every distance is 1/L for an integer level L, or 0
 (`closed_sets._distance_level`), and the probe layer compares levels, not
 Fractions: dist < eps is L > eps.denominator // eps.numerator, exact for an
@@ -251,6 +253,8 @@ class ProbeContext:
     nothing.  The quantifiers range over a ball's distinct values, listed
     in the order they first appear, since every predicate reads only the
     value at a probe; each has an index into `distinct`, keying the memos.
+    Each ball keeps its probes and their value indices, in probe order, so
+    a counterexample is read from them without hashing a probe again.
     """
 
     def __init__(self, multimap: MultiMap, x, cfg: CheckConfig, probes: ProbeGen):
@@ -262,25 +266,27 @@ class ProbeContext:
         self._balls: list = [None] * len(cfg.delta_schedule)
         self.value_at_x = self.distinct[self.at(x)]  # DomainError off the domain, before any probing
         self._gather = lambda delta: gather_probes(multimap, probes, x, delta, cfg.probe_budget)
-        self.probes: dict = {}  # delta -> the probes of its ball, once a quantifier reaches it
+        self.probes: list = [None] * len(cfg.delta_schedule)  # per ball: its probes, once a quantifier reaches it
+        self.indices: list = [None] * len(cfg.delta_schedule)  # per ball: the value index at each of its probes
 
     def at(self, xp) -> int:
         """The index of the value at xp; F is evaluated there on first use."""
-        if xp not in self._at:
+        i = self._at.get(xp)
+        if i is None:
             value = self.multimap.value(xp)
-            if value not in self._index:
-                self._index[value] = len(self.distinct)
+            i = self._at[xp] = self._index.setdefault(value, len(self.distinct))
+            if i == len(self.distinct):
                 self.distinct.append(value)
-            self._at[xp] = self._index[value]
-        return self._at[xp]
+        return i
 
     def balls(self):
         """Per delta of the schedule, in order: the delta and the indices of
         the distinct values at the probes of its ball."""
         for k, delta in enumerate(self.cfg.delta_schedule):
             if self._balls[k] is None:
-                self.probes[delta] = self._gather(delta)
-                self._balls[k] = list(dict.fromkeys(self.at(xp) for xp in self.probes[delta]))
+                self.probes[k] = self._gather(delta)
+                self.indices[k] = [self.at(xp) for xp in self.probes[k]]
+                self._balls[k] = list(dict.fromkeys(self.indices[k]))
             yield delta, self._balls[k]
 
     def value_lists(self) -> dict:
@@ -301,13 +307,15 @@ def _counterexamples(ctx: ProbeContext, miss: Callable[[int], Any]) -> tuple[tup
     value's index (measured once per distinct value); also the least of
     those largest misses."""
     misses: dict = {}  # value index -> its miss
-    out = []
-    for delta, ball in ctx.balls():
+    out, most = [], []
+    for k, (delta, ball) in enumerate(ctx.balls()):
         for i in ball:
             if i not in misses:
                 misses[i] = miss(i)
-        out.append((delta, max(ctx.probes[delta], key=lambda xp: misses[ctx.at(xp)])))
-    return tuple(out), min(misses[ctx.at(xp)] for _, xp in out)
+        xp, i = max(zip(ctx.probes[k], ctx.indices[k]), key=lambda probe: misses[probe[1]])
+        out.append((delta, xp))
+        most.append(misses[i])
+    return tuple(out), min(most)
 
 
 # ---------------------------------------------------------------------------

@@ -49,14 +49,14 @@ from .trees import Tree, terminals
 
 @dataclass(frozen=True)
 class FiniteRealSet:
-    points: frozenset[Fraction]
+    points: frozenset[Fraction]  # built from any iterable of rationals, each converted and hashed once
 
     kind = "finite_real"
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "points", frozenset(Fraction(p) for p in self.points))
         if not self.points:
             raise ValueError("finite set variant must be nonempty; use Empty")
-        object.__setattr__(self, "points", frozenset(Fraction(p) for p in self.points))
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ ClosedSetRepr = FiniteRealSet | IntervalUnion | FiniteBaireSet | Empty
 
 
 def finite_real(*points) -> FiniteRealSet:
-    return FiniteRealSet(frozenset(Fraction(p) for p in points))
+    return FiniteRealSet(points)
 
 
 def closed_intervals(*intervals) -> IntervalUnion:
@@ -442,7 +442,7 @@ def set_from_json(obj: dict) -> ClosedSetRepr:
 
     kind = obj.get("kind")
     if kind == "finite_real":
-        return FiniteRealSet(frozenset(parse_rational(p) for p in obj["points"]))
+        return FiniteRealSet(parse_rational(p) for p in obj["points"])
     if kind in ("closed_intervals", "open_intervals"):
         intervals = tuple((parse_rational(a), parse_rational(b)) for a, b in obj["intervals"])
         return IntervalUnion(intervals, kind == "closed_intervals")

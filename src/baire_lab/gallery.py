@@ -120,7 +120,7 @@ def f1_value(gamma: CantorGridPoint, window: int = F1_DEFAULT_WINDOW) -> FiniteR
             points.add(Fraction(m))
         else:
             points.add(m + Fraction(1, n_of(gamma, m) + 1))
-    return FiniteRealSet(frozenset(points))
+    return FiniteRealSet(points)
 
 
 def f1_graph_member(gamma: CantorGridPoint, y: Fraction) -> bool:
@@ -529,7 +529,7 @@ def whole_space_repr(codomain) -> ClosedSetRepr:
     if isinstance(codomain, UnitInterval):
         return IntervalUnion(((Fraction(0), Fraction(1)),), True)
     if isinstance(codomain, FinitePoints) and codomain.rational_labels:
-        return FiniteRealSet(frozenset(codomain.points()))
+        return FiniteRealSet(codomain.points())
     raise ValueError(
         "codomain %r admits no whole-space representation; the extension's "
         "off-image value is not representable" % getattr(codomain, "name", codomain)
@@ -569,7 +569,7 @@ class AffineMap:
         if isinstance(s, Empty):
             return s
         if isinstance(s, FiniteRealSet):
-            return FiniteRealSet(frozenset(self.apply(p) for p in s.points))
+            return FiniteRealSet(self.apply(p) for p in s.points)
         if isinstance(s, IntervalUnion):
             mapped = []
             for a, b in s.intervals:
@@ -613,7 +613,7 @@ class BaireEmbedding:
         if isinstance(s, Empty):
             return s
         if isinstance(s, FiniteBaireSet):
-            return FiniteRealSet(frozenset(self.apply(p) for p in s.points))
+            return FiniteRealSet(self.apply(p) for p in s.points)
         raise ValueError("embedded image of %r is not representable" % (s,))
 
 

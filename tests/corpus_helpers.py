@@ -4,8 +4,8 @@ import random
 from fractions import Fraction as Fr
 
 from baire_lab.checkers import MultiMap
-from baire_lab.closed_sets import open_intervals
-from baire_lab.gallery import is_dyadic, split_probes
+from baire_lab.closed_sets import closure, open_intervals
+from baire_lab.gallery import dense_split, is_dyadic, split_probes
 from baire_lab.spaces import REAL_LINE, UNIT_INTERVAL, FinitePoints, eventually_zero, grid_point, parse_baire_point
 from baire_lab.trees import make_tree
 
@@ -49,6 +49,33 @@ def open_split_maps():
         MultiMap(UNIT_INTERVAL, UNIT_INTERVAL, open_split, name="open_split", default_probes=split_probes()),
         MultiMap(UNIT_INTERVAL, REAL_LINE, open_split_wide, name="open_split_wide", default_probes=split_probes()),
     ]
+
+
+def closure_map(mm):
+    """The map sending x to the closure of mm's value at x, with mm's probes."""
+    return MultiMap(mm.domain, mm.codomain, lambda p: closure(mm.rule(p)),
+                    name="closure(%s)" % mm.name, default_probes=mm.default_probes)
+
+
+def fell_instances():
+    """The maps and points of criterion 10: the open-split maps and both
+    dense splits, each at five points."""
+    maps = open_split_maps() + [dense_split("dyadic"), dense_split("thirds")]
+    points = [Fr(1, 2), Fr(1, 3), Fr(2, 3), Fr(3, 8), Fr(5, 6)]
+    return [(mm, x) for mm in maps for x in points]
+
+
+# The points of criterion 6: ten dyadics and ten other points for the dyadic
+# dense split, the first ten points of the harmonic spike set and ten others
+# for the spike map.
+DENSE_SPLIT_POINTS = (
+    [Fr(0), Fr(1), Fr(1, 2), Fr(1, 4), Fr(3, 4), Fr(1, 8), Fr(5, 8), Fr(3, 16), Fr(7, 32), Fr(1, 64)]
+    + [Fr(1, 3), Fr(2, 3), Fr(1, 5), Fr(2, 5), Fr(5, 6), Fr(1, 7), Fr(3, 7), Fr(1, 9), Fr(4, 11), Fr(9, 13)]
+)
+SPIKE_POINTS = (
+    [Fr(1, n + 1) for n in range(10)]
+    + [Fr(0), Fr(2), Fr(2, 5), Fr(3, 7), Fr(2, 7), Fr(5, 11), Fr(-1, 3), Fr(7, 9), Fr(3, 5), Fr(5, 7)]
+)
 
 
 DEPTH3_UNIVERSE = (

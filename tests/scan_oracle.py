@@ -32,6 +32,11 @@ of the point's explicit rows.
 first reaches that ball.  `EagerProbeContext` gathers every ball in its
 constructor; swapped in for `ProbeContext` with monkeypatch, it must give
 the same verdicts.
+
+`checkers._counterexamples` reads each ball's probes and their value
+indices from the probe context; `counterexamples_by_probes` gathers each
+ball with `gather_probes` and evaluates the map at every probe, with no
+context, and measures each miss on the value itself.
 """
 
 import math
@@ -224,20 +229,29 @@ def grid_dist_by_row_scans(a, b):
     return Fraction(1, min(candidates) + 1)
 
 
+def counterexamples_by_probes(multimap, x, cfg, probes, miss):
+    """`checkers._counterexamples` with no probe context: per delta of the
+    schedule, the first probe of its ball whose value misses most, by
+    `miss` of the value, found in a plain loop; also the least of those
+    largest misses."""
+    out, most = [], []
+    for delta in cfg.delta_schedule:
+        worst = None
+        for xp in gather_probes(multimap, probes, x, delta, cfg.probe_budget):
+            m = miss(multimap.value(xp))
+            if worst is None or m > worst:
+                worst, far = m, xp
+        out.append((delta, far))
+        most.append(worst)
+    return tuple(out), min(most)
+
+
 class EagerProbeContext(ProbeContext):
     """`checkers.ProbeContext` with the probes of every delta ball gathered
     in the constructor, in schedule order, whether or not a quantifier
-    reaches the ball."""
+    reaches the ball.  The context's own `balls` then reads the gathered
+    probes, so that it keeps the same per-ball lists."""
 
     def __init__(self, multimap, x, cfg, probes):
         super().__init__(multimap, x, cfg, probes)
-        self.probes = {
-            delta: gather_probes(multimap, probes, x, delta, cfg.probe_budget)
-            for delta in cfg.delta_schedule
-        }
-
-    def balls(self):
-        for k, delta in enumerate(self.cfg.delta_schedule):
-            if self._balls[k] is None:
-                self._balls[k] = list(dict.fromkeys(self.at(xp) for xp in self.probes[delta]))
-            yield delta, self._balls[k]
+        self._gather = {delta: self._gather(delta) for delta in cfg.delta_schedule}.__getitem__

@@ -15,7 +15,6 @@ from fractions import Fraction as Fr
 
 from baire_lab.checkers import (
     ContinuityWitness,
-    MultiMap,
     check_continuity,
     check_strong_continuity,
     continuity_points,
@@ -65,11 +64,14 @@ from baire_lab.spaces import (
 from baire_lab.trees import is_ill_founded, make_tree, tree_shift
 
 from corpus_helpers import (
+    DENSE_SPLIT_POINTS,
+    SPIKE_POINTS,
     branch_bearing_trees,
+    closure_map,
     depth3_tree_sample,
     enumerate_prefix_closed_trees,
+    fell_instances,
     grid_corpus,
-    open_split_maps,
 )
 
 CFG = default_config()
@@ -266,10 +268,8 @@ def test_criterion_06_strong_continuity_splits(capsys, monkeypatch):
     started = time.monotonic()
     gathered = counted_gathers(monkeypatch)
     ds = dense_split("dyadic")
-    dyadics = [Fr(0), Fr(1), Fr(1, 2), Fr(1, 4), Fr(3, 4), Fr(1, 8), Fr(5, 8), Fr(3, 16), Fr(7, 32), Fr(1, 64)]
-    non_dyadics = [Fr(1, 3), Fr(2, 3), Fr(1, 5), Fr(2, 5), Fr(5, 6), Fr(1, 7), Fr(3, 7), Fr(1, 9), Fr(4, 11), Fr(9, 13)]
     disagreements = []
-    for x in dyadics + non_dyadics:
+    for x in DENSE_SPLIT_POINTS:
         got = check_strong_continuity(ds, x, CFG, ds.default_probes).kind
         want = "continuous" if is_dyadic(x) else "discontinuous"
         if got != want:
@@ -277,9 +277,7 @@ def test_criterion_06_strong_continuity_splits(capsys, monkeypatch):
 
     spikes = harmonic_spike_set()
     sp = spike_function(spikes)
-    members = [Fr(1, n + 1) for n in range(10)]
-    others = [Fr(0), Fr(2), Fr(2, 5), Fr(3, 7), Fr(2, 7), Fr(5, 11), Fr(-1, 3), Fr(7, 9), Fr(3, 5), Fr(5, 7)]
-    for x in members + others:
+    for x in SPIKE_POINTS:
         got = check_continuity(sp, x, CFG, sp.default_probes).kind
         want = "discontinuous" if spikes.index_of(x) is not None else "continuous"
         if got != want:
@@ -462,22 +460,15 @@ def test_criterion_09_oracle_equivalence_on_finite_spaces(capsys):
 # -- 10 -----------------------------------------------------------------------
 
 
-def _fell_instances():
-    maps = open_split_maps() + [dense_split("dyadic"), dense_split("thirds")]
-    points = [Fr(1, 2), Fr(1, 3), Fr(2, 3), Fr(3, 8), Fr(5, 6)]
-    return [(mm, x) for mm in maps for x in points]
-
-
 def test_criterion_10_lower_fell_equivalence(capsys, monkeypatch):
     started = time.monotonic()
     gathered = counted_gathers(monkeypatch)
-    instances = _fell_instances()
+    instances = fell_instances()
     assert len(instances) == 20
     disagreements = []
     compared = direct_compared = 0
     for mm, x in instances:
-        closed_map = MultiMap(mm.domain, mm.codomain, lambda p, mm=mm: closure(mm.rule(p)),
-                              name="closure(%s)" % mm.name, default_probes=mm.default_probes)
+        closed_map = closure_map(mm)
         balls = []
         from baire_lab.closed_sets import eps_net
 

@@ -38,13 +38,17 @@ from baire_lab.spaces import BAIRE_SPACE, REAL_LINE, UNIT_INTERVAL, parse_baire_
 from baire_lab.trees import TREE_SPACE
 
 from corpus_helpers import (
+    DENSE_SPLIT_POINTS,
+    SPIKE_POINTS,
     branch_bearing_trees,
+    closure_map,
     depth3_tree_sample,
     enumerate_prefix_closed_trees,
+    fell_instances,
     grid_corpus,
     open_split_maps,
 )
-from scan_oracle import EagerProbeContext, scan_search
+from scan_oracle import EagerProbeContext, counterexamples_by_probes, scan_search
 
 # ---------------------------------------------------------------------------
 # the exhaustive oracle: the definitions' quantifiers over the whole finite
@@ -461,7 +465,12 @@ def _eager_context_agrees(monkeypatch, evaluate, mm, x, cfg, probes, *args) -> s
     return lazy["verdict"]
 
 
-def test_gathering_balls_on_first_use_changes_no_verdict(monkeypatch):
+def _probe_battery():
+    """A seeded battery of maps and points, each with its probe generator
+    and lower-Fell test balls: tabular maps with finite, interval and
+    empty values, criterion 10's open-split maps and their closures, dense
+    split, the spike map, f1 grid points, f2 trees of depth <= 2, depth 3
+    and with branches."""
     from baire_lab.closed_sets import closure, eps_net
     from baire_lab.gallery import dense_split, f1_multimap, f2_multimap, harmonic_spike_set, spike_function
     from baire_lab.trees import make_tree
@@ -482,8 +491,7 @@ def test_gathering_balls_on_first_use_changes_no_verdict(monkeypatch):
             mm = tabular_multimap(space, {p: _random_real_value(rng, pool) for p in space.points()}, codomain)
             instances += [(mm, x, full_domain_probes(space)) for x in space.points()]
     splits = open_split_maps()
-    splits += [MultiMap(mm.domain, mm.codomain, lambda p, mm=mm: closure(mm.rule(p)),
-                        name="closure(%s)" % mm.name, default_probes=mm.default_probes) for mm in splits]
+    splits += [closure_map(mm) for mm in splits]
     splits += [dense_split("dyadic"), dense_split("thirds")]
     instances += [(mm, x, mm.default_probes) for mm in splits for x in (Fr(1, 2), Fr(1, 3), Fr(3, 8), Fr(0))]
     spike = spike_function(harmonic_spike_set())
@@ -494,14 +502,23 @@ def test_gathering_balls_on_first_use_changes_no_verdict(monkeypatch):
     trees = [make_tree(nodes) for nodes in enumerate_prefix_closed_trees(2, 2)][:3]
     trees += depth3_tree_sample(2, seed=919) + branch_bearing_trees()[:4]
     instances += [(f2, t, f2.default_probes) for t in trees]
-
-    cfg = default_config(dense_bound=16, n_bound=4, m_bound=2)
-    seen: dict = {}
+    battery = []
     for mm, x, probes in instances:
         value = closure(mm.value(x))
         balls = [(y, Fr(1, 8)) for y in eps_net(value, Fr(1, 4))[:3]] or [(mm.codomain.dense_point(0), Fr(1, 2))]
+        battery.append((mm, x, probes, balls))
+    return battery
+
+
+_BATTERY_CFG = default_config(dense_bound=16, n_bound=4, m_bound=2)
+
+
+def test_gathering_balls_on_first_use_changes_no_verdict(monkeypatch):
+    cfg = _BATTERY_CFG
+    seen: dict = {}
+    for mm, x, probes, balls in _probe_battery():
         for evaluate in (check_continuity, check_strong_continuity, eval_star, eval_dagger):
-            if evaluate is eval_dagger and mm is f2:
+            if evaluate is eval_dagger and mm.name == "f2":
                 continue  # clipping is for real values
             seen.setdefault(evaluate.__name__, set()).add(
                 _eager_context_agrees(monkeypatch, evaluate, mm, x, cfg, probes))
@@ -512,6 +529,65 @@ def test_gathering_balls_on_first_use_changes_no_verdict(monkeypatch):
     assert len(seen) == 6
     for name, verdicts in seen.items():
         assert {"continuous", "discontinuous"} <= verdicts, (name, verdicts)
+
+
+def test_counterexamples_match_the_probe_by_probe_oracle():
+    """Every refutation's counterexamples, read from the probe context,
+    equal those of `scan_oracle.counterexamples_by_probes`, which measures
+    each probe's value with no context: plain and strong refutations (by
+    level on sequence space, by `dist_to_set` here), lower Fell and the
+    strong criterion, over the battery."""
+    from baire_lab.closed_sets import closure, meets_open_ball
+
+    cfg = _BATTERY_CFG
+    checked: dict = {}
+    for mm, x, probes, balls in _probe_battery():
+        def oracle(miss):
+            return counterexamples_by_probes(mm, x, cfg, probes, miss)
+
+        for evaluate in (check_continuity, check_strong_continuity):
+            witness = evaluate(mm, x, cfg, probes).witness
+            if isinstance(witness, DiscontinuityWitness):
+                for entry in witness.entries:
+                    counterexamples, least = oracle(lambda value: dist_to_set(entry.y, value))
+                    assert entry.counterexamples == counterexamples, (mm.name, x, evaluate.__name__)
+                    assert entry.eps_star <= least
+                    checked[evaluate.__name__, mm.codomain is BAIRE_SPACE] = True
+        fell = eval_lower_fell(mm, x, cfg, probes, balls)
+        if fell.kind == "discontinuous":
+            center, radius = fell.report["ball"]
+            counterexamples, _ = oracle(lambda value: not meets_open_ball(closure(value), center, radius))
+            assert fell.report["counterexamples"] == counterexamples, (mm.name, x, "fell")
+            checked["eval_lower_fell", mm.codomain is BAIRE_SPACE] = True
+        strong_star = eval_strong_star(mm, x, cfg, probes)
+        if strong_star.kind == "discontinuous":
+            y = strong_star.report["y"]
+            counterexamples, _ = oracle(lambda value: dist_to_set(y, value))
+            assert strong_star.report["counterexamples"] == counterexamples, (mm.name, x, "strong_star")
+            checked["eval_strong_star", mm.codomain is BAIRE_SPACE] = True
+    assert {name for name, _ in checked} == {"check_continuity", "check_strong_continuity",
+                                             "eval_lower_fell", "eval_strong_star"}
+    assert ("check_strong_continuity", True) in checked  # a sequence-space strong refutation
+
+
+def test_the_first_probe_wins_a_tie_for_the_largest_miss():
+    """Two probes of every ball have different values at the same largest
+    distance from the value at x, on the line and in sequence space; the
+    earlier probe is the counterexample."""
+    space = rational_points_space([Fr(0), Fr(1, 1024), Fr(2, 1024)])
+    probes = full_domain_probes(space)
+    cfg = default_config()
+    assert probes(Fr(0), Fr(1)) == [Fr(0), Fr(1, 1024), Fr(2, 1024)]
+    real = [finite_real(0), finite_real(1), finite_real(-1)]
+    sequence = [FiniteBaireSet(frozenset({parse_baire_point(text)})) for text in (";0", "1;0", "2;0")]
+    for codomain, values in ((REAL_LINE, real), (BAIRE_SPACE, sequence)):
+        mm = tabular_multimap(space, dict(zip(space.points(), values)), codomain)
+        for evaluate in (check_continuity, check_strong_continuity):
+            (entry,) = evaluate(mm, Fr(0), cfg, probes).witness.entries
+            assert entry.counterexamples == tuple((delta, Fr(1, 1024)) for delta in cfg.delta_schedule)
+            assert (entry.counterexamples, entry.eps_star) == (
+                counterexamples_by_probes(mm, Fr(0), cfg, probes, lambda value: dist_to_set(entry.y, value))[0],
+                Fr(1))
 
 
 def test_empty_value_at_x_follows_the_definitions():
@@ -680,6 +756,44 @@ def test_fraction_comparisons_on_the_golden_f2_trees(monkeypatch):
     monkeypatch.undo()
     assert len(trees) == 10
     assert len(compared) == 329  # 794 before the probe layer compared levels
+
+
+def test_fraction_hashes_and_value_lookups_on_criteria_06_and_10(monkeypatch):
+    """A deterministic work count for the probe layer on real values: the
+    `Fraction` hashes and `ProbeContext.at` calls of criteria 06 and 10's
+    evaluator calls (dense split strong, spike plain, and per criterion-10
+    instance lower Fell and strong continuity on the map and its closure)."""
+    from baire_lab import checkers
+    from baire_lab.closed_sets import closure, eps_net
+    from baire_lab.gallery import dense_split, harmonic_spike_set, spike_function
+
+    split, spike = dense_split("dyadic"), spike_function(harmonic_spike_set())
+    calls = [(check_strong_continuity, split, x, ()) for x in DENSE_SPLIT_POINTS]
+    calls += [(check_continuity, spike, x, ()) for x in SPIKE_POINTS]
+    for mm, x in fell_instances():
+        balls = [(y, Fr(1, 8)) for y in eps_net(closure(mm.value(x)), Fr(1, 4))]
+        calls += [(eval_lower_fell, mm, x, (balls,)), (check_strong_continuity, closure_map(mm), x, ()),
+                  (check_strong_continuity, mm, x, ())]
+    cfg = default_config()
+    hashed, looked_up = [], []
+
+    def counted_hash(self, original=Fr.__hash__):
+        hashed.append(None)
+        return original(self)
+
+    def counted_at(self, xp, original=checkers.ProbeContext.at):
+        looked_up.append(None)
+        return original(self, xp)
+
+    monkeypatch.setattr(Fr, "__hash__", counted_hash)
+    monkeypatch.setattr(checkers.ProbeContext, "at", counted_at)
+    for evaluate, mm, x, extra in calls:
+        evaluate(mm, x, cfg, mm.default_probes, *extra)
+    monkeypatch.undo()
+    assert len(calls) == 100
+    # 66,985 and 16,516 when `_counterexamples` looked each probe's value up
+    # again and `finite_real` hashed its points twice
+    assert (len(hashed), len(looked_up)) == (33227, 7462)
 
 
 # ---------------------------------------------------------------------------

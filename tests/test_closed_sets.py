@@ -349,8 +349,14 @@ def test_set_from_json_decodes_every_kind():
 
 
 def test_nonempty_variant_validation():
-    with pytest.raises(ValueError):
-        FiniteRealSet(frozenset())
+    for empty in (frozenset(), (p for p in ()), []):
+        with pytest.raises(ValueError, match="^finite set variant must be nonempty; use Empty$"):
+            FiniteRealSet(empty)
+    with pytest.raises(ValueError, match="^finite set variant must be nonempty; use Empty$"):
+        finite_real()
+    # the points are converted to Fractions once, whatever iterable brings them
+    assert FiniteRealSet(p for p in (1, Fr(1, 2), 1)) == finite_real(Fr(1, 2), 1)
+    assert all(type(p) is Fr for p in FiniteRealSet([0, 2]).points)
     with pytest.raises(ValueError, match="^closed interval needs a <= b$"):
         closed_intervals((1, 0))
     with pytest.raises(ValueError, match="^open interval needs a < b$"):
