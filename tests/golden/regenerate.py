@@ -12,12 +12,18 @@ separation certificates (`f1_star`), sequence-space values with an
 empty value among them (`tabular_baire_*`): ties at distance 1, refutation
 levels between members, strong refutations and separation certificates
 between finite sets, the `dagger` mode on f1, the spike map and a tabular
-map, `star` on the dyadic dense split, and one refusal: f2 in `dagger`
-mode (`f2_dagger_refused`), whose report is the `{"error", "path"}`
-object.  Each `<name>.argv` holds a JSON list of
-command-line arguments, and `<name>.out` is the exact stdout of
-`baire-lab` run with them: the `gallery` certificates of f1 and f2 and the
-`tree` operations.  After a change that alters a report on purpose,
+map, `star` on the dyadic dense split, and refusals (`*_refused`), whose
+report is the `{"error", "path"}` object: f2 in `dagger` mode, and one
+malformed literal or field at each decode site of the input boundary
+(rational labels, a table entry, grid points as an object and as text
+that is not JSON, a test-ball radius, an affine scale, the f1 window, the
+spike map's tail start and head, a value set that is not an object or
+holds a malformed literal, an extension's super space and base, and the
+config).  Each `<name>.argv` holds a JSON list of command-line arguments,
+and `<name>.out` is the exact stdout of `baire-lab` run with them, or its
+stderr when it exits 2: the `gallery` certificates of f1 and f2, the
+`tree` operations, and malformed `--gamma`, `--tree`, `--alpha` and
+`--nodes` arguments.  After a change that alters a report on purpose,
 rewrite the reports from the root of a checkout with
 
     PYTHONPATH=src python tests/golden/regenerate.py

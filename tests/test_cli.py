@@ -483,6 +483,9 @@ def test_check_rejects_a_string_or_number_where_a_list_belongs(tmp_path, fields,
     {"explicit_rows": []},
     {"default_row": "1"},
     {"explicit_rows": {"1": {"prefix": 5}}},
+    # a grid point given as a string is JSON text
+    "1/3",
+    "{",
 ])
 def test_check_rejects_a_malformed_grid_point_at_its_path(tmp_path, point):
     instance = tmp_path / "grid.json"
@@ -491,6 +494,12 @@ def test_check_rejects_a_malformed_grid_point_at_its_path(tmp_path, point):
     assert out.returncode == 2, out.stderr
     assert "Traceback" not in out.stderr
     assert json.loads(out.stderr)["path"] == "points[0]"
+    if isinstance(point, str):  # the --point override reads the same literals
+        instance.write_text(json.dumps({"multimap": {"kind": "f1"}, "points": []}))
+        out = run_cli("check", str(instance), "--point", point)
+        assert out.returncode == 2, out.stderr
+        assert "Traceback" not in out.stderr
+        assert json.loads(out.stderr)["path"] == "point"
 
 
 def test_check_rejects_a_point_outside_the_domain(tmp_path):
@@ -602,6 +611,10 @@ MUTATION_BASES = [
     {"multimap": affine(), "points": ["1"], "mode": "star"},
     {"multimap": extend(tabular({"kind": "unit_interval"}, finite("1"))), "points": ["2"], "mode": "dagger",
      "probe_spec": {"kind": "full_domain"}},
+    # grid points as JSON text and as an object
+    {"multimap": {"kind": "f1", "window": 2}, "mode": "plain",
+     "points": ['{"explicit_rows": {"0": {"prefix": "1", "period": "0"}}}',
+                {"default_row": {"prefix": "", "period": "1"}}]},
 ]
 
 JUNK_WORDS = ["", "0", "1/2", "-1", "2/4", "1/0", "a", ";", "0;1", "tree{nodes:[()]}", "finite_points", "real_line",
