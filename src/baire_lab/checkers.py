@@ -74,7 +74,6 @@ from .closed_sets import (
     FiniteBaireSet,
     _distance_level,
     clip_to_interval,
-    clips_properly,
     closure,
     common_heads,
     common_neighbourhood,
@@ -231,14 +230,14 @@ def gather_probes(multimap: MultiMap, probes: ProbeGen, x, radius: Fraction, bud
     out = [x]
     seen = {x}
     for xp in probes(x, radius):
-        if xp in seen:
+        seen.add(xp)  # one hash per probe: a repeat leaves the size as it was
+        if len(seen) == len(out):
             continue
         if not multimap.domain.contains(xp):
             raise DomainError("probe %r outside the domain" % (xp,))
         if multimap.domain.dist(x, xp) >= radius:
             raise ValueError("probe generator emitted a point outside the open ball")
         out.append(xp)
-        seen.add(xp)
         if len(out) >= budget:
             break
     return out
@@ -575,8 +574,8 @@ def eval_dagger(multimap: MultiMap, x, cfg: CheckConfig, probes: ProbeGen) -> Ve
                         "certified": certified is not None})
     if all(r["certified"] for r in refuted):
         lo, hi = stages[-1]
-        proper = any(
-            clips_properly(v, lo, hi)
+        proper = any(  # intersecting with [lo, hi] lost part of some value's closure
+            clip_to_interval(v, lo, hi) != closure(v)
             for delta in cfg.delta_schedule
             for v in raw[delta]
         )

@@ -27,6 +27,7 @@ from .gallery import (
 from .instances import (
     SchemaError,
     balls_from_json,
+    decode_at,
     domain_point_from_json,
     encode_value,
     instance_digest,
@@ -66,15 +67,6 @@ def _report(command: str, **fields) -> dict:
     out = {"command": command, "version": __version__}
     out.update(fields)
     return out
-
-
-def _argument(name: str, parse, text: str):
-    """parse(text) for the command-line argument `name`; a ValueError
-    becomes a SchemaError at that name."""
-    try:
-        return parse(text)
-    except ValueError as exc:
-        raise SchemaError(name, str(exc)) from exc
 
 
 def cmd_classify(args) -> int:
@@ -155,19 +147,19 @@ def cmd_gallery(args) -> int:
         if args.gamma in _NAMED_GAMMAS:
             gamma = _NAMED_GAMMAS[args.gamma]()
         else:
-            gamma = point_from_json(CANTOR_GRID, _argument("gamma", json.loads, args.gamma), "gamma")
+            gamma = point_from_json(CANTOR_GRID, decode_at("gamma", json.loads, args.gamma), "gamma")
         return _certify("gallery f1", f1_multimap(), gamma, f1_witness(gamma, F1_DEFAULT_WINDOW, cfg), args,
                         gamma=encode_value(gamma))
     if args.name == "f2":
         if args.tree is None:
             raise SchemaError("tree", "f2 needs --tree 'tree{nodes:[...]}'")
-        tree = _argument("tree", parse_tree_literal, args.tree)
+        tree = decode_at("tree", parse_tree_literal, args.tree)
         return _certify("gallery f2", f2_multimap(), tree, f2_witness(tree, cfg), args,
                         tree=format_tree_literal(tree), ill_founded=is_ill_founded(tree))
     if args.name == "embed":
         if args.alpha is None or args.depth is None:
             raise SchemaError("alpha", "embed needs --alpha 'prefix;period' and --depth N")
-        alpha = _argument("alpha", parse_baire_point, args.alpha)
+        alpha = decode_at("alpha", parse_baire_point, args.alpha)
         chain = [baire_embed(alpha, d) for d in range(args.depth + 1)]
         _emit(_report(
             "gallery embed",
@@ -183,11 +175,11 @@ def cmd_tree(args) -> int:
     if args.op == "generate":
         if not (args.nodes or "").split():
             raise SchemaError("nodes", "generate needs --nodes '(..) (..)'")
-        tree = _argument("nodes", lambda text: generated_by([parse_node(t) for t in text.split()]), args.nodes)
+        tree = decode_at("nodes", lambda: generated_by([parse_node(t) for t in args.nodes.split()]))
     else:
         if args.tree is None:
             raise SchemaError("tree", "%s needs --tree 'tree{...}'" % args.op)
-        tree = _argument("tree", parse_tree_literal, args.tree)
+        tree = decode_at("tree", parse_tree_literal, args.tree)
     if args.op == "shift":
         result = {"tree": format_tree_literal(tree_shift(tree))}
     elif args.op == "trm":

@@ -18,7 +18,7 @@ The value of the tree-indexed gallery map at a tree, the body of the
 +1-shifted tree together with every terminal of the shifted tree padded
 with zeros, is a finite set of eventually periodic points for the
 representable trees here (`tree_body_points`), so it is a
-`FiniteBaireSet`; a `tree_body` JSON value decodes to that set.
+`FiniteBaireSet`.
 
 `common_heads` and `common_neighbourhood` describe the points within a
 radius of every one of a list of values: a set of heads in sequence space,
@@ -321,17 +321,6 @@ def clip_to_interval(s: ClosedSetRepr, lo: Fraction, hi: Fraction) -> ClosedSetR
     raise TypeError("interval clipping is for real-flavored variants: %r" % (s,))
 
 
-def clips_properly(s: ClosedSetRepr, lo: Fraction, hi: Fraction) -> bool:
-    """Did intersecting with [lo, hi] lose part of the denotation?"""
-    if isinstance(s, Empty):
-        return False
-    if isinstance(s, FiniteRealSet):
-        return any(not lo <= p <= hi for p in s.points)
-    if isinstance(s, IntervalUnion):
-        return any(a < lo or b > hi for a, b in s.intervals)
-    raise TypeError("interval clipping is for real-flavored variants: %r" % (s,))
-
-
 def neighbourhood(s: ClosedSetRepr, r: Fraction) -> list[tuple[Fraction, Fraction]]:
     """The points y with dist_to_set(y, s) < r, for a real-flavored set and
     0 < r <= 1, as sorted disjoint open intervals.
@@ -430,26 +419,3 @@ def set_separation(s1: ClosedSetRepr, s2: ClosedSetRepr) -> Fraction | None:
     if p2 is not None:
         return min(dist_to_set(p, s1) for p in p2)
     return min(max(Fraction(0), a2 - b1, a1 - b2) for a1, b1 in s1.intervals for a2, b2 in s2.intervals)
-
-
-# --- JSON wire form ---------------------------------------------------------
-
-
-def set_from_json(obj: dict) -> ClosedSetRepr:
-    from .rationals import parse_rational
-    from .spaces import parse_baire_point
-    from .trees import parse_tree_literal
-
-    kind = obj.get("kind")
-    if kind == "finite_real":
-        return FiniteRealSet(parse_rational(p) for p in obj["points"])
-    if kind in ("closed_intervals", "open_intervals"):
-        intervals = tuple((parse_rational(a), parse_rational(b)) for a, b in obj["intervals"])
-        return IntervalUnion(intervals, kind == "closed_intervals")
-    if kind == "finite_baire":
-        return FiniteBaireSet(frozenset(parse_baire_point(p) for p in obj["points"]))
-    if kind == "tree_body":
-        return FiniteBaireSet(tree_body_points(parse_tree_literal(obj["tree"])))
-    if kind == "empty":
-        return Empty()
-    raise ValueError("unknown set kind: %r" % (kind,))

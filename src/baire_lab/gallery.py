@@ -479,10 +479,8 @@ def spike_probes(spikes: SpikeSet) -> Callable:
     return gen
 
 
-def spike_function(spikes: SpikeSet | Sequence[Fraction]) -> MultiMap:
+def spike_function(spikes: SpikeSet) -> MultiMap:
     """Single-valued map: 1/(n+1) at the n-th listed point, 0 elsewhere."""
-    if not isinstance(spikes, SpikeSet):
-        spikes = SpikeSet(tuple(Fraction(q) for q in spikes))
 
     def rule(x: Fraction) -> FiniteRealSet:
         n = spikes.index_of(x)
@@ -518,11 +516,6 @@ class IdentityEmbedding:
     def in_image(self, x1) -> bool:
         return self.sub.contains(x1)
 
-    def inverse(self, x1):
-        if not self.in_image(x1):
-            raise ValueError("point not in the embedded image")
-        return x1
-
 
 def whole_space_repr(codomain) -> ClosedSetRepr:
     """A representation of the entire codomain, where one exists."""
@@ -543,7 +536,7 @@ def extend(f0: MultiMap, embedding: IdentityEmbedding, x1_space) -> MultiMap:
 
     def rule(x1) -> ClosedSetRepr:
         if embedding.in_image(x1):
-            return f0.rule(embedding.inverse(x1))
+            return f0.rule(x1)  # the identity's preimage
         return whole
 
     return MultiMap(x1_space, f0.codomain, rule,

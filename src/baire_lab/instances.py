@@ -1,4 +1,5 @@
-"""JSON wire formats: instance files, verdicts, witnesses, digests.
+"""Every JSON wire form: instance files, value sets, grid points, verdicts,
+witnesses, digests.
 
 An instance file bundles a multimap, points to check, a mode, a config,
 and a probe spec.  Everything numeric is a canonical "p/q" string; keys
@@ -6,6 +7,9 @@ are sorted on output, so identical inputs produce byte-identical reports.
 A `finite_points` space's labels are its points: strings, or, with
 `rational_labels`, rationals parsed here once, so that "2/4" names the
 point 1/2 and its distance table must be |x - y|; left out, it is derived.
+A grid point is an object of bit-string rows or that object's text; a
+`tree_body` value is the f2 value at its tree.  Every malformed literal
+becomes a `SchemaError` at its field path through `decode_at`.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .checkers import (
     full_domain_probes,
     tabular_multimap,
 )
-from .closed_sets import fits_space, set_from_json
+from .closed_sets import Empty, FiniteBaireSet, FiniteRealSet, IntervalUnion, fits_space, tree_body_points
 from .gallery import (
     AffineMap,
     BaireEmbedding,
@@ -52,11 +56,10 @@ from .spaces import (
     CantorGridPoint,
     FinitePoints,
     format_baire_point,
-    grid_point_from_json,
-    grid_point_to_json,
+    parse_baire_point,
     real_flavored,
 )
-from .trees import TREE_SPACE, Tree, format_tree_literal
+from .trees import TREE_SPACE, Tree, format_tree_literal, parse_tree_literal
 
 
 class SchemaError(ValueError):
@@ -65,6 +68,23 @@ class SchemaError(ValueError):
     def __init__(self, path: str, message: str):
         super().__init__("%s: %s" % (path, message))
         self.path = path
+
+
+_MALFORMED = (AttributeError, KeyError, OverflowError, TypeError, ValueError)
+
+
+def decode_at(path: str, decode, *args, message: str | None = None):
+    """decode(*args), where a malformed literal (a _MALFORMED error, say a
+    number where a literal belongs) becomes a SchemaError at path, with its
+    own text, or `message`, followed by that text if `message` ends in ": ".
+    A SchemaError raised inside passes through unchanged."""
+    try:
+        return decode(*args)
+    except SchemaError:
+        raise
+    except _MALFORMED as exc:
+        text = str(exc) if message is None else message + str(exc) if message.endswith(": ") else message
+        raise SchemaError(path, text) from exc
 
 
 def _object(obj: Any, path: str) -> dict:
@@ -115,34 +135,43 @@ def space_from_json(obj: dict, path: str = "space"):
         if not isinstance(rational, bool):
             raise SchemaError(path + ".rational_labels", "expected true or false, got %r" % (rational,))
         if rational:
-            try:
-                labels = [parse_rational(a) for a in labels]
-            except ValueError as exc:
-                raise SchemaError(path + ".labels", "expected rational literals: %s" % exc) from exc
+            labels = decode_at(path + ".labels", list, map(parse_rational, labels),
+                               message="expected rational literals: ")
         rows = [_list(row, "%s.table[%d]" % (path, i))
                 for i, row in enumerate(_list(obj.get("table", []), path + ".table"))]
-        try:
-            if rational and "table" not in obj:
-                table = tuple(tuple(abs(a - b) for b in labels) for a in labels)
-            else:
-                table = tuple(tuple(parse_rational(d) for d in row) for row in rows)
+        try:  # inline, not through decode_at: the triangle check is the deepest frame of a `compose` chain
+            table = (tuple(tuple(abs(a - b) for b in labels) for a in labels) if rational and "table" not in obj
+                     else tuple(tuple(parse_rational(d) for d in row) for row in rows))
             return FinitePoints(tuple(labels), table)
-        except (AttributeError, TypeError, ValueError) as exc:  # also numbers where literals belong
+        except _MALFORMED as exc:
             raise SchemaError(path, str(exc)) from exc
     raise SchemaError(path + ".kind", "unknown space kind %r" % kind)
 
 
+def _grid_row(obj: dict) -> BairePoint:
+    return BairePoint(tuple(map(int, obj.get("prefix", ""))), tuple(map(int, obj.get("period", "0"))) or (0,))
+
+
+def _grid_point(obj) -> CantorGridPoint:
+    """A grid point from its JSON object, or from that object's text."""
+    if isinstance(obj, str):
+        obj = json.loads(obj)
+    rows = obj.get("explicit_rows", {})
+    return CantorGridPoint(tuple((int(m), _grid_row(spec)) for m, spec in rows.items()),
+                           _grid_row(obj.get("default_row", {"prefix": "", "period": "0"})))
+
+
+def _grid_row_to_json(row: BairePoint) -> dict:
+    return {"prefix": "".join(map(str, row.prefix)), "period": "".join(map(str, row.period))}
+
+
 def point_from_json(space, obj: Any, path: str = "point"):
-    """A point literal of the space; a JSON object only on the grid."""
-    literal = (str, dict) if isinstance(space, CantorGrid) else str
-    if not isinstance(obj, literal):
+    """A point literal of the space; on the grid, a JSON object or its text."""
+    if isinstance(space, CantorGrid) and isinstance(obj, (str, dict)):
+        return decode_at(path, _grid_point, obj)
+    if not isinstance(obj, str):
         raise SchemaError(path, "expected a point literal string, got %r" % (obj,))
-    try:
-        if isinstance(obj, dict):
-            return grid_point_from_json(obj)
-        return space.parse_point(obj)
-    except (AttributeError, TypeError, ValueError) as exc:  # also grid JSON whose rows are not objects
-        raise SchemaError(path, str(exc)) from exc
+    return decode_at(path, space.parse_point, obj)
 
 
 def domain_point_from_json(multimap, obj: Any, path: str):
@@ -169,12 +198,10 @@ def balls_from_json(codomain, obj: Any, path: str = "test_balls") -> list:
         center = point_from_json(codomain, entry[0], where)
         if not codomain.contains(center):
             raise SchemaError(where, "center %r lies outside the %s codomain" % (entry[0], codomain.name))
-        try:
-            radius = parse_rational(entry[1]) if isinstance(entry[1], str) else None
-        except ValueError:
-            radius = None
-        if radius is None or radius <= 0:
-            raise SchemaError(where, "radius must be a positive rational literal, got %r" % (entry[1],))
+        message = "radius must be a positive rational literal, got %r" % (entry[1],)
+        radius = decode_at(where, parse_rational, entry[1], message=message)
+        if radius <= 0:
+            raise SchemaError(where, message)
         balls.append((center, radius))
     return balls
 
@@ -185,10 +212,33 @@ def balls_from_json(codomain, obj: Any, path: str = "test_balls") -> list:
 
 
 def _rational_field(obj: dict, key: str, path: str) -> Fraction:
-    try:
-        return parse_rational(obj[key])
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(path, "expected a rational literal, got %r" % (obj.get(key),)) from exc
+    literal = obj.get(key)
+    return decode_at(path, parse_rational, literal, message="expected a rational literal, got %r" % (literal,))
+
+
+def set_from_json(obj: Any, path: str):
+    """A value set: an object with a kind string whose `points` and
+    `intervals`, where given, are lists, and each interval a list."""
+    kind = _kind(obj, path)
+    _list(obj.get("points", []), path + ".points")
+    for i, iv in enumerate(_list(obj.get("intervals", []), path + ".intervals")):
+        _list(iv, "%s.intervals[%d]" % (path, i))
+    return decode_at(path, _set_of_kind, kind, obj, message="not a value set: ")
+
+
+def _set_of_kind(kind: str, obj: dict):
+    if kind == "finite_real":
+        return FiniteRealSet(parse_rational(p) for p in obj["points"])
+    if kind in ("closed_intervals", "open_intervals"):
+        intervals = tuple((parse_rational(a), parse_rational(b)) for a, b in obj["intervals"])
+        return IntervalUnion(intervals, kind == "closed_intervals")
+    if kind == "finite_baire":
+        return FiniteBaireSet(frozenset(parse_baire_point(p) for p in obj["points"]))
+    if kind == "tree_body":
+        return FiniteBaireSet(tree_body_points(parse_tree_literal(obj["tree"])))
+    if kind == "empty":
+        return Empty()
+    raise ValueError("unknown set kind: %r" % (kind,))
 
 
 def _coordinate_change(obj: dict, codomain, path: str):
@@ -213,12 +263,10 @@ def _coordinate_change(obj: dict, codomain, path: str):
 def multimap_from_json(obj: dict, path: str = "multimap") -> MultiMap:
     kind = _kind(obj, path)
     if kind == "f1":
-        try:
-            window = int(obj.get("window", 8))
-        except (TypeError, ValueError):
-            window = -1
+        message = "expected a non-negative integer, got %r" % (obj.get("window"),)
+        window = decode_at(path + ".window", int, obj.get("window", 8), message=message)
         if window < 0:
-            raise SchemaError(path + ".window", "expected a non-negative integer, got %r" % (obj.get("window"),))
+            raise SchemaError(path + ".window", message)
         return f1_multimap(window)
     if kind == "f2":
         return f2_multimap()
@@ -229,16 +277,11 @@ def multimap_from_json(obj: dict, path: str = "multimap") -> MultiMap:
         return dense_split(variant)
     if kind == "spike":
         tail = obj.get("harmonic_tail_start")
-        try:
-            tail = None if tail is None else int(tail)
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(path + ".harmonic_tail_start", "expected an integer, got %r" % (tail,)) from exc
-        head = _list(obj.get("head", []), path + ".head")
-        try:  # rational literals, pairwise distinct and off the tail
-            spikes = SpikeSet(tuple(parse_rational(q) for q in head), tail)
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise SchemaError(path + ".head", str(exc)) from exc
-        return spike_function(spikes)
+        if tail is not None:
+            tail = decode_at(path + ".harmonic_tail_start", int, tail,
+                             message="expected an integer, got %r" % (tail,))
+        head = _list(obj.get("head", []), path + ".head")  # rational literals, pairwise distinct and off the tail
+        return spike_function(decode_at(path + ".head", lambda: SpikeSet(tuple(map(parse_rational, head)), tail)))
     if kind == "tabular":
         space = space_from_json(obj.get("space", {}), path + ".space")
         codomain = space_from_json(obj.get("codomain", {"kind": "real_line"}), path + ".codomain")
@@ -248,15 +291,7 @@ def multimap_from_json(obj: dict, path: str = "multimap") -> MultiMap:
             where = "%s.values.%s" % (path, label)
             if point in values:
                 raise SchemaError(where, "a second value for the point %r" % (point,))
-            if isinstance(setobj, dict):  # a string kind; points, intervals and each interval are lists
-                _kind(setobj, where)
-                _list(setobj.get("points", []), where + ".points")
-                for i, iv in enumerate(_list(setobj.get("intervals", []), where + ".intervals")):
-                    _list(iv, "%s.intervals[%d]" % (where, i))
-            try:
-                values[point] = set_from_json(setobj)
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
-                raise SchemaError(where, "not a value set: %s" % exc) from exc
+            values[point] = set_from_json(setobj, where)
             if not fits_space(values[point], codomain):
                 raise SchemaError(where, "a %s value is not a subset of the %s codomain"
                                   % (values[point].kind, codomain.name))
@@ -269,14 +304,9 @@ def multimap_from_json(obj: dict, path: str = "multimap") -> MultiMap:
         sup = space_from_json(obj.get("super_space", {}), path + ".super_space")
         if not isinstance(base.domain, FinitePoints) or not isinstance(sup, FinitePoints):
             raise SchemaError(path, "extend requires finite-points domain spaces")
-        try:
-            embedding = IdentityEmbedding(base.domain, sup)
-        except ValueError as exc:
-            raise SchemaError(path + ".super_space", str(exc)) from exc
-        try:  # off the image the value is the whole codomain, which must be representable
-            return extend(base, embedding, sup)
-        except ValueError as exc:
-            raise SchemaError(path + ".base", str(exc)) from exc
+        embedding = decode_at(path + ".super_space", IdentityEmbedding, base.domain, sup)
+        # off the image the value is the whole codomain, which must be representable
+        return decode_at(path + ".base", extend, base, embedding, sup)
     if kind == "compose":
         base = multimap_from_json(obj.get("base", {}), path + ".base")
         return compose(_coordinate_change(obj.get("pi", {}), base.codomain, path + ".pi"), base)
@@ -290,21 +320,17 @@ def multimap_from_json(obj: dict, path: str = "multimap") -> MultiMap:
 
 def config_from_json(obj: dict, path: str = "config") -> CheckConfig:
     base = default_config()
-    _object(obj, path)
-    eps = _list(obj.get("eps_schedule", []), path + ".eps_schedule")
+    eps = _list(_object(obj, path).get("eps_schedule", []), path + ".eps_schedule")
     delta = _list(obj.get("delta_schedule", []), path + ".delta_schedule")
-    try:
-        return CheckConfig(
-            eps_schedule=tuple(parse_rational(v) for v in eps) or base.eps_schedule,
-            delta_schedule=tuple(parse_rational(v) for v in delta) or base.delta_schedule,
-            probe_budget=int(obj.get("probe_budget", base.probe_budget)),
-            net_resolution=parse_rational(obj["net_resolution"]) if "net_resolution" in obj else base.net_resolution,
-            dense_bound=int(obj.get("dense_bound", base.dense_bound)),
-            n_bound=int(obj.get("n_bound", base.n_bound)),
-            m_bound=int(obj.get("m_bound", base.m_bound)),
-        )
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise SchemaError(path, str(exc)) from exc
+    return decode_at(path, lambda: CheckConfig(
+        eps_schedule=tuple(map(parse_rational, eps)) or base.eps_schedule,
+        delta_schedule=tuple(map(parse_rational, delta)) or base.delta_schedule,
+        probe_budget=int(obj.get("probe_budget", base.probe_budget)),
+        net_resolution=parse_rational(obj["net_resolution"]) if "net_resolution" in obj else base.net_resolution,
+        dense_bound=int(obj.get("dense_bound", base.dense_bound)),
+        n_bound=int(obj.get("n_bound", base.n_bound)),
+        m_bound=int(obj.get("m_bound", base.m_bound)),
+    ))
 
 
 def probes_from_json(obj: dict, multimap: MultiMap, path: str = "probe_spec"):
@@ -332,7 +358,8 @@ def encode_value(value) -> Any:
     if isinstance(value, BairePoint):
         return format_baire_point(value)
     if isinstance(value, CantorGridPoint):
-        return grid_point_to_json(value)
+        return {"explicit_rows": {str(m): _grid_row_to_json(row) for m, row in value.explicit_rows},
+                "default_row": _grid_row_to_json(value.default_row)}
     if isinstance(value, Tree):
         return format_tree_literal(value)
     if isinstance(value, RefutationEntry):
@@ -369,8 +396,7 @@ def verdict_to_json(verdict: Verdict) -> dict:
 
 def load_instance(obj: dict):
     """Decode an instance file into (multimap, points, mode, cfg, probes)."""
-    _object(obj, "$")
-    multimap = multimap_from_json(obj.get("multimap", {}), "multimap")
+    multimap = multimap_from_json(_object(obj, "$").get("multimap", {}), "multimap")
     mode = obj.get("mode", "plain")
     if not isinstance(mode, str) or mode not in MODES:
         raise SchemaError("mode", "unknown mode %r (valid: %s)" % (mode, ", ".join(MODES)))

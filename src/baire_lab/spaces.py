@@ -258,32 +258,6 @@ def grid_dist(a: CantorGridPoint, b: CantorGridPoint) -> Fraction:
     return Fraction(1, min(candidates) + 1)
 
 
-def grid_point_to_json(p: CantorGridPoint) -> dict:
-    return {
-        "explicit_rows": {
-            str(m): {"prefix": "".join(map(str, spec.prefix)),
-                     "period": "".join(map(str, spec.period))}
-            for m, spec in p.explicit_rows
-        },
-        "default_row": {"prefix": "".join(map(str, p.default_row.prefix)),
-                        "period": "".join(map(str, p.default_row.period))},
-    }
-
-
-def _row_from_json(obj: dict) -> BairePoint:
-    def bits(text) -> tuple[int, ...]:
-        return tuple(int(c) for c in text)
-    return BairePoint(bits(obj.get("prefix", "")), bits(obj.get("period", "0")) or (0,))
-
-
-def grid_point_from_json(obj: dict) -> CantorGridPoint:
-    rows = obj.get("explicit_rows", {})
-    return CantorGridPoint(
-        tuple((int(m), _row_from_json(spec)) for m, spec in rows.items()),
-        _row_from_json(obj.get("default_row", {"prefix": "", "period": "0"})),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Stern-Brocot enumeration of the rationals
 # ---------------------------------------------------------------------------
@@ -551,11 +525,6 @@ class CantorGrid:
             s >>= 1
             k += 1
         return grid_point({m: (bits, (0,)) for m, bits in rows.items()})
-
-    def parse_point(self, text: str):
-        import json
-
-        return grid_point_from_json(json.loads(text))
 
 
 @dataclass(frozen=True)

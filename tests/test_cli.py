@@ -361,6 +361,9 @@ def affine(scale="2", shift="1"):
 
 @pytest.mark.parametrize("multimap, path", [
     ({"kind": "f1", "window": "x"}, "multimap.window"),
+    # an integer field holding an infinite number (JSON's Infinity)
+    ({"kind": "f1", "window": float("inf")}, "multimap.window"),
+    ({"kind": "spike", "harmonic_tail_start": float("-inf")}, "multimap.harmonic_tail_start"),
     ({"kind": "tabular", "space": STRING_LABELS,
       "values": {"a": finite("0"), "b": {"kind": "bogus"}}}, "multimap.values.b"),
     ({"kind": "spike", "head": ["1/2", "1/2"]}, "multimap.head"),
@@ -449,7 +452,8 @@ def test_check_reads_a_rational_label_as_the_point_it_names(tmp_path, point):
     assert (result["point"], result["verdict"]) == ("1/2", "continuous")
 
 
-@pytest.mark.parametrize("config", [[], {"probe_budget": [1]}, {"eps_schedule": [1]}, {"dense_bound": "x"}])
+@pytest.mark.parametrize("config", [[], {"probe_budget": [1]}, {"eps_schedule": [1]}, {"dense_bound": "x"},
+                                    {"probe_budget": float("inf")}])
 def test_check_rejects_a_malformed_config_at_its_path(tmp_path, config):
     instance = tmp_path / "malformed.json"
     instance.write_text(json.dumps({"multimap": {"kind": "f2"}, "points": [], "config": config}))

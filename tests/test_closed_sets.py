@@ -15,7 +15,6 @@ from baire_lab.closed_sets import (
     FiniteRealSet,
     IntervalUnion,
     clip_to_interval,
-    clips_properly,
     closed_intervals,
     closure,
     common_heads,
@@ -29,11 +28,11 @@ from baire_lab.closed_sets import (
     net_with_radius,
     open_intervals,
     set_contains,
-    set_from_json,
     set_separation,
     tree_body_points,
 )
 from baire_lab.gallery import F2_DEEP_DEPTH
+from baire_lab.instances import set_from_json
 from baire_lab.spaces import BAIRE_SPACE, REAL_LINE, BairePoint, baire_dist, eventually_zero, parse_baire_point
 from baire_lab.trees import generated_by, make_tree
 
@@ -320,8 +319,11 @@ def test_clipping():
     assert clip_to_interval(closed_intervals((0, 1)), Fr(1), Fr(2)) == closed_intervals((1, 1))
     assert isinstance(clip_to_interval(open_intervals((0, 1)), Fr(1), Fr(2)), Empty)
     assert clip_to_interval(open_intervals((0, 1)), Fr(1, 2), Fr(1, 2)) == closed_intervals((Fr(1, 2), Fr(1, 2)))
-    assert clips_properly(finite_real(0, 5), Fr(-1), Fr(1))
-    assert not clips_properly(finite_real(0), Fr(-1), Fr(1))
+    # clipping lost part of a value exactly when the result differs from its closure
+    for s, lo, hi, lost in [(finite_real(0, 5), -1, 1, True), (finite_real(0), -1, 1, False),
+                            (open_intervals((0, 1)), 0, 1, False), (open_intervals((0, 2)), 0, 1, True),
+                            (closed_intervals((0, 1), (2, 3)), 0, 3, False), (Empty(), 0, 1, False)]:
+        assert (clip_to_interval(s, Fr(lo), Fr(hi)) != closure(s)) is lost, (s, lo, hi)
 
 
 def test_set_separation():
@@ -345,7 +347,7 @@ def test_set_from_json_decodes_every_kind():
         ({"kind": "empty"}, Empty()),
     ]
     for obj, expected in cases:
-        assert set_from_json(obj) == expected
+        assert set_from_json(obj, "value") == expected
 
 
 def test_nonempty_variant_validation():

@@ -17,7 +17,7 @@ from baire_lab.checkers import (
     tabular_multimap,
     verify_witness,
 )
-from baire_lab.closed_sets import dist_to_set, finite_real, set_from_json
+from baire_lab.closed_sets import dist_to_set, finite_real
 from baire_lab.gallery import (
     AffineMap,
     BaireEmbedding,
@@ -49,7 +49,7 @@ from baire_lab.gallery import (
     spike_function,
     whole_space_repr,
 )
-from baire_lab.instances import witness_to_json
+from baire_lab.instances import set_from_json, witness_to_json
 from baire_lab.rationals import floor_reciprocal
 from baire_lab.spaces import (
     REAL_LINE,
@@ -244,7 +244,7 @@ def test_tree_body_json_decodes_to_the_f2_value():
     mm = f2_multimap()
     for literal in ("tree{nodes:[(),(0),(0,1),(2)]}", 'tree{nodes:[(),(3)],branches:["0;1"]}'):
         tree = parse_tree_literal(literal)
-        assert set_from_json({"kind": "tree_body", "tree": literal}) == mm.value(tree)
+        assert set_from_json({"kind": "tree_body", "tree": literal}, "value") == mm.value(tree)
     assert is_ill_founded(tree)
 
 

@@ -84,6 +84,37 @@ def test_schema_errors_carry_paths():
         config_from_json({"net_resolution": "0"})
 
 
+def test_decode_at_turns_a_malformed_literal_into_a_schema_error_at_its_path():
+    from baire_lab.instances import decode_at
+    from baire_lab.rationals import parse_rational
+
+    assert decode_at("x", parse_rational, "2/4") == Fr(1, 2)
+    for decode, literal, failure in [(parse_rational, "1/x", ValueError), (parse_rational, 5, AttributeError),
+                                     ({}.__getitem__, "k", KeyError), (len, 5, TypeError),
+                                     (int, float("inf"), OverflowError)]:
+        with pytest.raises(SchemaError) as err:
+            decode_at("x", decode, literal)
+        assert err.value.path == "x" and isinstance(err.value.__cause__, failure)
+    # the failure's own text; a message in its place; a message ending in ": " before it
+    with pytest.raises(SchemaError, match=r"^x: invalid literal for int\(\) with base 10: 'k'$"):
+        decode_at("x", int, "k")
+    with pytest.raises(SchemaError, match=r"^x: expected an integer, got 'k'$"):
+        decode_at("x", int, "k", message="expected an integer, got 'k'")
+    with pytest.raises(SchemaError, match=r"^x: not a number: invalid literal"):
+        decode_at("x", int, "k", message="not a number: ")
+
+    def nested():
+        raise SchemaError("x.inner", "deeper")
+
+    # a SchemaError from inside keeps its own path, although it is a ValueError
+    with pytest.raises(SchemaError) as err:
+        decode_at("x", nested)
+    assert (err.value.path, str(err.value)) == ("x.inner", "x.inner: deeper")
+    # anything else is a fault of the program, not of the input
+    with pytest.raises(ZeroDivisionError):
+        decode_at("x", lambda: 1 // 0)
+
+
 def test_extend_and_compose_instances():
     tabular = {
         "kind": "tabular",

@@ -1,10 +1,12 @@
 """Point types, metrics, enumerations."""
 
+import json
 import random
 from fractions import Fraction as Fr
 
 import pytest
 
+from baire_lab.instances import encode_value, point_from_json
 from baire_lab.rationals import floor_reciprocal, format_rational, parse_rational
 from baire_lab.spaces import (
     BAIRE_SPACE,
@@ -18,8 +20,6 @@ from baire_lab.spaces import (
     format_baire_point,
     grid_dist,
     grid_point,
-    grid_point_from_json,
-    grid_point_to_json,
     pair_index,
     parse_baire_point,
     rational_points_space,
@@ -245,7 +245,8 @@ def test_grid_rows_are_zero_one_sequences():
 
 def test_grid_json_roundtrip():
     g = grid_point({0: ((1, 0), (0,)), 3: ((), (0, 1))}, default=((), (1,)))
-    assert grid_point_from_json(grid_point_to_json(g)) == g
+    assert point_from_json(CANTOR_GRID, encode_value(g)) == g
+    assert point_from_json(CANTOR_GRID, json.dumps(encode_value(g))) == g  # the object's text
 
 
 # --- Stern-Brocot enumeration ------------------------------------------------

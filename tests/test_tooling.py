@@ -9,7 +9,9 @@ only the benchmark run; these tests make it fail here as well.  The
 end-to-end metric that `BENCHMARK.json` declares.
 
 The library's modules also carry no leftovers: every import is used, and
-every private top-level name is referenced in its own module.
+every private top-level name is referenced in its own module.  Every wire
+form lives in `instances.py`: only it and `cli.py` import json, and no
+other module defines a `*_from_json` or `*_to_json` function.
 """
 
 import ast
@@ -87,3 +89,21 @@ def test_library_modules_leave_no_unused_import_or_private_helper():
             leftovers += [(path.name, "private", name) for name in defined
                           if name.startswith("_") and not name.startswith("__") and name not in loaded]
     assert leftovers == []
+
+
+def test_only_the_input_boundary_speaks_json():
+    speakers = []
+    for path in sorted((ROOT / "src" / "baire_lab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                modules = []
+            if path.name not in ("instances.py", "cli.py"):
+                speakers += [(path.name, "import", m) for m in modules if m.split(".")[0] == "json"]
+            if path.name != "instances.py" and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and node.name.endswith(("_from_json", "_to_json")):
+                speakers.append((path.name, "def", node.name))
+    assert speakers == []
