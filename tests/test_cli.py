@@ -361,9 +361,6 @@ def affine(scale="2", shift="1"):
 
 @pytest.mark.parametrize("multimap, path", [
     ({"kind": "f1", "window": "x"}, "multimap.window"),
-    # an integer field holding an infinite number (JSON's Infinity)
-    ({"kind": "f1", "window": float("inf")}, "multimap.window"),
-    ({"kind": "spike", "harmonic_tail_start": float("-inf")}, "multimap.harmonic_tail_start"),
     ({"kind": "tabular", "space": STRING_LABELS,
       "values": {"a": finite("0"), "b": {"kind": "bogus"}}}, "multimap.values.b"),
     ({"kind": "spike", "head": ["1/2", "1/2"]}, "multimap.head"),
@@ -429,6 +426,9 @@ def affine(scale="2", shift="1"):
     # the rational_labels flag is a JSON boolean
     *[({"kind": "tabular", "space": {**TWO_POINTS, "rational_labels": flag}, "values": {}},
        "multimap.space.rational_labels") for flag in ("false", 0, 1, None)],
+    # an integer field holding an infinite number (JSON's Infinity)
+    ({"kind": "f1", "window": float("inf")}, "multimap.window"),
+    ({"kind": "spike", "harmonic_tail_start": float("-inf")}, "multimap.harmonic_tail_start"),
 ])
 def test_check_rejects_a_malformed_multimap_at_its_path(tmp_path, multimap, path):
     instance = tmp_path / "malformed.json"
