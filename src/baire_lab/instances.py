@@ -295,6 +295,8 @@ def multimap_from_json(obj: dict, path: str = "multimap") -> MultiMap:
             if not fits_space(values[point], codomain):
                 raise SchemaError(where, "a %s value is not a subset of the %s codomain"
                                   % (values[point].kind, codomain.name))
+        if not isinstance(space, FinitePoints):
+            raise SchemaError(path + ".space", "a tabular map needs a finite_points space, not %s" % space.name)
         missing = [p for p in space.points() if p not in values]
         if missing:
             raise SchemaError(path + ".values", "missing values for %r" % missing)

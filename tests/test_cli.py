@@ -429,6 +429,8 @@ def affine(scale="2", shift="1"):
     # an integer field holding an infinite number (JSON's Infinity)
     ({"kind": "f1", "window": float("inf")}, "multimap.window"),
     ({"kind": "spike", "harmonic_tail_start": float("-inf")}, "multimap.harmonic_tail_start"),
+    # a tabular map lists a value at every point of a finite space
+    ({"kind": "tabular", "space": {"kind": "unit_interval"}, "values": {"0": finite("0")}}, "multimap.space"),
 ])
 def test_check_rejects_a_malformed_multimap_at_its_path(tmp_path, multimap, path):
     instance = tmp_path / "malformed.json"
