@@ -147,7 +147,7 @@ def cmd_gallery(args) -> int:
         if args.gamma in _NAMED_GAMMAS:
             gamma = _NAMED_GAMMAS[args.gamma]()
         else:
-            gamma = point_from_json(CANTOR_GRID, decode_at("gamma", json.loads, args.gamma), "gamma")
+            gamma = point_from_json(CANTOR_GRID, args.gamma, "gamma")
         return _certify("gallery f1", f1_multimap(), gamma, f1_witness(gamma, F1_DEFAULT_WINDOW, cfg), args,
                         gamma=encode_value(gamma))
     if args.name == "f2":
@@ -175,7 +175,8 @@ def cmd_tree(args) -> int:
     if args.op == "generate":
         if not (args.nodes or "").split():
             raise SchemaError("nodes", "generate needs --nodes '(..) (..)'")
-        tree = decode_at("nodes", lambda: generated_by([parse_node(t) for t in args.nodes.split()]))
+        nodes = decode_at("nodes", lambda: [parse_node(t) for t in args.nodes.split()])
+        tree = decode_at("nodes", generated_by, nodes, catch=ValueError)
     else:
         if args.tree is None:
             raise SchemaError("tree", "%s needs --tree 'tree{...}'" % args.op)

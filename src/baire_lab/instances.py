@@ -73,18 +73,18 @@ class SchemaError(ValueError):
 _MALFORMED = (AttributeError, KeyError, OverflowError, TypeError, ValueError)
 
 
-def decode_at(path: str, decode, *args, message: str | None = None):
-    """decode(*args), where a malformed literal (a _MALFORMED error, say a
-    number where a literal belongs) becomes a SchemaError at path, with its
-    own text, or `message`, followed by that text if `message` ends in ": ".
-    A SchemaError raised inside passes through unchanged."""
+def decode_at(path: str, decode, *args, message: str | None = None, prefix: str = "", catch=_MALFORMED):
+    """decode(*args), where a malformed literal (a `catch` error, by default
+    any _MALFORMED one) becomes a SchemaError at path: `message`, or `prefix`
+    and the error's own text.  A constructor that validates decoded objects
+    passes catch=ValueError, so that a fault of the program stays a
+    traceback.  A SchemaError raised inside passes through unchanged."""
     try:
         return decode(*args)
     except SchemaError:
         raise
-    except _MALFORMED as exc:
-        text = str(exc) if message is None else message + str(exc) if message.endswith(": ") else message
-        raise SchemaError(path, text) from exc
+    except catch as exc:
+        raise SchemaError(path, prefix + str(exc) if message is None else message) from exc
 
 
 def _object(obj: Any, path: str) -> dict:
@@ -136,12 +136,14 @@ def space_from_json(obj: dict, path: str = "space"):
             raise SchemaError(path + ".rational_labels", "expected true or false, got %r" % (rational,))
         if rational:
             labels = decode_at(path + ".labels", list, map(parse_rational, labels),
-                               message="expected rational literals: ")
+                               prefix="expected rational literals: ")
         rows = [_list(row, "%s.table[%d]" % (path, i))
                 for i, row in enumerate(_list(obj.get("table", []), path + ".table"))]
         try:  # inline, not through decode_at: the triangle check is the deepest frame of a `compose` chain
-            table = (tuple(tuple(abs(a - b) for b in labels) for a in labels) if rational and "table" not in obj
-                     else tuple(tuple(parse_rational(d) for d in row) for row in rows))
+            if rational and "table" not in obj:
+                table = tuple(tuple(abs(a - b) for b in labels) for a in labels)
+            else:
+                table = tuple(tuple(parse_rational(d) for d in row) for row in rows)
             return FinitePoints(tuple(labels), table)
         except _MALFORMED as exc:
             raise SchemaError(path, str(exc)) from exc
@@ -223,7 +225,7 @@ def set_from_json(obj: Any, path: str):
     _list(obj.get("points", []), path + ".points")
     for i, iv in enumerate(_list(obj.get("intervals", []), path + ".intervals")):
         _list(iv, "%s.intervals[%d]" % (path, i))
-    return decode_at(path, _set_of_kind, kind, obj, message="not a value set: ")
+    return decode_at(path, _set_of_kind, kind, obj, prefix="not a value set: ")
 
 
 def _set_of_kind(kind: str, obj: dict):
@@ -281,7 +283,8 @@ def multimap_from_json(obj: dict, path: str = "multimap") -> MultiMap:
             tail = decode_at(path + ".harmonic_tail_start", int, tail,
                              message="expected an integer, got %r" % (tail,))
         head = _list(obj.get("head", []), path + ".head")  # rational literals, pairwise distinct and off the tail
-        return spike_function(decode_at(path + ".head", lambda: SpikeSet(tuple(map(parse_rational, head)), tail)))
+        spikes = decode_at(path + ".head", lambda: SpikeSet(tuple(map(parse_rational, head)), tail))
+        return spike_function(spikes)
     if kind == "tabular":
         space = space_from_json(obj.get("space", {}), path + ".space")
         codomain = space_from_json(obj.get("codomain", {"kind": "real_line"}), path + ".codomain")
@@ -306,9 +309,9 @@ def multimap_from_json(obj: dict, path: str = "multimap") -> MultiMap:
         sup = space_from_json(obj.get("super_space", {}), path + ".super_space")
         if not isinstance(base.domain, FinitePoints) or not isinstance(sup, FinitePoints):
             raise SchemaError(path, "extend requires finite-points domain spaces")
-        embedding = decode_at(path + ".super_space", IdentityEmbedding, base.domain, sup)
+        embedding = decode_at(path + ".super_space", IdentityEmbedding, base.domain, sup, catch=ValueError)
         # off the image the value is the whole codomain, which must be representable
-        return decode_at(path + ".base", extend, base, embedding, sup)
+        return decode_at(path + ".base", extend, base, embedding, sup, catch=ValueError)
     if kind == "compose":
         base = multimap_from_json(obj.get("base", {}), path + ".base")
         return compose(_coordinate_change(obj.get("pi", {}), base.codomain, path + ".pi"), base)
@@ -322,7 +325,8 @@ def multimap_from_json(obj: dict, path: str = "multimap") -> MultiMap:
 
 def config_from_json(obj: dict, path: str = "config") -> CheckConfig:
     base = default_config()
-    eps = _list(_object(obj, path).get("eps_schedule", []), path + ".eps_schedule")
+    _object(obj, path)
+    eps = _list(obj.get("eps_schedule", []), path + ".eps_schedule")
     delta = _list(obj.get("delta_schedule", []), path + ".delta_schedule")
     return decode_at(path, lambda: CheckConfig(
         eps_schedule=tuple(map(parse_rational, eps)) or base.eps_schedule,
@@ -398,7 +402,8 @@ def verdict_to_json(verdict: Verdict) -> dict:
 
 def load_instance(obj: dict):
     """Decode an instance file into (multimap, points, mode, cfg, probes)."""
-    multimap = multimap_from_json(_object(obj, "$").get("multimap", {}), "multimap")
+    _object(obj, "$")
+    multimap = multimap_from_json(obj.get("multimap", {}), "multimap")
     mode = obj.get("mode", "plain")
     if not isinstance(mode, str) or mode not in MODES:
         raise SchemaError("mode", "unknown mode %r (valid: %s)" % (mode, ", ".join(MODES)))

@@ -506,6 +506,10 @@ def test_check_rejects_a_malformed_grid_point_at_its_path(tmp_path, point):
         assert out.returncode == 2, out.stderr
         assert "Traceback" not in out.stderr
         assert json.loads(out.stderr)["path"] == "point"
+        # and so does `gallery f1 --gamma`, with the same refusal text
+        gamma = run_cli("gallery", "f1", "--gamma", point)
+        assert gamma.returncode == 2, gamma.stderr
+        assert json.loads(gamma.stderr)["error"] == json.loads(out.stderr)["error"].replace("point: ", "gamma: ", 1)
 
 
 def test_check_rejects_a_point_outside_the_domain(tmp_path):

@@ -95,13 +95,18 @@ def test_decode_at_turns_a_malformed_literal_into_a_schema_error_at_its_path():
         with pytest.raises(SchemaError) as err:
             decode_at("x", decode, literal)
         assert err.value.path == "x" and isinstance(err.value.__cause__, failure)
-    # the failure's own text; a message in its place; a message ending in ": " before it
+    # the failure's own text; a message in its place; a prefix before the failure's text
     with pytest.raises(SchemaError, match=r"^x: invalid literal for int\(\) with base 10: 'k'$"):
         decode_at("x", int, "k")
     with pytest.raises(SchemaError, match=r"^x: expected an integer, got 'k'$"):
         decode_at("x", int, "k", message="expected an integer, got 'k'")
     with pytest.raises(SchemaError, match=r"^x: not a number: invalid literal"):
-        decode_at("x", int, "k", message="not a number: ")
+        decode_at("x", int, "k", prefix="not a number: ")
+    # a validating constructor catches only ValueError: any other error stays a fault of the program
+    with pytest.raises(SchemaError, match=r"^x: invalid literal"):
+        decode_at("x", int, "k", catch=ValueError)
+    with pytest.raises(TypeError):
+        decode_at("x", len, 5, catch=ValueError)
 
     def nested():
         raise SchemaError("x.inner", "deeper")
