@@ -116,7 +116,7 @@ def tree_body_points(t: Tree) -> frozenset[BairePoint]:
     keeps prefixes, so the terminals of the shifted tree are the shifted
     terminals of t."""
     points = {b.shift_entries() for b in t.branches}
-    points.update(eventually_zero(shift_node(u)) for u in terminals(t))
+    points.update(map(eventually_zero, map(shift_node, terminals(t))))
     return frozenset(points)
 
 

@@ -87,6 +87,14 @@ def decode_at(path: str, decode, *args, message: str | None = None, prefix: str 
         raise SchemaError(path, prefix + str(exc) if message is None else message) from exc
 
 
+def _natural(value: Any, name: str) -> int:
+    """value, a JSON integer or its decimal text, as a natural number.  A JSON
+    float or boolean is refused, not truncated, and so is a negative number."""
+    if isinstance(value, (bool, float)) or int(value) < 0:
+        raise ValueError("%s must be a natural number, got %r" % (name, value))
+    return int(value)
+
+
 def _object(obj: Any, path: str) -> dict:
     """obj, when it is a JSON object; a SchemaError at path otherwise."""
     if not isinstance(obj, dict):
@@ -170,7 +178,7 @@ def _grid_row_to_json(row: BairePoint) -> dict:
 def point_from_json(space, obj: Any, path: str = "point"):
     """A point literal of the space; on the grid, a JSON object or its text."""
     if isinstance(space, CantorGrid) and isinstance(obj, (str, dict)):
-        return decode_at(path, _grid_point, obj)
+        return decode_at(path, _grid_point, obj, catch=(*_MALFORMED, RecursionError))  # deep JSON text
     if not isinstance(obj, str):
         raise SchemaError(path, "expected a point literal string, got %r" % (obj,))
     return decode_at(path, space.parse_point, obj)
@@ -266,10 +274,7 @@ def multimap_from_json(obj: dict, path: str = "multimap") -> MultiMap:
     kind = _kind(obj, path)
     if kind == "f1":
         message = "expected a non-negative integer, got %r" % (obj.get("window"),)
-        window = decode_at(path + ".window", int, obj.get("window", 8), message=message)
-        if window < 0:
-            raise SchemaError(path + ".window", message)
-        return f1_multimap(window)
+        return f1_multimap(decode_at(path + ".window", _natural, obj.get("window", 8), "window", message=message))
     if kind == "f2":
         return f2_multimap()
     if kind == "dense_split":
@@ -280,8 +285,8 @@ def multimap_from_json(obj: dict, path: str = "multimap") -> MultiMap:
     if kind == "spike":
         tail = obj.get("harmonic_tail_start")
         if tail is not None:
-            tail = decode_at(path + ".harmonic_tail_start", int, tail,
-                             message="expected an integer, got %r" % (tail,))
+            tail = decode_at(path + ".harmonic_tail_start", _natural, tail, "harmonic_tail_start",
+                             message=None if isinstance(tail, int) else "expected an integer, got %r" % (tail,))
         head = _list(obj.get("head", []), path + ".head")  # rational literals, pairwise distinct and off the tail
         spikes = decode_at(path + ".head", lambda: SpikeSet(tuple(map(parse_rational, head)), tail))
         return spike_function(spikes)
@@ -328,14 +333,12 @@ def config_from_json(obj: dict, path: str = "config") -> CheckConfig:
     _object(obj, path)
     eps = _list(obj.get("eps_schedule", []), path + ".eps_schedule")
     delta = _list(obj.get("delta_schedule", []), path + ".delta_schedule")
+    naturals = ("probe_budget", "dense_bound", "n_bound", "m_bound")
     return decode_at(path, lambda: CheckConfig(
         eps_schedule=tuple(map(parse_rational, eps)) or base.eps_schedule,
         delta_schedule=tuple(map(parse_rational, delta)) or base.delta_schedule,
-        probe_budget=int(obj.get("probe_budget", base.probe_budget)),
+        **{key: _natural(obj.get(key, getattr(base, key)), key) for key in naturals},
         net_resolution=parse_rational(obj["net_resolution"]) if "net_resolution" in obj else base.net_resolution,
-        dense_bound=int(obj.get("dense_bound", base.dense_bound)),
-        n_bound=int(obj.get("n_bound", base.n_bound)),
-        m_bound=int(obj.get("m_bound", base.m_bound)),
     ))
 
 

@@ -35,6 +35,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress, count
+from operator import ne
 from typing import Iterable, Sequence
 
 from .rationals import parse_rational
@@ -47,10 +49,7 @@ from .rationals import parse_rational
 def _primitive_period(period: tuple[int, ...]) -> tuple[int, ...]:
     """Shortest block whose repetition gives the same tail."""
     n = len(period)
-    for d in range(1, n + 1):
-        if n % d == 0 and period[:d] * (n // d) == period:
-            return period[:d]
-    return period
+    return next(period[:d] for d in range(1, n + 1) if n % d == 0 and period[:d] * (n // d) == period)
 
 
 def canonical_seq(prefix: Sequence[int], period: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -61,29 +60,32 @@ def canonical_seq(prefix: Sequence[int], period: Sequence[int]) -> tuple[tuple[i
     value equality coincides with representation equality afterwards.
     The k trailing entries that match the period read backwards are
     dropped in one cut, with one rotation by k mod the period's length.
+    A prefix that is empty or ends off the period's last entry is shortest.
     """
     if not period:
         raise ValueError("period must be nonempty")
     pre = tuple(map(int, prefix))
-    per = _primitive_period(tuple(map(int, period)))
-    n, p = len(pre), len(per)
-    k = 0
+    per = tuple(map(int, period))
+    per = _primitive_period(per) if len(per) > 1 else per
+    if not pre or pre[-1] != per[-1]:
+        return pre, per
+    n, p, k = len(pre), len(per), 1
     while k < n and pre[n - 1 - k] == per[-1 - k % p]:
         k += 1
     r = p - k % p
     return pre[:n - k], per[r:] + per[:r]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, init=False)
 class BairePoint:
     """Eventually periodic sequence of naturals, in canonical form, ordered
-    by (prefix, period)."""
+    by (prefix, period).  Each field is written once, canonical."""
 
     prefix: tuple[int, ...]
     period: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        pre, per = canonical_seq(self.prefix, self.period)
+    def __init__(self, prefix: Sequence[int], period: Sequence[int]) -> None:
+        pre, per = canonical_seq(prefix, period)
         if min(pre + per) < 0:
             raise ValueError("entries must be naturals")
         object.__setattr__(self, "prefix", pre)
@@ -151,13 +153,10 @@ def first_disagreement(a: BairePoint, b: BairePoint) -> int | None:
     Two eventually periodic sequences that agree below
     max prefix length + lcm of period lengths agree everywhere.
     """
-    if a == b:
+    if a.prefix == b.prefix and a.period == b.period:
         return None
     bound = max(len(a.prefix), len(b.prefix)) + math.lcm(len(a.period), len(b.period))
-    for n, (x, y) in enumerate(zip(a.head(bound), b.head(bound))):
-        if x != y:
-            return n
-    return None
+    return next(compress(count(), map(ne, a.head(bound), b.head(bound))), None)
 
 
 def baire_dist(a: BairePoint, b: BairePoint) -> Fraction:

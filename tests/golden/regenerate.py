@@ -19,11 +19,13 @@ malformed literal or field at each decode site of the input boundary
 that is not JSON, a test-ball radius, an affine scale, the f1 window, the
 spike map's tail start and head, a value set that is not an object or
 holds a malformed literal, an extension's super space and base, and the
-config).  Each `<name>.argv` holds a JSON list of command-line arguments,
-and `<name>.out` is the exact stdout of `baire-lab` run with them, or its
-stderr when it exits 2: the `gallery` certificates of f1 and f2, the
-`tree` operations, and malformed `--gamma`, `--tree`, `--alpha` and
-`--nodes` arguments.  After a change that alters a report on purpose,
+config), and integer fields holding a JSON float (the f1 window) or a
+boolean (the probe budget).  Each `<name>.argv` holds a JSON list of
+command-line arguments, and `<name>.out` is the exact stdout of
+`baire-lab` run with them, or its stderr when it exits 2: the `gallery`
+certificates of f1 and f2, the `tree` operations, `classify` on the four
+hierarchy skeletons of acceptance 01, and malformed `--gamma`, `--tree`,
+`--alpha` and `--nodes` arguments.  After a change that alters a report on purpose,
 rewrite the reports from the root of a checkout with
 
     PYTHONPATH=src python tests/golden/regenerate.py

@@ -23,6 +23,8 @@ trailing prefix entry per step and rotates the period by one each time;
 by entry and node by node, with the messages of the constructors, and the
 latter closes the off-branch nodes itself;
 `terminals_by_scan` tests every node against the branches.
+`spaces.first_disagreement` compares whole heads at C speed;
+`first_disagreement_by_entries` reads one entry of each point per step.
 
 `spaces.grid_dist` reads each explicit row of both points from a dict;
 `grid_dist_by_row_scans` finds each one with `CantorGridPoint.row`, a scan
@@ -179,6 +181,18 @@ def baire_point_by_steps(prefix, period):
     if any(x < 0 for x in pre) or any(x < 0 for x in per):
         raise ValueError("entries must be naturals")
     return pre, per
+
+
+def first_disagreement_by_entries(a, b):
+    """`spaces.first_disagreement`, walking the entries of both points one
+    index at a time up to max prefix length + lcm of period lengths: two
+    eventually periodic sequences that agree below that bound agree
+    everywhere."""
+    bound = max(len(a.prefix), len(b.prefix)) + math.lcm(len(a.period), len(b.period))
+    for n in range(bound):
+        if a.entry(n) != b.entry(n):
+            return n
+    return None
 
 
 def tree_finite_part_by_generators(finite_part, branches):

@@ -731,19 +731,25 @@ def test_sequence_space_distances_walk_to_the_least_disagreement(monkeypatch):
     assert 0 < calls["first_disagreement"] <= calls["queries"]
 
 
+def golden_f2_trees():
+    """The f2 trees of the golden instances, each once, in file order."""
+    import json
+    from pathlib import Path
+
+    from baire_lab.trees import parse_tree_literal
+
+    golden = Path(__file__).resolve().parent / "golden"
+    return list(dict.fromkeys(parse_tree_literal(point) for case in sorted(golden.glob("f2_*.json"))
+                              for point in json.loads(case.read_text())["points"]))
+
+
 def test_fraction_comparisons_on_the_golden_f2_trees(monkeypatch):
     """A deterministic work count for the probe layer on sequence-space
     values: the `Fraction` rich comparisons that `check_continuity` and
     `eval_star` make on the f2 trees of the golden instances."""
-    import json
-    from pathlib import Path
-
     from baire_lab.gallery import f2_multimap
-    from baire_lab.trees import parse_tree_literal
 
-    golden = Path(__file__).resolve().parent / "golden"
-    trees = dict.fromkeys(parse_tree_literal(point) for case in sorted(golden.glob("f2_*.json"))
-                          for point in json.loads(case.read_text())["points"])
+    trees = golden_f2_trees()
     f2, cfg = f2_multimap(), default_config()
     compared = []
     for name in ("__lt__", "__le__", "__gt__", "__ge__"):
@@ -757,6 +763,31 @@ def test_fraction_comparisons_on_the_golden_f2_trees(monkeypatch):
     monkeypatch.undo()
     assert len(trees) == 10
     assert len(compared) == 329  # 794 before the probe layer compared levels
+
+
+def test_primitive_period_calls_on_the_golden_f2_trees(monkeypatch):
+    """A deterministic work count for the point constructor: the
+    `_primitive_period` calls that `f2_witness` and `verify_witness` make
+    on the f2 trees of the golden instances.  Only a period of more than
+    one entry is reduced, so the padded terminals of f2's values, points
+    `head·0^ω`, need none."""
+    from baire_lab import closed_sets, spaces
+    from baire_lab.gallery import f2_multimap, f2_witness
+
+    trees, f2, cfg = golden_f2_trees(), f2_multimap(), default_config()
+    calls = []
+
+    def counted(period, original=spaces._primitive_period):
+        calls.append(len(period))
+        return original(period)
+
+    closed_sets.tree_body_points.cache_clear()  # a cached value builds no points
+    monkeypatch.setattr(spaces, "_primitive_period", counted)
+    for tree in trees:
+        assert verify_witness(f2, tree, f2_witness(tree, cfg), f2.default_probes)
+    monkeypatch.undo()
+    assert min(calls) > 1
+    assert len(calls) == 2  # 153 when every point's period was reduced
 
 
 def test_fraction_hashes_and_value_lookups_on_criteria_06_and_10(monkeypatch):

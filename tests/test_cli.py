@@ -431,6 +431,13 @@ def affine(scale="2", shift="1"):
     ({"kind": "spike", "harmonic_tail_start": float("-inf")}, "multimap.harmonic_tail_start"),
     # a tabular map lists a value at every point of a finite space
     ({"kind": "tabular", "space": {"kind": "unit_interval"}, "values": {"0": finite("0")}}, "multimap.space"),
+    # an integer field holds a natural number: not a float or a boolean, which int() would truncate
+    ({"kind": "f1", "window": 2.5}, "multimap.window"),
+    ({"kind": "f1", "window": True}, "multimap.window"),
+    ({"kind": "spike", "harmonic_tail_start": 1.0}, "multimap.harmonic_tail_start"),
+    ({"kind": "spike", "harmonic_tail_start": False}, "multimap.harmonic_tail_start"),
+    # a negative tail start would put 1/0 on the harmonic list
+    ({"kind": "spike", "head": ["3"], "harmonic_tail_start": -1}, "multimap.harmonic_tail_start"),
 ])
 def test_check_rejects_a_malformed_multimap_at_its_path(tmp_path, multimap, path):
     instance = tmp_path / "malformed.json"
@@ -455,7 +462,8 @@ def test_check_reads_a_rational_label_as_the_point_it_names(tmp_path, point):
 
 
 @pytest.mark.parametrize("config", [[], {"probe_budget": [1]}, {"eps_schedule": [1]}, {"dense_bound": "x"},
-                                    {"probe_budget": float("inf")}])
+                                    {"probe_budget": float("inf")}, {"probe_budget": True}, {"dense_bound": 2.5},
+                                    {"n_bound": -1}, {"m_bound": 8.0}])
 def test_check_rejects_a_malformed_config_at_its_path(tmp_path, config):
     instance = tmp_path / "malformed.json"
     instance.write_text(json.dumps({"multimap": {"kind": "f2"}, "points": [], "config": config}))
@@ -492,6 +500,8 @@ def test_check_rejects_a_string_or_number_where_a_list_belongs(tmp_path, fields,
     # a grid point given as a string is JSON text
     "1/3",
     "{",
+    # nested past the JSON parser's depth
+    pytest.param("[" * 100_000, id="deep_text"),
 ])
 def test_check_rejects_a_malformed_grid_point_at_its_path(tmp_path, point):
     instance = tmp_path / "grid.json"

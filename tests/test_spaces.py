@@ -17,6 +17,7 @@ from baire_lab.spaces import (
     baire_dist,
     canonical_seq,
     eventually_zero,
+    first_disagreement,
     format_baire_point,
     grid_dist,
     grid_point,
@@ -28,7 +29,13 @@ from baire_lab.spaces import (
 )
 
 from corpus_helpers import finite_points_space
-from scan_oracle import baire_point_by_steps, canonical_seq_by_steps, grid_dist_by_row_scans, outcome
+from scan_oracle import (
+    baire_point_by_steps,
+    canonical_seq_by_steps,
+    first_disagreement_by_entries,
+    grid_dist_by_row_scans,
+    outcome,
+)
 
 
 def random_baire_point(rng, max_entry=4, max_len=4):
@@ -120,6 +127,8 @@ def test_canonical_seq_and_baire_point_match_the_step_by_step_oracle():
         assert outcome(canonical_seq, prefix, period) == outcome(canonical_seq_by_steps, prefix, period)
         point = outcome(baire_point_fields, prefix, period)
         assert point == outcome(baire_point_by_steps, prefix, period), (prefix, period)
+        if not isinstance(point, str):  # string and bool entries are stored as ints
+            assert all(type(field) is tuple and all(type(x) is int for x in field) for field in point), point
 
 
 def test_entry_total_and_literals():
@@ -151,6 +160,49 @@ def test_baire_dist_agrees_with_naive_scan():
             assert d == 0 or d < Fr(1, 64)
         else:
             assert d == Fr(1, got + 1)
+
+
+def drawn_point_pair(rng, kind):
+    """Two points of one kind: `equal` (one of them written out of canonical
+    form), `same_prefix` (different periods), `coprime` (period lengths 2
+    and 3, 3 and 5, or 4 and 7), `trunk` (heads of 200 to 260 entries, as
+    on f2's deep trunks, that part late or only in their periods) or
+    `random`."""
+    def seq(n):
+        return tuple(rng.randrange(3) for _ in range(n))
+
+    if kind == "equal":
+        a = random_baire_point(rng)
+        return a, BairePoint(a.prefix + a.period * rng.randrange(3), a.period * rng.randrange(1, 4))
+    if kind == "same_prefix":
+        prefix = seq(rng.randrange(6))
+        return BairePoint(prefix, seq(rng.randrange(1, 5))), BairePoint(prefix, seq(rng.randrange(1, 5)))
+    if kind == "coprime":
+        p, q = rng.choice([(2, 3), (3, 5), (4, 7)])
+        return BairePoint(seq(rng.randrange(4)), seq(p)), BairePoint(seq(rng.randrange(4)), seq(q))
+    if kind == "trunk":
+        head = tuple(rng.randrange(1, 4) for _ in range(rng.randrange(200, 261)))
+        cut = rng.randrange(len(head) - 20, len(head) + 1)
+        other = head[:cut] + tuple(rng.randrange(1, 4) for _ in range(len(head) - cut))
+        return BairePoint(head, rng.choice([(0,), (0, 1), (2,)])), BairePoint(other, rng.choice([(0,), (1, 0)]))
+    return random_baire_point(rng), random_baire_point(rng)
+
+
+def test_first_disagreement_matches_the_entry_by_entry_oracle():
+    rng = random.Random(29)
+    kinds = ["equal", "same_prefix", "coprime", "trunk", "random"]
+    seen = {kind: [0, 0] for kind in kinds}  # pairs drawn, pairs that disagree past entry 200
+    for i in range(6000):
+        kind = kinds[i % len(kinds)]
+        a, b = drawn_point_pair(rng, kind)
+        got = first_disagreement(a, b)
+        assert got == first_disagreement_by_entries(a, b) == first_disagreement(b, a), (a, b)
+        assert (got is None) == (a == b)
+        assert a == b or kind != "equal"
+        seen[kind][0] += 1
+        seen[kind][1] += got is not None and got >= 200
+    assert all(drawn == 1200 for drawn, _ in seen.values())
+    assert seen["trunk"][1] >= 600  # most trunk pairs share their first 200 entries
 
 
 def test_starts_with_agrees_with_entries():
