@@ -3,8 +3,10 @@
 Each `<name>.json` in this folder is an instance file, and `<name>.out` is
 the exact stdout of `baire-lab check <name>.json`, or its stderr when the
 check refuses the instance with exit 2.  The instances cover every
-multimap kind and all five modes, an Inconclusive verdict, an empty
-value, a point listed twice, f2 trees with one or two branches in `plain`
+multimap kind and all five modes (`extend` in `plain`, `strong` and
+`dagger`, `compose` in `plain`, `star`, `dagger` and `fell`), an
+Inconclusive verdict, a `dense_bound` that alone makes a verdict
+Inconclusive (`f2_star_starved_binding`), an empty value, a point listed twice, f2 trees with one or two branches in `plain`
 and `star` mode (`f2_branch_trees_*`), checks that can stop at the
 first delta ball (`strong` and `fell` on f1 and the spike map, `plain` and
 `fell` on interval values, `plain` on the dyadic dense split), f1's
@@ -23,7 +25,8 @@ config), and integer fields holding a JSON float (the f1 window) or a
 boolean (the probe budget).  Each `<name>.argv` holds a JSON list of
 command-line arguments, and `<name>.out` is the exact stdout of
 `baire-lab` run with them, or its stderr when it exits 2: the `gallery`
-certificates of f1 and f2, the `tree` operations, `classify` on the four
+certificates of f1 and f2, the `tree` operations (one on a tree literal
+spaced between its tokens), `classify` on the four
 hierarchy skeletons of acceptance 01, and malformed `--gamma`, `--tree`,
 `--alpha` and `--nodes` arguments.  After a change that alters a report on purpose,
 rewrite the reports from the root of a checkout with

@@ -65,6 +65,17 @@ def test_check_subcommand_and_exit_codes(tmp_path):
     payload = json.loads(out.stdout)
     assert payload["results"][0]["verdict"] == "inconclusive"
 
+    # that tree is Inconclusive at the default dense_bound too; this one is
+    # continuous there, so only the starved budget makes it Inconclusive
+    binding = {"multimap": {"kind": "f2"}, "mode": "star",
+               "points": ['tree{nodes:[(),(0),(0,3)],branches:["0;2"]}']}
+    for config, verdict, code in (({}, "continuous", 0), ({"dense_bound": 4}, "inconclusive", 3)):
+        starved.write_text(json.dumps({**binding, "config": config}))
+        out = run_cli("check", str(starved))
+        assert out.returncode == code
+        assert json.loads(out.stdout)["results"][0]["verdict"] == verdict
+    assert json.loads(out.stdout)["results"][0]["report"]["failing_n"] == 1
+
 
 def test_check_point_override(tmp_path):
     instance = tmp_path / "split.json"
