@@ -26,35 +26,33 @@ from .gallery import (
 )
 from .instances import (
     SchemaError,
+    _natural,
     balls_from_json,
     decode_at,
     domain_point_from_json,
     encode_value,
+    format_node,
+    format_rational,
+    format_tree_literal,
     instance_digest,
     load_instance,
+    parse_baire_point,
+    parse_node,
+    parse_tree_literal,
     point_from_json,
     verdict_to_json,
     witness_to_json,
 )
 from .pointclass import ParseError, classify, parse_expr
-from .rationals import format_rational
-from .spaces import CANTOR_GRID, grid_point, parse_baire_point, real_flavored
-from .trees import (
-    body_prefixes,
-    format_node,
-    format_tree_literal,
-    generated_by,
-    is_ill_founded,
-    parse_node,
-    parse_tree_literal,
-    terminals,
-    tree_shift,
-)
+from .spaces import CANTOR_GRID, grid_point, real_flavored
+from .trees import body_prefixes, generated_by, is_ill_founded, terminals, tree_shift
 
 EXIT_OK = 0
 EXIT_FAULT = 1
 EXIT_INPUT = 2
 EXIT_INCONCLUSIVE = 3
+
+EMBED_MAX_DEPTH = 1024  # the chain's endpoints grow with the depth: depth 3000 ran past 20 s
 
 
 def _emit(report: dict, args) -> None:
@@ -160,11 +158,14 @@ def cmd_gallery(args) -> int:
         if args.alpha is None or args.depth is None:
             raise SchemaError("alpha", "embed needs --alpha 'prefix;period' and --depth N")
         alpha = decode_at("alpha", parse_baire_point, args.alpha)
-        chain = [baire_embed(alpha, d) for d in range(args.depth + 1)]
+        depth = decode_at("depth", _natural, args.depth, "depth")
+        if depth > EMBED_MAX_DEPTH:
+            raise SchemaError("depth", "depth must be at most %d, got %d" % (EMBED_MAX_DEPTH, depth))
+        chain = [baire_embed(alpha, d) for d in range(depth + 1)]
         _emit(_report(
             "gallery embed",
             alpha=args.alpha,
-            depth=args.depth,
+            depth=depth,
             intervals=[[format_rational(a), format_rational(b)] for a, b in chain],
         ), args)
         return EXIT_OK
@@ -224,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gallery.add_argument("--gamma", help="f1: all_ones, all_zero, or grid-point JSON")
     p_gallery.add_argument("--tree", help="f2: tree literal")
     p_gallery.add_argument("--alpha", help="embed: sequence literal 'prefix;period'")
-    p_gallery.add_argument("--depth", type=int, help="embed: interval chain depth")
+    p_gallery.add_argument("--depth", help="embed: interval chain depth, at most %d" % EMBED_MAX_DEPTH)
     p_gallery.set_defaults(fn=cmd_gallery)
 
     p_tree = sub.add_parser("tree", help="tree combinatorics")

@@ -40,7 +40,6 @@ from .closed_sets import (
     finite_real,
     tree_body_points,
 )
-from .rationals import floor_reciprocal
 from .spaces import (
     BAIRE_SPACE,
     CANTOR_GRID,
@@ -50,6 +49,7 @@ from .spaces import (
     CantorGridPoint,
     FinitePoints,
     UnitInterval,
+    floor_reciprocal,
     pair_index,
     unpair_index,
 )

@@ -1,9 +1,15 @@
-"""Every JSON wire form: instance files, value sets, grid points, verdicts,
+"""Every text literal and every JSON wire form: rationals, sequences,
+nodes, trees, instance files, value sets, grid points, verdicts,
 witnesses, digests.
 
-An instance file bundles a multimap, points to check, a mode, a config,
-and a probe spec.  Everything numeric is a canonical "p/q" string; keys
-are sorted on output, so identical inputs produce byte-identical reports.
+A rational is "p/q" text, with "/q" left out when q is 1 ("3", "-1/2");
+an eventually periodic sequence is "prefix;period", each part
+comma-separated naturals ("0,1;0" for 0,1,0,0,...); a node is "(2,5)"; a
+tree is `tree{nodes:[(),(0)],branches:["0;1"]}`, either list left out but
+not both, spaced between its tokens but not inside a number.  An instance
+file bundles a multimap, points to check, a mode, a config, and a probe
+spec.  Everything numeric is a rational literal; keys are sorted on
+output, so identical inputs produce byte-identical reports.
 A `finite_points` space's labels are its points: strings, or, with
 `rational_labels`, rationals parsed here once, so that "2/4" names the
 point 1/2 and its distance table must be |x - y|; left out, it is derived.
@@ -16,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from fractions import Fraction
 from typing import Any
 
@@ -44,7 +51,6 @@ from .gallery import (
     f2_multimap,
     spike_function,
 )
-from .rationals import format_rational, parse_rational
 from .spaces import (
     BAIRE_SPACE,
     CANTOR_GRID,
@@ -55,11 +61,9 @@ from .spaces import (
     CantorGrid,
     CantorGridPoint,
     FinitePoints,
-    format_baire_point,
-    parse_baire_point,
     real_flavored,
 )
-from .trees import TREE_SPACE, Tree, format_tree_literal, parse_tree_literal
+from .trees import EMPTY_NODE, TREE_SPACE, Node, Tree, TreeSpace, make_tree
 
 
 class SchemaError(ValueError):
@@ -69,6 +73,8 @@ class SchemaError(ValueError):
         super().__init__("%s: %s" % (path, message))
         self.path = path
 
+
+F1_MAX_WINDOW = 256  # every f1 value scans the window's rows: one point took 21 s at 512 and 323 s at 2048
 
 _MALFORMED = (AttributeError, KeyError, OverflowError, TypeError, ValueError)
 
@@ -116,6 +122,100 @@ def _kind(obj: Any, path: str, default: str | None = None) -> str:
     if not isinstance(kind, str):
         raise SchemaError(path + ".kind", "expected a kind string, got %r" % (kind,))
     return kind
+
+
+# ---------------------------------------------------------------------------
+# text literals
+# ---------------------------------------------------------------------------
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse canonical "p/q" (or bare "p") text.
+
+    Raises ValueError on malformed input, including a zero denominator.
+    """
+    text = text.strip()
+    num_text, slash, den_text = text.partition("/")
+    num, den = int(num_text), int(den_text) if slash else 1
+    if den == 0:
+        raise ValueError("zero denominator in rational literal: %r" % text)
+    return Fraction(num, den)
+
+
+def format_rational(value: Fraction) -> str:
+    """Canonical text: "p/q", with "/q" omitted for integers."""
+    if value.denominator == 1:
+        return str(value.numerator)
+    return "%d/%d" % (value.numerator, value.denominator)
+
+
+def _integers(text: str) -> tuple[int, ...]:
+    """The comma-separated integers of a sequence part or a node: blank
+    text holds none, and an empty entry is refused."""
+    return tuple(map(int, text.split(","))) if text.strip() else ()
+
+
+def parse_baire_point(text: str) -> BairePoint:
+    """Parse the "prefix;period" literal, e.g. "0,1;0" for (0,1,0,0,...)."""
+    if ";" not in text:
+        raise ValueError('expected "prefix;period" literal: %r' % text)
+    pre_text, _, per_text = text.partition(";")
+    period = _integers(per_text)
+    if not period:
+        raise ValueError("period part must be nonempty: %r" % text)
+    return BairePoint(_integers(pre_text), period)
+
+
+def format_baire_point(p: BairePoint) -> str:
+    return "%s;%s" % (",".join(map(str, p.prefix)), ",".join(map(str, p.period)))
+
+
+_NODE, _BRANCH = r"\(([^()]*)\)", r'"([^"]*)"'  # a node, its entries captured; a branch, its literal
+
+
+def format_node(u: Node) -> str:
+    return "(%s)" % ",".join(map(str, u))
+
+
+def parse_node(text: str) -> Node:
+    text = text.strip()
+    if text in ("ε", "e"):
+        return EMPTY_NODE
+    m = re.fullmatch(_NODE, text)
+    if m is None:
+        raise ValueError("malformed node literal: %r" % text)
+    return _integers(m.group(1))
+
+
+def format_tree_literal(t: Tree) -> str:
+    nodes = ",".join(format_node(u) for u in sorted(t.finite_part))
+    branches = ",".join('"%s"' % format_baire_point(b) for b in sorted(t.branches))
+    if branches:
+        return "tree{nodes:[%s],branches:[%s]}" % (nodes, branches)
+    return "tree{nodes:[%s]}" % nodes
+
+
+def _spaced_list(item: str) -> str:
+    """A bracketed list of item, comma-separated and spaced between tokens,
+    its inside captured."""
+    return r"\[\s*((?:%s\s*(?:,\s*%s\s*)*)?)\]" % (item, item)
+
+
+# nodes, then branches after a comma when there are nodes; either list may be left out
+_TREE = re.compile(r"\s*tree\s*\{\s*(?:nodes\s*:\s*%s\s*)?(?:(?(1),\s*)branches\s*:\s*%s\s*)?\}\s*"
+                   % (_spaced_list(r"\([^()]*\)"), _spaced_list(r'"[^"]*"')))
+
+
+def parse_tree_literal(text: str) -> Tree:
+    """Parse `tree{ nodes: [(…),(…)], branches: ["prefix;period", …] }`."""
+    m = _TREE.fullmatch(text)
+    if m is None:
+        raise ValueError("malformed tree literal: %r" % text)
+    nodes, branches = m.groups()
+    if nodes is None and branches is None:
+        raise ValueError("tree literal needs nodes and/or branches: %r" % text)
+    return make_tree(map(_integers, re.findall(_NODE, nodes or "")),
+                     map(parse_baire_point, re.findall(_BRANCH, branches or "")))
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +281,21 @@ def point_from_json(space, obj: Any, path: str = "point"):
         return decode_at(path, _grid_point, obj, catch=(*_MALFORMED, RecursionError))  # deep JSON text
     if not isinstance(obj, str):
         raise SchemaError(path, "expected a point literal string, got %r" % (obj,))
-    return decode_at(path, space.parse_point, obj)
+    return decode_at(path, _parse_point, space, obj)
+
+
+def _parse_point(space, text: str):
+    """The point of the space that the literal text names."""
+    if isinstance(space, FinitePoints):
+        point = parse_rational(text) if space.rational_labels else text
+        if not space.contains(point):
+            raise ValueError("point %r not in space" % text)
+        return point
+    if isinstance(space, BaireSpace):
+        return parse_baire_point(text)
+    if isinstance(space, TreeSpace):
+        return parse_tree_literal(text)
+    return parse_rational(text)  # the line and the unit interval
 
 
 def domain_point_from_json(multimap, obj: Any, path: str):
@@ -274,7 +388,10 @@ def multimap_from_json(obj: dict, path: str = "multimap") -> MultiMap:
     kind = _kind(obj, path)
     if kind == "f1":
         message = "expected a non-negative integer, got %r" % (obj.get("window"),)
-        return f1_multimap(decode_at(path + ".window", _natural, obj.get("window", 8), "window", message=message))
+        window = decode_at(path + ".window", _natural, obj.get("window", 8), "window", message=message)
+        if window > F1_MAX_WINDOW:
+            raise SchemaError(path + ".window", "window must be at most %d, got %d" % (F1_MAX_WINDOW, window))
+        return f1_multimap(window)
     if kind == "f2":
         return f2_multimap()
     if kind == "dense_split":

@@ -39,8 +39,6 @@ from itertools import compress, count
 from operator import ne
 from typing import Iterable, Sequence
 
-from .rationals import parse_rational
-
 # ---------------------------------------------------------------------------
 # canonical eventually-periodic sequences
 # ---------------------------------------------------------------------------
@@ -114,9 +112,6 @@ class BairePoint:
         """Entrywise +1; used for the tree shift."""
         return BairePoint(shift_node(self.prefix), shift_node(self.period))
 
-    def __str__(self) -> str:
-        return format_baire_point(self)
-
 
 def shift_node(u: tuple[int, ...]) -> tuple[int, ...]:
     """Entrywise +1."""
@@ -126,25 +121,6 @@ def shift_node(u: tuple[int, ...]) -> tuple[int, ...]:
 def eventually_zero(head: Iterable[int]) -> BairePoint:
     """The sequence `head` followed by zeros."""
     return BairePoint(tuple(head), (0,))
-
-
-def parse_baire_point(text: str) -> BairePoint:
-    """Parse the "prefix;period" literal, e.g. "0,1;0" for (0,1,0,0,...)."""
-    if ";" not in text:
-        raise ValueError('expected "prefix;period" literal: %r' % text)
-    pre_text, _, per_text = text.partition(";")
-    pre = tuple(int(t) for t in pre_text.split(",") if t.strip() != "")
-    per = tuple(int(t) for t in per_text.split(",") if t.strip() != "")
-    if not per:
-        raise ValueError("period part must be nonempty: %r" % text)
-    return BairePoint(pre, per)
-
-
-def format_baire_point(p: BairePoint) -> str:
-    return "%s;%s" % (
-        ",".join(str(x) for x in p.prefix),
-        ",".join(str(x) for x in p.period),
-    )
 
 
 def first_disagreement(a: BairePoint, b: BairePoint) -> int | None:
@@ -165,6 +141,18 @@ def baire_dist(a: BairePoint, b: BairePoint) -> Fraction:
     if n is None:
         return Fraction(0)
     return Fraction(1, n + 1)
+
+
+def floor_reciprocal(value: Fraction) -> int:
+    """floor(1/value) for positive value; 0 when value > 1.
+
+    Used to turn a metric radius into the number of leading coordinates an
+    open ball constrains: in a 1/(n+1)-quantized metric, dist(a, b) < r
+    holds exactly when a and b agree below index floor(1/r).
+    """
+    if value <= 0:
+        raise ValueError("radius must be positive")
+    return value.denominator // value.numerator
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +420,6 @@ class RealLine:
                 best = 2 * i + s0
         return best if best is not None and best <= bound else None
 
-    def parse_point(self, text: str) -> Fraction:
-        return parse_rational(text)
-
 
 class UnitInterval(RealLine):
     """Rational points of [0, 1]."""
@@ -495,9 +480,6 @@ class BaireSpace:
         ranks = [node_rank(u[:-1] + (u[-1] - 1,) if u else u) for u in map(_zero_stripped, heads)]
         s = min(ranks, default=None)
         return s if s is not None and s <= bound else None
-
-    def parse_point(self, text: str) -> BairePoint:
-        return parse_baire_point(text)
 
 
 class CantorGrid:
@@ -594,12 +576,6 @@ class FinitePoints:
             if any(a < y < b for a, b in region):
                 return s
         return None
-
-    def parse_point(self, text: str):
-        point = parse_rational(text) if self.rational_labels else text
-        if not self.contains(point):
-            raise ValueError("point %r not in space" % text)
-        return point
 
 
 def rational_points_space(values: Sequence[Fraction]) -> FinitePoints:

@@ -15,23 +15,13 @@ the ball-constraint extraction feasible even for astronomically small radii.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from operator import itemgetter, ne
 from typing import Iterable
 
-from .rationals import floor_reciprocal
-from .spaces import (
-    BairePoint,
-    first_disagreement,
-    format_baire_point,
-    node_rank,
-    node_weight,
-    parse_baire_point,
-    shift_node,
-)
+from .spaces import BairePoint, first_disagreement, floor_reciprocal, node_rank, node_weight, shift_node
 
 Node = tuple[int, ...]
 
@@ -251,9 +241,6 @@ class TreeSpace:
     def dist(self, x: Tree, y: Tree) -> Fraction:
         return tree_dist(x, y)
 
-    def parse_point(self, text: str) -> Tree:
-        return parse_tree_literal(text)
-
 
 TREE_SPACE = TreeSpace()
 
@@ -261,57 +248,3 @@ TREE_SPACE = TreeSpace()
 def ball_rank_bound(radius: Fraction) -> int:
     """Open tree-metric ball of `radius` constrains ranks below this."""
     return floor_reciprocal(radius)
-
-
-# ---------------------------------------------------------------------------
-# literals
-# ---------------------------------------------------------------------------
-
-_NODE_RE = re.compile(r"\(([^()]*)\)")
-
-
-def format_node(u: Node) -> str:
-    if u == EMPTY_NODE:
-        return "()"
-    return "(%s)" % ",".join(str(e) for e in u)
-
-
-def parse_node(text: str) -> Node:
-    text = text.strip()
-    if text in ("()", "ε", "e"):
-        return EMPTY_NODE
-    m = _NODE_RE.fullmatch(text)
-    if m is None:
-        raise ValueError("malformed node literal: %r" % text)
-    body = m.group(1).strip()
-    if not body:
-        return EMPTY_NODE
-    return tuple(int(p) for p in body.split(","))
-
-
-def format_tree_literal(t: Tree) -> str:
-    nodes = ",".join(format_node(u) for u in sorted(t.finite_part))
-    branches = ",".join('"%s"' % format_baire_point(b) for b in sorted(t.branches))
-    if branches:
-        return "tree{nodes:[%s],branches:[%s]}" % (nodes, branches)
-    return "tree{nodes:[%s]}" % nodes
-
-
-def parse_tree_literal(text: str) -> Tree:
-    """Parse `tree{ nodes: [(…),(…)], branches: ["prefix;period", …] }`."""
-    stripped = re.sub(r"\s+", "", text)
-    m = re.fullmatch(r"tree\{(.*)\}", stripped)
-    if m is None:
-        raise ValueError("malformed tree literal: %r" % text)
-    body = m.group(1)
-    nodes: list[Node] = []
-    branches: list[BairePoint] = []
-    nodes_m = re.search(r"nodes:\[((?:\([^()]*\),?)*)\]", body)
-    if nodes_m:
-        nodes = [parse_node("(%s)" % g) for g in _NODE_RE.findall(nodes_m.group(1))]
-    branches_m = re.search(r'branches:\[((?:"[^"]*",?)*)\]', body)
-    if branches_m:
-        branches = [parse_baire_point(t) for t in re.findall(r'"([^"]*)"', branches_m.group(1))]
-    if nodes_m is None and branches_m is None:
-        raise ValueError("tree literal needs nodes and/or branches: %r" % text)
-    return make_tree(nodes, branches)

@@ -6,7 +6,8 @@ from fractions import Fraction as Fr
 from baire_lab.checkers import MultiMap
 from baire_lab.closed_sets import closure, open_intervals
 from baire_lab.gallery import dense_split, is_dyadic, split_probes
-from baire_lab.spaces import REAL_LINE, UNIT_INTERVAL, FinitePoints, eventually_zero, grid_point, parse_baire_point
+from baire_lab.instances import parse_baire_point
+from baire_lab.spaces import REAL_LINE, UNIT_INTERVAL, FinitePoints, eventually_zero, grid_point
 from baire_lab.trees import make_tree
 
 GRID_ROWS = {

@@ -1,35 +1,39 @@
 """Golden `baire-lab` reports.
 
-Each `<name>.json` in this folder is an instance file, and `<name>.out` is
-the exact stdout of `baire-lab check <name>.json`, or its stderr when the
-check refuses the instance with exit 2.  The instances cover every
+Each `<name>.json` in this folder is an instance file, and `<name>.out`
+is the exact stdout of `baire-lab check <name>.json`, or its stderr when
+the check refuses the instance with exit 2.  The instances cover every
 multimap kind and all five modes (`extend` in `plain`, `strong` and
 `dagger`, `compose` in `plain`, `star`, `dagger` and `fell`), an
 Inconclusive verdict, a `dense_bound` that alone makes a verdict
-Inconclusive (`f2_star_starved_binding`), an empty value, a point listed twice, f2 trees with one or two branches in `plain`
-and `star` mode (`f2_branch_trees_*`), checks that can stop at the
-first delta ball (`strong` and `fell` on f1 and the spike map, `plain` and
-`fell` on interval values, `plain` on the dyadic dense split), f1's
-separation certificates (`f1_star`), sequence-space values with an
-empty value among them (`tabular_baire_*`): ties at distance 1, refutation
-levels between members, strong refutations and separation certificates
-between finite sets, the `dagger` mode on f1, the spike map and a tabular
-map, `star` on the dyadic dense split, and refusals (`*_refused`), whose
+Inconclusive (`f2_star_starved_binding`), an empty value, a point listed
+twice, f2 trees with one or two branches in `plain` and `star` mode
+(`f2_branch_trees_*`), checks that can stop at the first delta ball
+(`strong` and `fell` on f1 and the spike map, `plain` and `fell` on
+interval values, `plain` on the dyadic dense split), f1's separation
+certificates (`f1_star`), sequence-space values with an empty value
+among them (`tabular_baire_*`): ties at distance 1, refutation levels
+between members, strong refutations and separation certificates between
+finite sets, the `dagger` mode on f1, the spike map and a tabular map,
+`star` on the dyadic dense split, and refusals (`*_refused`), whose
 report is the `{"error", "path"}` object: f2 in `dagger` mode, and one
 malformed literal or field at each decode site of the input boundary
 (rational labels, a table entry, grid points as an object and as text
-that is not JSON, a test-ball radius, an affine scale, the f1 window, the
-spike map's tail start and head, a value set that is not an object or
-holds a malformed literal, an extension's super space and base, and the
-config), and integer fields holding a JSON float (the f1 window) or a
-boolean (the probe budget).  Each `<name>.argv` holds a JSON list of
+that is not JSON, a test-ball radius, an affine scale, the f1 window,
+the spike map's tail start and head, a value set that is not an object
+or holds a malformed literal, an extension's super space and base, and
+the config), integer fields holding a JSON float (the f1 window) or a
+boolean (the probe budget), an f1 window above its cap, and a `tree_body`
+tree with a space inside a number.  Each `<name>.argv` holds a JSON list of
 command-line arguments, and `<name>.out` is the exact stdout of
 `baire-lab` run with them, or its stderr when it exits 2: the `gallery`
 certificates of f1 and f2, the `tree` operations (one on a tree literal
-spaced between its tokens), `classify` on the four
-hierarchy skeletons of acceptance 01, and malformed `--gamma`, `--tree`,
-`--alpha` and `--nodes` arguments.  After a change that alters a report on purpose,
-rewrite the reports from the root of a checkout with
+spaced between its tokens), `classify` on the four hierarchy skeletons
+of acceptance 01, malformed `--gamma`, `--tree` (one of them a tree
+literal that gives its node list twice), `--alpha` and `--nodes`
+arguments, and an embed `--depth` above its cap.  After a change that
+alters a report on purpose, rewrite the reports from the root of a
+checkout with
 
     PYTHONPATH=src python tests/golden/regenerate.py
 

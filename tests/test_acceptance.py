@@ -51,6 +51,7 @@ from baire_lab.gallery import (
     r_membership,
     spike_function,
 )
+from baire_lab.instances import parse_baire_point
 from baire_lab.pointclass import classify, parse_expr, replay_trace
 from baire_lab.spaces import (
     REAL_LINE,
@@ -58,7 +59,6 @@ from baire_lab.spaces import (
     BairePoint,
     baire_dist,
     eventually_zero,
-    parse_baire_point,
     rational_points_space,
 )
 from baire_lab.trees import is_ill_founded, make_tree, tree_shift

@@ -33,8 +33,8 @@ from baire_lab.closed_sets import (
     finite_real,
     open_intervals,
 )
-from baire_lab.instances import verdict_to_json
-from baire_lab.spaces import BAIRE_SPACE, REAL_LINE, UNIT_INTERVAL, parse_baire_point, rational_points_space
+from baire_lab.instances import parse_baire_point, verdict_to_json
+from baire_lab.spaces import BAIRE_SPACE, REAL_LINE, UNIT_INTERVAL, rational_points_space
 from baire_lab.trees import TREE_SPACE
 
 from corpus_helpers import (
@@ -422,7 +422,6 @@ def test_probe_generator_contract_is_enforced():
 
 def test_a_ball_is_gathered_only_when_a_quantifier_reaches_it():
     from baire_lab.gallery import f2_multimap
-    from baire_lab.spaces import parse_baire_point
     from baire_lab.trees import make_tree
 
     f2 = f2_multimap()
@@ -736,7 +735,7 @@ def golden_f2_trees():
     import json
     from pathlib import Path
 
-    from baire_lab.trees import parse_tree_literal
+    from baire_lab.instances import parse_tree_literal
 
     golden = Path(__file__).resolve().parent / "golden"
     return list(dict.fromkeys(parse_tree_literal(point) for case in sorted(golden.glob("f2_*.json"))
@@ -881,7 +880,7 @@ def test_closed_form_dense_index_matches_the_scan_on_tabular_maps(monkeypatch):
 
 def test_closed_form_dense_index_matches_the_scan_on_the_gallery(monkeypatch):
     from baire_lab.gallery import dense_split, f1_multimap, f2_multimap
-    from baire_lab.spaces import grid_point, parse_baire_point
+    from baire_lab.spaces import grid_point
     from baire_lab.trees import make_tree
 
     f2 = f2_multimap()
@@ -909,7 +908,7 @@ def test_star_scan_enumerates_no_dense_point_and_separates_each_pair_once(monkey
 
     from baire_lab import checkers, spaces
     from baire_lab.gallery import f1_multimap, f2_multimap
-    from baire_lab.spaces import grid_point, parse_baire_point
+    from baire_lab.spaces import grid_point
     from baire_lab.trees import make_tree
 
     dense_calls, pairs = Counter(), Counter()

@@ -108,7 +108,7 @@ def test_gallery_subcommands():
     final = payload["intervals"][-1]
     # the depth-3 interval sits inside [1/2, 5/8]
     from fractions import Fraction as Fr
-    from baire_lab.rationals import parse_rational
+    from baire_lab.instances import parse_rational
     assert Fr(1, 2) <= parse_rational(final[0]) <= parse_rational(final[1]) <= Fr(5, 8)
 
     assert run_cli("gallery", "unknown").returncode == 2
@@ -168,6 +168,10 @@ def test_tree_subcommands():
     (["tree", "generate", "--nodes", "(-1)"], "nodes"),
     (["tree", "generate", "--nodes", "(a)"], "nodes"),
     (["check", "no/such/instance.json"], "instance"),
+    # the embed depth is a natural number of at most EMBED_MAX_DEPTH
+    (["gallery", "embed", "--alpha", "1;0", "--depth", "-3"], "depth"),
+    (["gallery", "embed", "--alpha", "1;0", "--depth", "1025"], "depth"),
+    (["gallery", "embed", "--alpha", "1;0", "--depth", "x"], "depth"),
 ])
 def test_malformed_command_line_arguments_exit_2_at_their_name(argv, path):
     stderr = io.StringIO()
@@ -178,6 +182,54 @@ def test_malformed_command_line_arguments_exit_2_at_their_name(argv, path):
     error = json.loads(stderr.getvalue())
     assert error["path"] == path
     assert error["error"].startswith(path + ": ")
+
+
+def main_in_process(*argv):
+    """The exit code, stdout and stderr of `baire-lab` run with argv."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("literal", [
+    "tree{nodes:[(),(1 2)]}",  # a space inside a number
+    'tree{nodes:[()],branches:["1 2;0"]}',
+    "tree{nodes:[(),(0)]xyz}",  # text after the lists
+    "tree{nodes:[()],junk:1}",  # a field that is neither list
+    "tree{nodes:[(0)(1)]}",  # nodes with no comma between them
+    "tree{nodes:[()],nodes:[(5)]}",  # a list given twice
+    'tree{nodes:[()],branches:["0,,1;0"]}',  # an empty entry
+])
+def test_a_malformed_tree_literal_is_refused_at_its_path(tmp_path, literal):
+    code, out, err = main_in_process("tree", "shift", "--tree", literal)
+    assert (code, out, json.loads(err)["path"]) == (2, "", "tree")
+    instance = tmp_path / "trees.json"
+    for obj, path in (({"kind": "f2"}, "points[1]"),
+                      (tabular({"kind": "baire_space"}, {"kind": "tree_body", "tree": literal}), "multimap.values.1")):
+        instance.write_text(json.dumps({"multimap": obj, "points": ["tree{nodes:[()]}", literal]}))
+        code, out, err = main_in_process("check", str(instance))
+        assert (code, out, json.loads(err)["path"]) == (2, "", path)
+
+
+@pytest.mark.parametrize("spaced, canonical", [
+    (' tree { nodes : [ ( ) , ( 0 , 1 ) ] , branches : [ " 1 ; 0 " ] } ', 'tree{nodes:[(),(0,1)],branches:["1;0"]}'),
+    ("tree{\n  nodes: [\n    (),\n    (10)\n  ]\n}", "tree{nodes:[(),(10)]}"),
+    ('tree{ branches: [ ";0", "2,1;0,1" ] }', 'tree{branches:[";0","2,1;0,1"]}'),
+    ("tree{nodes: [ ]}", "tree{nodes:[()]}"),
+])
+def test_tree_literals_may_be_spaced_between_their_tokens(spaced, canonical):
+    code, out, _ = main_in_process("tree", "shift", "--tree", spaced)
+    assert (code, out) == main_in_process("tree", "shift", "--tree", canonical)[:2]
+    assert code == 0
+
+
+def test_the_caps_admit_their_own_values(tmp_path):
+    instance = tmp_path / "window.json"
+    instance.write_text(json.dumps({"multimap": {"kind": "f1", "window": 256}, "points": []}))
+    assert main_in_process("check", str(instance))[0] == 0
+    code, out, _ = main_in_process("gallery", "embed", "--alpha", "1;0", "--depth", "0")
+    assert (code, json.loads(out)["depth"]) == (0, 0)
 
 
 def test_check_refuses_an_instance_file_that_is_not_utf8_json(tmp_path):
@@ -449,6 +501,9 @@ def affine(scale="2", shift="1"):
     ({"kind": "spike", "harmonic_tail_start": False}, "multimap.harmonic_tail_start"),
     # a negative tail start would put 1/0 on the harmonic list
     ({"kind": "spike", "head": ["3"], "harmonic_tail_start": -1}, "multimap.harmonic_tail_start"),
+    # the f1 window is at most F1_MAX_WINDOW
+    ({"kind": "f1", "window": 257}, "multimap.window"),
+    ({"kind": "f1", "window": "100000000000000000000"}, "multimap.window"),
 ])
 def test_check_rejects_a_malformed_multimap_at_its_path(tmp_path, multimap, path):
     instance = tmp_path / "malformed.json"

@@ -32,8 +32,8 @@ from baire_lab.closed_sets import (
     tree_body_points,
 )
 from baire_lab.gallery import F2_DEEP_DEPTH
-from baire_lab.instances import set_from_json
-from baire_lab.spaces import BAIRE_SPACE, REAL_LINE, BairePoint, baire_dist, eventually_zero, parse_baire_point
+from baire_lab.instances import parse_baire_point, set_from_json
+from baire_lab.spaces import BAIRE_SPACE, REAL_LINE, BairePoint, baire_dist, eventually_zero
 from baire_lab.trees import generated_by, make_tree
 
 from corpus_helpers import branch_bearing_trees, depth3_tree_sample, enumerate_prefix_closed_trees

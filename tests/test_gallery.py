@@ -49,19 +49,18 @@ from baire_lab.gallery import (
     spike_function,
     whole_space_repr,
 )
-from baire_lab.instances import set_from_json, witness_to_json
-from baire_lab.rationals import floor_reciprocal
+from baire_lab.instances import parse_baire_point, parse_tree_literal, set_from_json, witness_to_json
 from baire_lab.spaces import (
     REAL_LINE,
     UNIT_INTERVAL,
     BairePoint,
     eventually_zero,
+    floor_reciprocal,
     grid_dist,
     grid_point,
-    parse_baire_point,
     rational_points_space,
 )
-from baire_lab.trees import is_ill_founded, make_tree, generated_by, parse_tree_literal, tree_dist
+from baire_lab.trees import is_ill_founded, make_tree, generated_by, tree_dist
 
 from corpus_helpers import branch_bearing_trees, enumerate_prefix_closed_trees, grid_corpus
 from scan_oracle import (

@@ -22,8 +22,8 @@ def test_golden_folder_pairs_every_instance_with_its_report():
     instances = sorted(p.stem for p in GOLDEN.glob("*.json"))
     argvs = sorted(p.stem for p in GOLDEN.glob("*.argv"))
     reports = sorted(p.stem for p in GOLDEN.glob("*.out"))
-    assert len(instances) >= 56
-    assert len(argvs) >= 16
+    assert len(instances) >= 58
+    assert len(argvs) >= 18
     assert not set(instances) & set(argvs)
     assert sorted(instances + argvs) == reports
     commands = {tuple(json.loads((GOLDEN / (name + ".argv")).read_text())[:2]) for name in argvs}

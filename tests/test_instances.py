@@ -85,8 +85,7 @@ def test_schema_errors_carry_paths():
 
 
 def test_decode_at_turns_a_malformed_literal_into_a_schema_error_at_its_path():
-    from baire_lab.instances import decode_at
-    from baire_lab.rationals import parse_rational
+    from baire_lab.instances import decode_at, parse_rational
 
     assert decode_at("x", parse_rational, "2/4") == Fr(1, 2)
     for decode, literal, failure in [(parse_rational, "1/x", ValueError), (parse_rational, 5, AttributeError),

@@ -6,8 +6,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from baire_lab.instances import encode_value, point_from_json
-from baire_lab.rationals import floor_reciprocal, format_rational, parse_rational
+from baire_lab.instances import encode_value, format_baire_point, format_rational, parse_baire_point, parse_rational, point_from_json
 from baire_lab.spaces import (
     BAIRE_SPACE,
     CANTOR_GRID,
@@ -18,11 +17,10 @@ from baire_lab.spaces import (
     canonical_seq,
     eventually_zero,
     first_disagreement,
-    format_baire_point,
+    floor_reciprocal,
     grid_dist,
     grid_point,
     pair_index,
-    parse_baire_point,
     rational_points_space,
     sb_positive,
     unpair_index,
@@ -474,7 +472,7 @@ def test_rational_points_space():
     assert space.dist(Fr(0), Fr(1)) == 1
     assert space.points() == [Fr(0), Fr(1, 2), Fr(1)]
     assert space.rational_labels and not finite_points_space(["0"], [[Fr(0)]]).rational_labels
-    assert space.parse_point("2/4") == Fr(1, 2)
+    assert point_from_json(space, "2/4") == Fr(1, 2)
 
 
 def test_canonical_form_unique_exhaustively():

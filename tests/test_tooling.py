@@ -11,10 +11,14 @@ end-to-end metric that `BENCHMARK.json` declares.
 The library's modules also carry no leftovers: every import is used, and
 every private top-level name is referenced in its own module.  Every wire
 form lives in `instances.py`: only it and `cli.py` import json, and no
-other module defines a `*_from_json` or `*_to_json` function.
+other module defines a `*_from_json` or `*_to_json` function.  So does
+every text literal: no other module defines a top-level `parse_*` or
+`format_*` function (the expression language of `pointclass.py` aside), no
+class defines `parse_point`, and there is no `baire_lab.rationals`.
 """
 
 import ast
+import importlib.util
 import json
 from pathlib import Path
 
@@ -107,3 +111,18 @@ def test_only_the_input_boundary_speaks_json():
                     and node.name.endswith(("_from_json", "_to_json")):
                 speakers.append((path.name, "def", node.name))
     assert speakers == []
+
+
+def test_only_the_input_boundary_reads_and_writes_text_literals():
+    assert importlib.util.find_spec("baire_lab.rationals") is None
+    readers = []
+    for path in sorted((ROOT / "src" / "baire_lab").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name.startswith(("parse_", "format_")) \
+                    and path.name != "instances.py" \
+                    and (path.name, node.name) not in {("pointclass.py", "parse_expr"), ("pointclass.py", "parse_pointclass")}:
+                readers.append((path.name, node.name))
+        readers += [(path.name, node.name, "parse_point") for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                    for item in node.body if isinstance(item, ast.FunctionDef) and item.name == "parse_point"]
+    assert readers == []

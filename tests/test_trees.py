@@ -9,7 +9,8 @@ import pytest
 from baire_lab import spaces
 from baire_lab.checkers import default_config
 from baire_lab.gallery import f2_probes
-from baire_lab.spaces import eventually_zero, node_rank, node_unrank, parse_baire_point
+from baire_lab.instances import format_tree_literal, parse_baire_point, parse_tree_literal, point_from_json
+from baire_lab.spaces import eventually_zero, node_rank, node_unrank
 from baire_lab.trees import (
     EMPTY_NODE,
     TREE_SPACE,
@@ -17,12 +18,10 @@ from baire_lab.trees import (
     ball_rank_bound,
     body_prefixes,
     constrained_members,
-    format_tree_literal,
     generated_by,
     is_ill_founded,
     make_tree,
     max_entry_below_rank,
-    parse_tree_literal,
     prefix_closure,
     rank_below,
     terminals,
@@ -366,7 +365,7 @@ def test_tree_metric_axioms():
 def test_tree_space_protocol():
     t = make_tree([(1,)])
     assert TREE_SPACE.contains(t)
-    assert TREE_SPACE.parse_point(format_tree_literal(t)) == t
+    assert point_from_json(TREE_SPACE, format_tree_literal(t)) == t
     assert ball_rank_bound(Fr(1, 4)) == 4
 
 
