@@ -195,15 +195,15 @@ def format_tree_literal(t: Tree) -> str:
     return "tree{nodes:[%s]}" % nodes
 
 
-def _spaced_list(item: str) -> str:
+def _spaced_list(name: str, item: str) -> str:
     """A bracketed list of item, comma-separated and spaced between tokens,
-    its inside captured."""
-    return r"\[\s*((?:%s\s*(?:,\s*%s\s*)*)?)\]" % (item, item)
+    its inside captured under name."""
+    return r"\[\s*(?P<%s>(?:%s\s*(?:,\s*%s\s*)*)?)\]" % (name, item, item)
 
 
 # nodes, then branches after a comma when there are nodes; either list may be left out
-_TREE = re.compile(r"\s*tree\s*\{\s*(?:nodes\s*:\s*%s\s*)?(?:(?(1),\s*)branches\s*:\s*%s\s*)?\}\s*"
-                   % (_spaced_list(r"\([^()]*\)"), _spaced_list(r'"[^"]*"')))
+_TREE = re.compile(r"\s*tree\s*\{\s*(?:nodes\s*:\s*%s\s*)?(?:(?(nodes),\s*)branches\s*:\s*%s\s*)?\}\s*"
+                   % (_spaced_list("nodes", _NODE), _spaced_list("branches", _BRANCH)))
 
 
 def parse_tree_literal(text: str) -> Tree:
@@ -211,7 +211,7 @@ def parse_tree_literal(text: str) -> Tree:
     m = _TREE.fullmatch(text)
     if m is None:
         raise ValueError("malformed tree literal: %r" % text)
-    nodes, branches = m.groups()
+    nodes, branches = m.group("nodes", "branches")
     if nodes is None and branches is None:
         raise ValueError("tree literal needs nodes and/or branches: %r" % text)
     return make_tree(map(_integers, re.findall(_NODE, nodes or "")),
