@@ -31,8 +31,8 @@ point to the net of a probe's value is measured in closed form, since an
 interval's net is a grid.  `verify_witness` does not use the context or
 the closed form, so that a certificate is re-validated independently of
 the search that produced it.  It shares the metric kernels with the
-checkers (`dist_to_set`, and `tree_dist` through the tree space's metric)
-but none of the search.
+checkers (`dist_to_set`, and each space's open-ball test `ball`, an
+integer rank test on tree space) but none of the search.
 
 Verdicts are correct relative to the probe set and schedules; on finite
 spaces probed exhaustively they coincide with brute-force evaluation of
@@ -163,7 +163,7 @@ def full_domain_probes(space) -> ProbeGen:
     """Probe generator enumerating the whole finite space inside the ball."""
 
     def gen(center, radius):
-        return [p for p in space.points() if space.dist(center, p) < radius]
+        return list(filter(space.ball(center, radius), space.points()))
 
     return gen
 
@@ -229,13 +229,14 @@ def gather_probes(multimap: MultiMap, probes: ProbeGen, x, radius: Fraction, bud
     """Center plus generator output: deduplicated, validated, budget-capped."""
     out = [x]
     seen = {x}
+    inside = multimap.domain.ball(x, radius)
     for xp in probes(x, radius):
         seen.add(xp)  # one hash per probe: a repeat leaves the size as it was
         if len(seen) == len(out):
             continue
         if not multimap.domain.contains(xp):
             raise DomainError("probe %r outside the domain" % (xp,))
-        if multimap.domain.dist(x, xp) >= radius:
+        if not inside(xp):
             raise ValueError("probe generator emitted a point outside the open ball")
         out.append(xp)
         if len(out) >= budget:
@@ -674,7 +675,7 @@ def _verify_continuity(multimap, x, w: ContinuityWitness, probes) -> bool:
         if eps <= 0 or delta <= 0:
             return False
         ball = list(probes(x, delta))
-        if any(multimap.domain.dist(x, xp) >= delta for xp in ball):
+        if not all(map(multimap.domain.ball(x, delta), ball)):
             return False
         for xp in [x, *ball]:
             net = eps_net(multimap.value(xp), w.net_resolution)
@@ -699,13 +700,16 @@ def _verify_discontinuity(multimap, x, w: DiscontinuityWitness) -> bool:
         return False
     if w.margin != min(e.eps_star for e in w.entries) - w.net_radius or w.margin <= 0:
         return False
+    balls: dict = {}  # (numerator, denominator) of a delta -> membership test of its ball around x
     for entry in w.entries:
         if entry.eps_star <= 0 or not entry.counterexamples:
             return False
         for delta, xp in entry.counterexamples:
             if delta <= 0 or not multimap.domain.contains(xp):
                 return False
-            if multimap.domain.dist(x, xp) >= delta:
+            key = delta.as_integer_ratio()  # hashes faster than the Fraction
+            inside = balls.get(key) or balls.setdefault(key, multimap.domain.ball(x, delta))
+            if not inside(xp):
                 return False
             if dist_to_set(entry.y, multimap.value(xp)) < entry.eps_star:
                 return False

@@ -18,7 +18,7 @@ from . import __version__
 from .checkers import MODES, ContinuityWitness, continuity_points, default_config, verify_witness
 from .gallery import (
     F1_DEFAULT_WINDOW,
-    baire_embed,
+    embed_chain,
     f1_multimap,
     f1_witness,
     f2_multimap,
@@ -161,7 +161,7 @@ def cmd_gallery(args) -> int:
         depth = decode_at("depth", _natural, args.depth, "depth")
         if depth > EMBED_MAX_DEPTH:
             raise SchemaError("depth", "depth must be at most %d, got %d" % (EMBED_MAX_DEPTH, depth))
-        chain = [baire_embed(alpha, d) for d in range(depth + 1)]
+        chain = embed_chain(alpha, depth)
         _emit(_report(
             "gallery embed",
             alpha=args.alpha,

@@ -574,13 +574,16 @@ class AffineMap:
     target = REAL_LINE
 
 
-def _nested(u: Sequence[int]) -> tuple[Fraction, Fraction]:
-    """The start and length of the interval the scheme assigns to u."""
+def _nested(u: Sequence[int]) -> list[tuple[Fraction, Fraction]]:
+    """The start and length of the interval the scheme assigns to each
+    prefix of u, the empty prefix first, each narrowed from the one before."""
     a, length = Fraction(0), Fraction(1)
+    out = [(a, length)]
     for c in u:
         a += length * (1 - Fraction(1, 2 ** c))
         length *= Fraction(1, 2 ** (c + 2))
-    return a, length
+        out.append((a, length))
+    return out
 
 
 class BaireEmbedding:
@@ -598,8 +601,8 @@ class BaireEmbedding:
     target = UNIT_INTERVAL
 
     def apply(self, alpha: BairePoint) -> Fraction:
-        a, length = _nested(alpha.prefix)
-        gain, factor = _nested(alpha.period)
+        a, length = _nested(alpha.prefix)[-1]
+        gain, factor = _nested(alpha.period)[-1]
         return a + length * gain / (1 - factor)
 
     def image_set(self, s: ClosedSetRepr) -> ClosedSetRepr:
@@ -612,13 +615,18 @@ class BaireEmbedding:
 
 def interval_of(u: Sequence[int]) -> tuple[Fraction, Fraction]:
     """The closed interval assigned to a finite sequence by the scheme."""
-    a, length = _nested(u)
+    a, length = _nested(u)[-1]
     return a, a + length
 
 
 def baire_embed(alpha: BairePoint, depth: int) -> tuple[Fraction, Fraction]:
     """Interval of the depth-truncation; the embedded point lies inside."""
     return interval_of(alpha.head(depth))
+
+
+def embed_chain(alpha: BairePoint, depth: int) -> list[tuple[Fraction, Fraction]]:
+    """baire_embed(alpha, d) for d = 0..depth, narrowed entry by entry."""
+    return [(a, a + length) for a, length in _nested(alpha.head(depth))]
 
 
 def compose(pi, f: MultiMap) -> MultiMap:

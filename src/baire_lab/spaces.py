@@ -15,12 +15,12 @@ Three kinds of points live here:
 * labels — the points of a finite space: all strings, or all rationals,
   which are measured by |x - y| as on the line.
 
-Each space object knows its exact metric, point membership and a
-canonical countable dense sequence.  Sequence space, the line, the unit
-interval and rational finite spaces also name, through
-`least_dense_index`, the least index of their dense sequence inside a
-region (a set of heads, or a union of open intervals), which witnesses
-density ball by ball.  The graded enumeration of all finite sequences
+Each space object knows its exact metric, its open balls as a membership
+test (`MetricSpace.ball`), point membership and a canonical countable
+dense sequence.  Sequence space, the line, the unit interval and rational
+finite spaces also name, through `least_dense_index`, the least index of
+their dense sequence inside a region (a set of heads, or a union of open
+intervals), which witnesses density ball by ball.  The graded enumeration of all finite sequences
 lives here too: it indexes the dense sequence of sequence space and the
 tree metric.  Its grade w (length + entry sum) holds 2^(w-1) sequences
 for w >= 1, and they take exactly the ranks [2^(w-1), 2^w), so a rank is
@@ -381,7 +381,15 @@ def _zero_stripped(head: Sequence[int]) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-class RealLine:
+class MetricSpace:
+    """What every space shares: exact membership in an open ball."""
+
+    def ball(self, center, radius: Fraction):
+        """The test p -> dist(center, p) < radius, built once per ball."""
+        return lambda p: self.dist(center, p) < radius
+
+
+class RealLine(MetricSpace):
     """The rational points of the real line with |x - y|."""
 
     name = "real_line"
@@ -451,7 +459,7 @@ class UnitInterval(RealLine):
         return best if best is not None and best <= bound else None
 
 
-class BaireSpace:
+class BaireSpace(MetricSpace):
     """Eventually periodic sequences with the 1/(n+1) ultrametric."""
 
     name = "baire_space"
@@ -482,7 +490,7 @@ class BaireSpace:
         return s if s is not None and s <= bound else None
 
 
-class CantorGrid:
+class CantorGrid(MetricSpace):
     """Finitely described 0/1 grids, metric via the diagonal flattening."""
 
     name = "cantor_grid"
@@ -509,7 +517,7 @@ class CantorGrid:
 
 
 @dataclass(frozen=True)
-class FinitePoints:
+class FinitePoints(MetricSpace):
     """Finite metric space whose labels, all strings or all rationals, are
     its points, given by an explicit distance table.
 

@@ -15,13 +15,14 @@ the ball-constraint extraction feasible even for astronomically small radii.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
 from operator import itemgetter, ne
 from typing import Iterable
 
-from .spaces import BairePoint, first_disagreement, floor_reciprocal, node_rank, node_weight, shift_node
+from .spaces import BairePoint, MetricSpace, first_disagreement, floor_reciprocal, node_rank, node_weight, shift_node
 
 Node = tuple[int, ...]
 
@@ -29,12 +30,19 @@ EMPTY_NODE: Node = ()
 
 
 def prefix_closure(nodes: Iterable[Node]) -> frozenset[Node]:
+    """The nodes and their prefixes.  `out` stays prefix-closed, so a node of
+    over 16 entries bisects for its longest present prefix, then adds the
+    longer ones at once; a shorter one walks up to it."""
     out: set[Node] = {EMPTY_NODE}
     for u in nodes:
         v = tuple(u)
-        while v not in out:  # prefixes of a present node are already present
-            out.add(v)
-            v = v[:-1]
+        if len(v) > 16:
+            first = bisect_left(range(len(v) + 1), True, key=lambda j: v[:j] not in out)
+            out.update(v[:j] for j in range(first, len(v) + 1))
+        else:
+            while v not in out:
+                out.add(v)
+                v = v[:-1]
     return frozenset(out)
 
 
@@ -60,10 +68,10 @@ def rank_below(u: Node, bound: int) -> bool:
     The ranks of weight-w nodes fill [2^(w-1), 2^w) (the empty node, of
     weight 0, has rank 0), so the weight decides the comparison unless it
     equals the bit length of the bound (of 0 when negative); only then is
-    u ranked.
+    u ranked, and not when the bound is 2^(w-1), the least rank of weight w.
     """
     w, b = node_weight(u), max(bound, 0).bit_length()
-    return w < b if w != b else node_rank(u) < bound
+    return w < b if w != b else bound & (bound - 1) != 0 and node_rank(u) < bound
 
 
 def max_entry_below_rank(k: int) -> int:
@@ -109,9 +117,6 @@ class Tree:
 
     def contains(self, u: Node) -> bool:
         return u in self.finite_part or any(branch.starts_with(u) for branch in self.branches)
-
-    def max_finite_length(self) -> int:
-        return max(map(len, self.finite_part), default=0)
 
 
 def make_tree(nodes: Iterable[Node] = (), branches: Iterable[BairePoint] = ()) -> Tree:
@@ -160,57 +165,49 @@ def body_prefixes(t: Tree, depth: int) -> frozenset[Node]:
 
 def _branch_cover_bound(beta: BairePoint, t: Tree) -> int:
     """Depth past which no prefix of `beta` can be a member of `t`."""
-    bound = t.max_finite_length()
-    for other in t.branches:
-        d = first_disagreement(beta, other)
-        if d is not None:
-            bound = max(bound, d)
-    return bound + 1
+    splits = (first_disagreement(beta, other) for other in t.branches)
+    return max([*map(len, t.finite_part), *(d for d in splits if d is not None)]) + 1
 
 
 def _least_missing_prefix(beta: BairePoint, t: Tree) -> Node:
     """The shortest prefix of `beta` that is not a member of `t`, for a
-    branch `beta` that `t` does not designate.
+    branch `beta` that `t` does not designate.  t is prefix-closed, so the
+    heads of `beta` are members up to some length and not beyond; the empty
+    head is a member and the head at `_branch_cover_bound` is not."""
+    missing = bisect_left(range(_branch_cover_bound(beta, t)), True, key=lambda j: not t.contains(beta.head(j)))
+    return beta.head(missing)
 
-    t is prefix-closed, so beta.head(j) is a member for every j below some
-    least missing length and for none from there on.  The empty node is a
-    member and the head at `_branch_cover_bound` is not, so bisecting that
-    range finds the least missing length.
+
+def _least_differing_node(a: Tree, b: Tree, limit: int | None = None) -> Node | None:
+    """The least node, in the enumeration's order (weight, length,
+    lexicographic), that is a member of one tree only; None on equal node
+    sets.  It is a finite-part node of one tree outside the other's finite
+    part and off its branches, or, for a branch of one tree that the other
+    does not designate, the least prefix that the other lacks (deeper ones
+    rank higher), found by bisection.  Given a `limit`, nodes longer than it
+    may be passed over, so a least node longer than `limit` may come back
+    as None or as another node longer than `limit`.
     """
-    lo, hi = 0, _branch_cover_bound(beta, t)  # head(lo) is a member, head(hi) is not
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if t.contains(beta.head(mid)):
-            lo = mid
-        else:
-            hi = mid
-    return beta.head(hi)
+    best = None
+    for src, dst in ((a, b), (b, a)):
+        nodes = src.finite_part
+        if dst.branches and limit is not None:  # drop long nodes before they are hashed and sliced
+            nodes = frozenset(compress(nodes, map(limit.__ge__, map(len, nodes))))
+        found = _off_branches(nodes - dst.finite_part, dst.branches)
+        if src.branches:
+            found = chain(found, (_least_missing_prefix(beta, dst) for beta in src.branches - dst.branches
+                                  if limit is None or not dst.contains(beta.head(limit))))
+        for u in found:
+            key = (len(u) + sum(u), len(u), u)
+            if best is None or key < best:
+                best = key
+    return None if best is None else best[2]
 
 
 def tree_dist(a: Tree, b: Tree) -> Fraction:
-    """1/(least differing node rank + 1); 0 exactly on equal node sets.
-
-    Differing nodes are located among: the finite-part nodes of one tree
-    outside the other's finite part and off its branches (a node in both
-    finite parts is a member of both trees), and per uncovered branch, the
-    least prefix that is not a member of the other tree (memberships of
-    deeper prefixes only stay different, and rank increases with depth, so
-    the least rank per branch is there; `_least_missing_prefix` finds it by
-    bisection).  Candidates are keyed by the enumeration's order (weight,
-    length, lexicographic), and only the least one is ranked.
-    """
-    if a == b:
-        return Fraction(0)
-    candidates: list[tuple[int, int, Node]] = []
-    for src, dst in ((a, b), (b, a)):
-        for u in _off_branches(src.finite_part - dst.finite_part, dst.branches):
-            candidates.append((len(u) + sum(u), len(u), u))
-        for beta in src.branches - dst.branches:
-            u = _least_missing_prefix(beta, dst)
-            candidates.append((len(u) + sum(u), len(u), u))
-    if not candidates:
-        raise AssertionError("unequal trees must differ at some node")
-    return Fraction(1, node_rank(min(candidates)[2]) + 1)
+    """1/(least differing node rank + 1); 0 exactly on equal node sets."""
+    u = _least_differing_node(a, b)
+    return Fraction(0) if u is None else Fraction(1, node_rank(u) + 1)
 
 
 def constrained_members(t: Tree, rank_bound: int) -> frozenset[Node]:
@@ -230,7 +227,7 @@ def constrained_members(t: Tree, rank_bound: int) -> frozenset[Node]:
     return frozenset(out)
 
 
-class TreeSpace:
+class TreeSpace(MetricSpace):
     """Trees as points, compared through their characteristic functions."""
 
     name = "tree_space"
@@ -240,6 +237,18 @@ class TreeSpace:
 
     def dist(self, x: Tree, y: Tree) -> Fraction:
         return tree_dist(x, y)
+
+    def ball(self, center: Tree, radius: Fraction):
+        """dist(center, p) < radius: no node ranked below floor(1/radius), so
+        none longer than that bound's bit length, tells the trees apart."""
+        bound = ball_rank_bound(radius)
+        limit = bound.bit_length()
+
+        def inside(p: Tree) -> bool:
+            u = _least_differing_node(center, p, limit)
+            return u is None or not rank_below(u, bound)
+
+        return inside
 
 
 TREE_SPACE = TreeSpace()

@@ -27,11 +27,11 @@ boolean (the probe budget), an f1 window above its cap, and a `tree_body`
 tree with a space inside a number.  Each `<name>.argv` holds a JSON list of
 command-line arguments, and `<name>.out` is the exact stdout of
 `baire-lab` run with them, or its stderr when it exits 2: the `gallery`
-certificates of f1 and f2, the `tree` operations (one on a tree literal
-spaced between its tokens), `classify` on the four hierarchy skeletons
-of acceptance 01, malformed `--gamma`, `--tree` (one of them a tree
-literal that gives its node list twice), `--alpha` and `--nodes`
-arguments, and an embed `--depth` above its cap.  After a change that
+certificates of f1 and f2, an embed chain 64 intervals deep, the `tree`
+operations (one on a tree literal spaced between its tokens), `classify`
+on the four hierarchy skeletons of acceptance 01, malformed `--gamma`,
+`--tree` (one of them a tree literal that gives its node list twice),
+`--alpha` and `--nodes` arguments, and an embed `--depth` above its cap.  After a change that
 alters a report on purpose, rewrite the reports from the root of a
 checkout with
 

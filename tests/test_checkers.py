@@ -1,7 +1,9 @@
 """Checker semantics against an independent brute-force evaluator."""
 
+import json
 import random
 from fractions import Fraction as Fr
+from pathlib import Path
 
 import pytest
 
@@ -730,16 +732,36 @@ def test_sequence_space_distances_walk_to_the_least_disagreement(monkeypatch):
     assert 0 < calls["first_disagreement"] <= calls["queries"]
 
 
-def golden_f2_trees():
-    """The f2 trees of the golden instances, each once, in file order."""
-    import json
-    from pathlib import Path
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
-    from baire_lab.instances import parse_tree_literal
 
-    golden = Path(__file__).resolve().parent / "golden"
-    return list(dict.fromkeys(parse_tree_literal(point) for case in sorted(golden.glob("f2_*.json"))
-                              for point in json.loads(case.read_text())["points"]))
+def golden_f2_instances(golden=GOLDEN):
+    """The golden f2 instances that `load_instance` accepts, in file order,
+    each as (name, multimap, points, mode, cfg, probes); refusal pins are
+    skipped, whatever their points hold."""
+    from baire_lab.instances import SchemaError, load_instance
+
+    out = []
+    for case in sorted(golden.glob("f2_*.json")):
+        try:
+            out.append((case.stem, *load_instance(json.loads(case.read_text()))))
+        except SchemaError:
+            pass
+    return out
+
+
+def golden_f2_trees(golden=GOLDEN):
+    """The f2 trees of the accepted golden instances, each once, in file order."""
+    return list(dict.fromkeys(point for _, _, points, *_ in golden_f2_instances(golden) for point in points))
+
+
+def test_golden_f2_trees_skip_a_refusal_pin_with_a_malformed_tree(tmp_path):
+    for case in GOLDEN.glob("f2_*.json"):
+        (tmp_path / case.name).write_text(case.read_text())
+    (tmp_path / "f2_tree_literal_refused.json").write_text(json.dumps(
+        {"multimap": {"kind": "f2"}, "mode": "plain", "points": ["tree{nodes:[(0],branches:[]}"]}))
+    assert golden_f2_trees(tmp_path) == golden_f2_trees()
+    assert len(golden_f2_trees()) == 10
 
 
 def test_fraction_comparisons_on_the_golden_f2_trees(monkeypatch):
@@ -761,7 +783,34 @@ def test_fraction_comparisons_on_the_golden_f2_trees(monkeypatch):
         eval_star(f2, tree, cfg, f2.default_probes)
     monkeypatch.undo()
     assert len(trees) == 10
-    assert len(compared) == 329  # 794 before the probe layer compared levels
+    # 794 before the probe layer compared levels, 329 before tree space's
+    # ball test compared ranks; that test compares no Fraction per probe
+    assert len(compared) == 249
+
+
+def test_comb_calls_on_the_golden_starved_f2_star_instance(monkeypatch):
+    """A deterministic work count for the tree kernels: the `math.comb`
+    calls that ranking makes while the golden `f2_star_starved` instance is
+    checked from cleared caches.  The tree ball tests rank no node at the
+    schedule's power-of-two radii; the calls left rank a dense index."""
+    import math
+
+    from baire_lab import closed_sets, spaces
+
+    [(_, f2, points, mode, cfg, probes)] = [case for case in golden_f2_instances() if case[0] == "f2_star_starved"]
+    calls = []
+
+    def counted(n, k, original=math.comb):
+        calls.append(None)
+        return original(n, k)
+
+    spaces.node_rank.cache_clear()
+    closed_sets.tree_body_points.cache_clear()
+    monkeypatch.setattr(math, "comb", counted)
+    verdicts = continuity_points(f2, points, mode, cfg, probes)
+    monkeypatch.undo()
+    assert [v.kind for v in verdicts.values()] == ["inconclusive"]
+    assert len(calls) == 3  # 1,584 when tree_dist ranked the 261-entry node where a trunk leaves the center
 
 
 def test_primitive_period_calls_on_the_golden_f2_trees(monkeypatch):

@@ -232,6 +232,27 @@ def test_the_caps_admit_their_own_values(tmp_path):
     assert (code, json.loads(out)["depth"]) == (0, 0)
 
 
+def test_embed_chain_multiplications_at_most_double_with_the_depth(monkeypatch):
+    """`gallery embed` narrows its chain entry by entry: the Fraction
+    multiplications at depth 2d are at most twice those at depth d, plus a
+    constant (from the root at every depth, they grew with its square)."""
+    from fractions import Fraction as Fr
+
+    counts = []
+    for depth in (64, 128, 256):
+        multiplied = []
+        for name in ("__mul__", "__rmul__"):
+            def counted(a, b, original=getattr(Fr, name)):
+                multiplied.append(None)
+                return original(a, b)
+            monkeypatch.setattr(Fr, name, counted)
+        code, out, _ = main_in_process("gallery", "embed", "--alpha", "1,2;3", "--depth", str(depth))
+        monkeypatch.undo()
+        assert code == 0 and len(json.loads(out)["intervals"]) == depth + 1
+        counts.append(len(multiplied))
+    assert counts[1] <= 2 * counts[0] + 4 and counts[2] <= 2 * counts[1] + 4, counts
+
+
 def test_check_refuses_an_instance_file_that_is_not_utf8_json(tmp_path):
     instance = tmp_path / "binary.json"
     instance.write_bytes(b"\xff\xfe{")

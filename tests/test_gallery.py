@@ -26,6 +26,7 @@ from baire_lab.gallery import (
     baire_embed,
     compose,
     dense_split,
+    embed_chain,
     extend,
     f1_graph_member,
     f1_multimap,
@@ -346,6 +347,13 @@ def test_embedded_point_lies_in_every_chain_interval():
             assert a <= x <= b
     assert pi.apply(parse_baire_point("1;0")) == Fr(1, 2)
     assert pi.apply(parse_baire_point(";1")) == Fr(4, 7)
+
+
+def test_embed_chain_is_every_truncation_interval():
+    for text in ("1;0", ";1", "0,2;1,3", "3;0,1", "1,2;3"):
+        alpha = parse_baire_point(text)
+        for depth in (0, 1, 7, 40):
+            assert embed_chain(alpha, depth) == [baire_embed(alpha, d) for d in range(depth + 1)]
 
 
 def test_embedding_bicontinuity_modulus():

@@ -23,11 +23,11 @@ def test_golden_folder_pairs_every_instance_with_its_report():
     argvs = sorted(p.stem for p in GOLDEN.glob("*.argv"))
     reports = sorted(p.stem for p in GOLDEN.glob("*.out"))
     assert len(instances) >= 58
-    assert len(argvs) >= 18
+    assert len(argvs) >= 19
     assert not set(instances) & set(argvs)
     assert sorted(instances + argvs) == reports
     commands = {tuple(json.loads((GOLDEN / (name + ".argv")).read_text())[:2]) for name in argvs}
-    assert {("gallery", "f1"), ("gallery", "f2"), ("tree", "shift"), ("tree", "trm")} <= commands
+    assert {("gallery", "f1"), ("gallery", "f2"), ("gallery", "embed"), ("tree", "shift"), ("tree", "trm")} <= commands
     assert sum(command[0] == "classify" for command in commands) >= 4  # acceptance 01's skeletons
 
 

@@ -449,6 +449,25 @@ def test_metric_axioms_exact():
     _axiom_check(space, ["a", "b", "c"])
 
 
+def test_default_ball_is_the_distance_below_the_radius():
+    """Every space but tree space shares `MetricSpace.ball`: dist < radius,
+    checked on the line, sequence space and a finite space, at radii on,
+    between and beyond the pairwise distances."""
+    rng = random.Random(97)
+    line = [Fr(0), Fr(1, 2), Fr(-3), Fr(7, 5), Fr(1, 3), Fr(3, 2)]
+    sequences = [random_baire_point(rng) for _ in range(12)]
+    finite = finite_points_space(
+        ["a", "b", "c"],
+        [[Fr(0), Fr(1), Fr(2)], [Fr(1), Fr(0), Fr(1)], [Fr(2), Fr(1), Fr(0)]],
+    )
+    radii = [Fr(1, 2 ** i) for i in range(9)] + [Fr(2), Fr(3, 2), Fr(2, 3), Fr(1, 7), Fr(3, 1000), Fr(1, 3)]
+    for space, points in ((REAL_LINE, line), (BAIRE_SPACE, sequences), (finite, ["a", "b", "c"])):
+        for center in points:
+            for radius in radii:
+                inside = space.ball(center, radius)
+                assert [inside(p) for p in points] == [space.dist(center, p) < radius for p in points]
+
+
 def test_finite_points_validation():
     with pytest.raises(ValueError):
         finite_points_space(["a", "b"], [[Fr(0), Fr(1)], [Fr(2), Fr(0)]])  # asymmetric

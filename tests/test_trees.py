@@ -29,7 +29,7 @@ from baire_lab.trees import (
     tree_shift,
 )
 
-from corpus_helpers import branch_bearing_trees
+from corpus_helpers import branch_bearing_trees, enumerate_prefix_closed_trees
 from scan_oracle import (
     lex_rank_by_values,
     outcome,
@@ -367,6 +367,75 @@ def test_tree_space_protocol():
     assert TREE_SPACE.contains(t)
     assert point_from_json(TREE_SPACE, format_tree_literal(t)) == t
     assert ball_rank_bound(Fr(1, 4)) == 4
+
+
+BALL_RADII = default_config().delta_schedule + (Fr(1), Fr(3, 2), Fr(2, 3), Fr(1, 7), Fr(3, 1000))
+
+
+def test_tree_ball_equals_the_fraction_definition():
+    """TREE_SPACE.ball(x, r)(y) is tree_dist(x, y) < r, on the schedule's
+    radii and on radii off a power of two, where the equal-weight branch of
+    `rank_below` has to rank.  Pairs: each deep center with its f2 trunks,
+    sprouts and their re-branched trees, both ways; the branch-bearing
+    trees against each other and against every depth-2 ternary tree; and
+    drawn shallow trees."""
+    rng = random.Random(83)
+    centers = f2_deep_probes()
+    pairs = []
+    for center, probes in centers:
+        rebranched = [Tree(p.finite_part, other.branches) for p in probes[-2:] for other, _ in centers]
+        pairs += [(center, t) for t in probes + rebranched] + [(t, center) for t in probes + rebranched]
+        pairs += [(p, t) for p in probes[-2:] for t in rebranched + [other for other, _ in centers]]
+    bearing = branch_bearing_trees()
+    ternary = [Tree(nodes, frozenset()) for nodes in enumerate_prefix_closed_trees(3, 2)]
+    drawn = [random_tree(rng, with_branches=True) for _ in range(60)]
+    pairs += [(a, b) for a in bearing for b in bearing + drawn]
+    pairs += [(rng.choice(bearing), t) for t in ternary] + [(t, rng.choice(ternary)) for t in ternary]
+    pairs += [(rng.choice(drawn), rng.choice(drawn)) for _ in range(200)]
+    assert len(ternary) == 729
+    for a, b in pairs:
+        d = tree_dist(a, b)
+        for radius in BALL_RADII:
+            assert TREE_SPACE.ball(a, radius)(b) == (d < radius), (a, b, radius)
+
+
+def test_tree_ball_ranks_no_node_and_builds_no_fraction_per_probe(monkeypatch):
+    """On the schedule's radii, powers of two, the ball test of every f2
+    trunk and sprout ranks no node, and no membership call builds or
+    compares a Fraction."""
+    from baire_lab import trees
+
+    tested = [(center, delta, p) for center, probes in f2_deep_probes()
+              for delta in default_config().delta_schedule for p in probes]
+    balls = [TREE_SPACE.ball(center, delta) for center, delta, _ in tested]
+    work = []
+
+    def counted(name, original):
+        def wrapper(*args):
+            work.append(name)
+            return original(*args)
+        return wrapper
+
+    monkeypatch.setattr(trees, "node_rank", counted("node_rank", trees.node_rank))
+    monkeypatch.setattr(Fr, "__new__", staticmethod(counted("Fraction", Fr.__new__)))
+    for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
+        monkeypatch.setattr(Fr, name, counted(name, getattr(Fr, name)))
+    inside = [ball(p) for ball, (_, _, p) in zip(balls, tested)]
+    monkeypatch.undo()
+    assert work == []
+    assert inside == [tree_dist(center, p) < delta for center, delta, p in tested]
+
+
+def test_prefix_closure_walks_or_bisects_to_the_same_closure():
+    """Long nodes (past 16 entries) bisect for their present prefixes;
+    every mix of long and short nodes, in any order, closes the same way."""
+    rng = random.Random(89)
+    for _ in range(200):
+        nodes = [tuple(rng.randrange(3) for _ in range(rng.choice([0, 1, 5, 16, 17, 40])))
+                 for _ in range(rng.randrange(1, 6))]
+        nodes += [u[:rng.randrange(len(u) + 1)] for u in nodes]
+        rng.shuffle(nodes)
+        assert prefix_closure(nodes) == {u[:j] for u in nodes for j in range(len(u) + 1)} | {EMPTY_NODE}
 
 
 # --- literals ------------------------------------------------------------------
