@@ -14,8 +14,12 @@ interval values, `plain` on the dyadic dense split), f1's separation
 certificates (`f1_star`), sequence-space values with an empty value
 among them (`tabular_baire_*`): ties at distance 1, refutation levels
 between members, strong refutations and separation certificates between
-finite sets, the `dagger` mode on f1, the spike map and a tabular map,
-`star` on the dyadic dense split, and refusals (`*_refused`), whose
+finite sets, and under an eps schedule that starts at 2, above every
+distance, where only an empty value fails a table (`tabular_baire_eps2_*`),
+a rational finite codomain in `star` and `dagger` mode, codomains whose
+only value is empty (`tabular_grid_codomain_plain`,
+`tabular_tree_codomain_star`), the `dagger` mode on f1, the spike map and
+a tabular map, `star` on the dyadic dense split, and refusals (`*_refused`), whose
 report is the `{"error", "path"}` object: f2 in `dagger` mode, and one
 malformed literal or field at each decode site of the input boundary
 (rational labels, a table entry, grid points as an object and as text
