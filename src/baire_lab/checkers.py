@@ -20,12 +20,10 @@ in probe order, and the distinct values of each ball; no probe point is
 hashed again after its ball is gathered.  The checkers are quantifier
 layers over it; their predicates read only the value at a probe, so a
 table loop tests each distinct value once.
-On sequence space every distance is 1/L for an integer level L, or 0
-(`closed_sets._distance_level`), and the probe layer compares levels, not
-Fractions: dist < eps is L > eps.denominator // eps.numerator, exact for an
-integer L; misses are keyed by level; and a separation 1/L reaches 2/(n+1)
-exactly when n + 1 >= 2L.  A Fraction is built only where a certificate
-stores one, such as a refutation's level.
+The quantifier steps compare exact distance keys (`closed_sets.distance_key`,
+`net_key`, `eps_key`, `key_level`) and are written once for every
+codomain: `closed_sets` picks the key by the kind of point and value, an
+integer level on sequence space and the Fraction elsewhere.
 The net of the value at x is the only net built: the distance from a net
 point to the net of a probe's value is measured in closed form, since an
 interval's net is a grid.  `verify_witness` does not use the context or
@@ -48,11 +46,11 @@ Inconclusive, which keeps verdicts monotone under budget growth.
 
 Those two evaluators find the least dense index passing a level in closed
 form, without enumerating the dense sequence: the points within 1/(n+1)
-of every probe value form a region (shared heads in sequence space, a
-union of open intervals on the line, the unit interval and rational finite
-spaces) and the codomain names the least index inside it.  Every other
-codomain carries only empty values, whose region is empty.
-`eval_strong_star` enumerates the dense sequence.
+of every probe value form a region (`closed_sets.common_region`) and the
+codomain names the least index inside it; a codomain that names none
+carries only empty values, whose region is empty.  `eval_dagger` clips
+values to the codomain's `exhaustion`.  `eval_strong_star` enumerates the
+dense sequence.
 
 `MODES` names the evaluator of each mode of `baire-lab check`: the two
 definition checkers (plain, strong), the two criterion evaluators (star,
@@ -71,21 +69,19 @@ from typing import Any, Callable, Sequence
 from .closed_sets import (
     ClosedSetRepr,
     Empty,
-    FiniteBaireSet,
-    _distance_level,
     clip_to_interval,
     closure,
-    common_heads,
-    common_neighbourhood,
-    dist_to_net,
+    common_region,
     dist_to_set,
+    distance_key,
+    eps_key,
     eps_net,
+    key_level,
     meets_open_ball,
+    net_key,
     net_with_radius,
     set_contains,
-    set_separation,
 )
-from .spaces import BaireSpace, UnitInterval
 
 ProbeGen = Callable[[Any, Fraction], Sequence[Any]]
 
@@ -325,23 +321,16 @@ def _counterexamples(ctx: ProbeContext, miss: Callable[[int], Any]) -> tuple[tup
 
 def _validate_table(ctx: ProbeContext, y):
     dist, resolution = ctx.multimap.codomain.dist, ctx.cfg.net_resolution
-    sequence = isinstance(ctx.multimap.codomain, BaireSpace)
-    near: dict = {}  # value index -> distance from y to the value's net (None for an empty net), or its level
+    near: dict = {}  # value index -> key of the distance from y to the value's net, None for an empty net
 
-    if sequence:  # Empty has no net: level 0 passes no bound, a member (level None) every one
-        def close(i, bound) -> bool:
-            if i not in near:
-                near[i] = 0 if isinstance(ctx.distinct[i], Empty) else _distance_level(y, ctx.distinct[i])
-            return near[i] is None or near[i] > bound
-    else:
-        def close(i, bound) -> bool:
-            if i not in near:
-                near[i] = dist_to_net(y, ctx.distinct[i], resolution, dist)
-            return near[i] is not None and near[i] < bound
+    def close(i, bound) -> bool:
+        if i not in near:
+            near[i] = net_key(y, ctx.distinct[i], resolution, dist)
+        return near[i] is not None and near[i] < bound
 
     table = []
     for eps in ctx.cfg.eps_schedule:
-        bound = eps.denominator // eps.numerator if sequence else eps
+        bound = eps_key(y, eps)
         found = ctx.first_delta(lambda i: close(i, bound))
         if found is None:
             return None
@@ -350,16 +339,9 @@ def _validate_table(ctx: ProbeContext, y):
 
 
 def _refute_entry(ctx: ProbeContext, y, net_radius: Fraction):
-    if isinstance(ctx.multimap.codomain, BaireSpace):
-        def miss(i):  # ordered as the distances: (0, 0) at 0, (1, -L) at 1/L
-            level = _distance_level(y, ctx.distinct[i])
-            return (0, 0) if level is None else (1, -level)
-        counterexamples, (far, minus) = _counterexamples(ctx, miss)
-        level = Fraction(1, -minus) if far else Fraction(0)
-    else:
-        counterexamples, level = _counterexamples(ctx, lambda i: dist_to_set(y, ctx.distinct[i]))
+    counterexamples, far = _counterexamples(ctx, lambda i: distance_key(y, ctx.distinct[i]))
     for eps in ctx.cfg.eps_schedule:
-        if eps <= level and eps - net_radius > 0:
+        if not far < eps_key(y, eps) and eps - net_radius > 0:
             return RefutationEntry(y, eps, counterexamples)
     return None
 
@@ -423,10 +405,6 @@ def check_strong_continuity(multimap: MultiMap, x, cfg: CheckConfig, probes: Pro
 # ---------------------------------------------------------------------------
 
 
-def _threshold(n: int) -> Fraction:
-    return Fraction(1, n + 1)
-
-
 def _certified_level(values: dict, cfg: CheckConfig, failing: int) -> int | None:
     """The least level n >= failing, up to n_bound, whose refutation is
     certified at every delta: each delta has an empty value (everything is
@@ -436,8 +414,8 @@ def _certified_level(values: dict, cfg: CheckConfig, failing: int) -> int | None
     Two values sep > 0 apart refute every point y at level sep/2: y cannot
     be closer than sep/2 to both, so the probe sup is at least sep/2 no
     matter which dense index produced y.  So the pair certifies every n
-    from ceil(2/sep) - 1 on, read from sep's integers, or from 2L - 1 on
-    for sequence-space values 1/L apart.
+    from the `key_level` of its distance key on: ceil(2/sep) - 1, or
+    2L - 1 for sequence-space values 1/L apart.
 
     Each unordered pair of distinct values is measured at most once, and
     a delta's pairs only until one certifies the level the deltas measured
@@ -450,12 +428,8 @@ def _certified_level(values: dict, cfg: CheckConfig, failing: int) -> int | None
     def need(a, b) -> int:
         pair = frozenset((a, b))
         if pair not in needs:
-            if isinstance(a, FiniteBaireSet):
-                level = _distance_level(a, b)
-                needs[pair] = never if level is None else 2 * level - 1
-            else:
-                sep = set_separation(a, b)
-                needs[pair] = -(-2 * sep.denominator // sep.numerator) - 1 if sep else never
+            level = key_level(distance_key(a, b))
+            needs[pair] = never if level is None else level
         return needs[pair]
 
     n = failing
@@ -478,24 +452,16 @@ def _dense_search(codomain, cfg: CheckConfig):
     (distinct values per delta, n) giving the (n, s, delta) with the least
     s <= dense_bound, then the first delta of the schedule, or None.
 
-    The points within 1/(n+1) of every value at a delta form a region (the
-    shared heads of length n + 1 in sequence space, open intervals
-    elsewhere), and the codomain gives the least index inside it.  A
-    codomain whose values can only be empty has only empty regions, which
-    hold no index, so it is never asked.
+    The points within 1/(n+1) of every value at a delta form a region
+    (`closed_sets.common_region`), and the codomain gives the least index
+    inside it.  A codomain whose values can only be empty has only empty
+    regions, which hold no index, so it is never asked.
     """
-    if isinstance(codomain, BaireSpace):
-        def region(values, n, known):
-            return common_heads(values, n + 1, known)
-    else:
-        def region(values, n, known):
-            return common_neighbourhood(values, _threshold(n), known)
-
     def search(values: dict, n: int):
         hit = None
         known: dict = {}  # each value's own region at level n, shared by the deltas
         for delta in cfg.delta_schedule:
-            inside = region(values[delta], n, known)
+            inside = common_region(values[delta], n, known)
             s = codomain.least_dense_index(inside, cfg.dense_bound) if inside else None
             if s is not None and (hit is None or s < hit[1]):
                 hit = (n, s, delta)
@@ -541,13 +507,6 @@ def eval_star(multimap: MultiMap, x, cfg: CheckConfig, probes: ProbeGen) -> Verd
     })
 
 
-def _default_exhaustion(multimap, cfg: CheckConfig):
-    """K_m = [-m, m] clipped to the codomain, m = 0 .. m_bound."""
-    if isinstance(multimap.codomain, UnitInterval):
-        return [(Fraction(0), Fraction(min(m, 1))) for m in range(cfg.m_bound + 1)]
-    return [(Fraction(-m), Fraction(m)) for m in range(cfg.m_bound + 1)]
-
-
 def eval_dagger(multimap: MultiMap, x, cfg: CheckConfig, probes: ProbeGen) -> Verdict:
     """The exhaustion-relative criterion: values are clipped to K_m first.
 
@@ -557,7 +516,7 @@ def eval_dagger(multimap: MultiMap, x, cfg: CheckConfig, probes: ProbeGen) -> Ve
     is Inconclusive.
     """
     search = _dense_search(multimap.codomain, cfg)
-    stages = _default_exhaustion(multimap, cfg)
+    stages = multimap.codomain.exhaustion(cfg.m_bound)
     raw = ProbeContext(multimap, x, cfg, probes).value_lists()
     refuted = []
     for stage_index, (lo, hi) in enumerate(stages):
@@ -611,7 +570,7 @@ def eval_strong_star(multimap: MultiMap, x, cfg: CheckConfig, probes: ProbeGen) 
             ys = dense(s)
             if dist_to_set(ys, ctx.value_at_x) > Fraction(1, 3 * (n + 1)):
                 continue
-            if ctx.first_delta(lambda i: dist_to_set(ys, ctx.distinct[i]) < _threshold(n)) is None:
+            if ctx.first_delta(lambda i: dist_to_set(ys, ctx.distinct[i]) < Fraction(1, n + 1)) is None:
                 counterexamples, _ = _counterexamples(ctx, lambda i: dist_to_set(ys, ctx.distinct[i]))
                 return Verdict(DISCONTINUOUS, report={
                     "criterion": "strong_star", "failing": (n, s), "y": ys,

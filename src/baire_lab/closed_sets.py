@@ -20,9 +20,11 @@ with zeros, is a finite set of eventually periodic points for the
 representable trees here (`tree_body_points`), so it is a
 `FiniteBaireSet`.
 
-`common_heads` and `common_neighbourhood` describe the points within a
-radius of every one of a list of values: a set of heads in sequence space,
-a union of open intervals on the line.
+The checkers compare distances by exact keys, so that each quantifier
+step is written once: `distance_key` (an integer level pair on sequence
+space, the Fraction elsewhere), `net_key`, `eps_key` and `key_level`.
+`common_region` gives the points within 1/(n + 1) of every one of a list
+of values: a set of heads in sequence space, open intervals on the line.
 
 Sequence-space distances are found without measuring every pair of
 points.  The metric is an ultrametric fixed by the least disagreement, so
@@ -31,9 +33,9 @@ agreement d of y with a point of the set: walking y's entries and keeping
 the points that still agree with y finds d once at most one point is
 left, and only that point is compared with y as a whole
 (`_longest_agreement`).  `_distance_level` returns the integer level
-d + 1 (None at distance 0, 1 for Empty), which the probe layer compares
-exactly with integer arithmetic instead of building a Fraction; the level
-of the separation of two finite sets is the largest over the points of one.
+d + 1 (None at distance 0, 1 for Empty), which the keys compare with
+integer arithmetic instead of building a Fraction; the level of the
+separation of two finite sets is the largest over the points of one.
 """
 
 from __future__ import annotations
@@ -164,20 +166,20 @@ def _distance_level(y, s: ClosedSetRepr) -> int | None:
     value s, or None when the distance is 0: 1 for Empty, by the
     convention, and d + 1 for the longest agreement d of y with a point of
     a finite set (`_longest_agreement`).  For a finite set y, the level of
-    the separation: the largest level of a point of y, None as soon as one
-    lies in s."""
+    the separation: one more than the longest agreement of a point of y,
+    None as soon as one lies in s."""
     if isinstance(s, Empty):
         return 1
-    if isinstance(y, FiniteBaireSet):
-        top = 0
-        for p in y.points:
-            level = _distance_level(p, s)
-            if level is None:
-                return None
-            top = max(top, level)
-        return top
-    d = _longest_agreement(y, s.points)
-    return None if d is None else d + 1
+    if not isinstance(y, FiniteBaireSet):
+        d = _longest_agreement(y, s.points)
+        return None if d is None else d + 1
+    top = 0
+    for p in y.points:
+        d = _longest_agreement(p, s.points)
+        if d is None:
+            return None
+        top = max(top, d + 1)
+    return top
 
 
 def dist_to_set(y, s: ClosedSetRepr) -> Fraction:
@@ -193,6 +195,37 @@ def dist_to_set(y, s: ClosedSetRepr) -> Fraction:
         # inf distance to an interval equals distance to its closure
         return min(_interval_dist(y, a, b) for a, b in s.intervals)
     raise TypeError("unknown set representation: %r" % (s,))
+
+
+def distance_key(y, s: ClosedSetRepr):
+    """An exact key ordered as the distance from y to s, or for a set y as
+    the separation of y from a nonempty s: on sequence space the level
+    pair, (0, 0) at distance 0 and (1, -L) at 1/L (`_distance_level`),
+    elsewhere the Fraction itself."""
+    if isinstance(y, (BairePoint, FiniteBaireSet)):
+        level = _distance_level(y, s)
+        return (0, 0) if level is None else (1, -level)
+    if isinstance(y, (FiniteRealSet, IntervalUnion)):
+        return set_separation(y, s)
+    return dist_to_set(y, s)
+
+
+def eps_key(y, eps: Fraction):
+    """The key that exactly the distances from y below eps fall below: on
+    sequence space 1/L < eps is L > eps.denominator // eps.numerator, exact
+    for an integer L."""
+    if isinstance(y, (BairePoint, FiniteBaireSet)):
+        return 1, -(eps.denominator // eps.numerator)
+    return eps
+
+
+def key_level(key) -> int | None:
+    """The least n with 2/(n + 1) at most the distance of a key, None at
+    distance 0: 2L - 1 at 1/L, ceil(2/d) - 1 at a Fraction d."""
+    if isinstance(key, tuple):
+        far, minus = key
+        return -2 * minus - 1 if far else None
+    return -(-2 * key.denominator // key.numerator) - 1 if key else None
 
 
 def _in_interval(y, a: Fraction, b: Fraction, closed: bool) -> bool:
@@ -284,6 +317,15 @@ def dist_to_net(y, s: ClosedSetRepr, eps: Fraction, dist) -> Fraction | None:
     return dist(y, min(near, key=lambda p: abs(y - p)))
 
 
+def net_key(y, s: ClosedSetRepr, resolution: Fraction, dist):
+    """The `distance_key` of y's distance to eps_net(s, resolution), None
+    for the empty net of Empty: `dist_to_net`, but by level for a finite
+    sequence-space set, its own net."""
+    if isinstance(s, FiniteBaireSet):
+        return distance_key(y, s)
+    return dist_to_net(y, s, resolution, dist)
+
+
 def net_with_radius(s: ClosedSetRepr, eps: Fraction) -> tuple[list, Fraction]:
     """eps_net plus its exact covering radius (0 for enumerated variants)."""
     return eps_net(s, eps), eps if isinstance(s, IntervalUnion) else Fraction(0)
@@ -364,45 +406,29 @@ def _intersect_intervals(xs: list, ys: list) -> list:
     return out
 
 
-def _common(values, own, meet, known: dict | None):
-    """Meet of the values' own regions, each taken from `known` or computed
-    and added there; stops early once the meet is empty."""
+def common_region(values, n: int, known: dict | None = None):
+    """The points within 1/(n + 1) of every one of a nonempty list of
+    values: a set of heads of length n + 1 in sequence space (a sequence is
+    within 1/(n + 1) of a point exactly when both start with the same n + 1
+    entries), sorted disjoint open intervals elsewhere, and empty as soon
+    as one value is Empty.  `known` may hold the values' own regions at
+    this n; those computed here are added.  Stops once the meet is empty."""
     known = {} if known is None else known
     region = None
     for v in values:
         if v not in known:
-            known[v] = own(v)
-        region = known[v] if region is None else meet(region, known[v])
+            known[v] = (frozenset(p.head(n + 1) for p in v.points) if isinstance(v, FiniteBaireSet)
+                        else neighbourhood(v, Fraction(1, n + 1)))
+        own = known[v]
+        if region is None or not own:
+            region = own
+        else:
+            region = region & own if isinstance(own, frozenset) else _intersect_intervals(region, own)
         if not region:
             break
     if region is None:
         raise ValueError("values must be nonempty")
     return region
-
-
-def common_neighbourhood(values, r: Fraction, known: dict | None = None) -> list[tuple[Fraction, Fraction]]:
-    """The points within r of every one of a nonempty list of real-flavored
-    values, as sorted disjoint open intervals.  `known` may hold the
-    values' neighbourhoods at this r; those computed here are added."""
-    return _common(values, lambda v: neighbourhood(v, r), _intersect_intervals, known)
-
-
-def _heads(s: ClosedSetRepr, length: int) -> frozenset[tuple[int, ...]]:
-    if not isinstance(s, (Empty, FiniteBaireSet)):
-        raise TypeError("heads are for sequence-space variants: %r" % (s,))
-    return frozenset(p.head(length) for p in enumerate_points(s))
-
-
-def common_heads(values, length: int, known: dict | None = None) -> frozenset[tuple[int, ...]]:
-    """Heads of the given length that every one of a nonempty list of
-    sequence-space values has a point starting with.  `known` may hold the
-    values' own heads of this length; those computed here are added.
-
-    A sequence lies within 1/length of a point exactly when both start with
-    the same `length` entries, so the points within 1/length of every value
-    are the sequences starting with one of these heads.  Empty has none.
-    """
-    return _common(values, lambda v: _heads(v, length), frozenset.__and__, known)
 
 
 def set_separation(s1: ClosedSetRepr, s2: ClosedSetRepr) -> Fraction | None:

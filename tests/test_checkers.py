@@ -698,7 +698,7 @@ def test_sequence_space_distances_walk_to_the_least_disagreement(monkeypatch):
     `closed_sets` per point-to-set query (one per point of a set)."""
     from collections import Counter
 
-    from baire_lab import checkers, closed_sets, spaces
+    from baire_lab import closed_sets, spaces
     from baire_lab.closed_sets import FiniteBaireSet
     from baire_lab.gallery import f2_multimap
     from baire_lab.trees import generated_by
@@ -716,9 +716,9 @@ def test_sequence_space_distances_walk_to_the_least_disagreement(monkeypatch):
     monkeypatch.setattr(closed_sets, "first_disagreement",
                         counted("first_disagreement", closed_sets.first_disagreement))
     for name in ("dist_to_set", "dist_to_net", "set_separation"):
-        monkeypatch.setattr(checkers, name, counted(name, getattr(checkers, name)))
-    monkeypatch.setattr(checkers, "_distance_level", counted(
-        "_distance_level", checkers._distance_level,
+        monkeypatch.setattr(closed_sets, name, counted(name, getattr(closed_sets, name)))
+    monkeypatch.setattr(closed_sets, "_distance_level", counted(
+        "_distance_level", closed_sets._distance_level,
         lambda y, s: len(y.points) if isinstance(y, FiniteBaireSet) else 1))
     f2 = f2_multimap()
     trees = [generated_by([(0, 1), (1, 0)]), generated_by([(0, 0), (0, 2), (2, 1)]), generated_by([(1, 1)])]
@@ -784,8 +784,9 @@ def test_fraction_comparisons_on_the_golden_f2_trees(monkeypatch):
     monkeypatch.undo()
     assert len(trees) == 10
     # 794 before the probe layer compared levels, 329 before tree space's
-    # ball test compared ranks; that test compares no Fraction per probe
-    assert len(compared) == 249
+    # ball test compared ranks (that test compares no Fraction per probe),
+    # and 249 before a refutation compared the keys of its distances
+    assert len(compared) == 244
 
 
 def test_comb_calls_on_the_golden_starved_f2_star_instance(monkeypatch):
@@ -955,7 +956,7 @@ def test_closed_form_dense_index_matches_the_scan_on_the_gallery(monkeypatch):
 def test_star_scan_enumerates_no_dense_point_and_separates_each_pair_once(monkeypatch):
     from collections import Counter
 
-    from baire_lab import checkers, spaces
+    from baire_lab import closed_sets, spaces
     from baire_lab.gallery import f1_multimap, f2_multimap
     from baire_lab.spaces import grid_point
     from baire_lab.trees import make_tree
@@ -968,11 +969,11 @@ def test_star_scan_enumerates_no_dense_point_and_separates_each_pair_once(monkey
 
         monkeypatch.setattr(cls, "dense_point", counted_dense)
     for name in ("set_separation", "_distance_level"):  # real pairs, and sequence-space pairs by level
-        def counted_separation(a, b, original=getattr(checkers, name)):
+        def counted_separation(a, b, original=getattr(closed_sets, name)):
             pairs[frozenset((a, b))] += 1
             return original(a, b)
 
-        monkeypatch.setattr(checkers, name, counted_separation)
+        monkeypatch.setattr(closed_sets, name, counted_separation)
     f1, f2 = f1_multimap(), f2_multimap()
     measured = sequence_pairs = 0
     for mm, x in (

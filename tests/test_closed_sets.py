@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as Fr
+from math import ceil
 
 import pytest
 from hypothesis import given, settings
@@ -17,14 +18,18 @@ from baire_lab.closed_sets import (
     clip_to_interval,
     closed_intervals,
     closure,
-    common_heads,
-    common_neighbourhood,
+    common_region,
     dist_to_net,
     dist_to_set,
+    distance_key,
     enumerate_points,
+    eps_key,
     eps_net,
     finite_real,
+    key_level,
     meets_open_ball,
+    neighbourhood,
+    net_key,
     net_with_radius,
     open_intervals,
     set_contains,
@@ -146,7 +151,14 @@ def test_distance_levels_match_the_fraction_distances(data):
     The integer tests the probe layer makes on a level agree with the
     Fraction comparisons they replace: L > eps.denominator // eps.numerator
     with 1/L < eps, over the default schedule and drawn eps, and
-    n + 1 >= 2L with 1/L >= 2/(n + 1)."""
+    n + 1 >= 2L with 1/L >= 2/(n + 1).
+
+    The keys the checkers compare go through the same levels:
+    `distance_key` is ordered as `dist_to_set`, against a second drawn
+    point and set; `net_key` falls below `eps_key` exactly when
+    `dist_to_net` is a distance below eps, for eps above 1 and for Empty,
+    whose net is empty; and `key_level` of a separation's key is
+    ceil(2/sep) - 1, None at 0."""
     points = data.draw(st.frozensets(_POINTS, max_size=5))
     s = FiniteBaireSet(points) if points else Empty()
     y = data.draw(st.one_of(_POINTS, st.sampled_from(sorted(points))) if points else _POINTS)
@@ -154,18 +166,56 @@ def test_distance_levels_match_the_fraction_distances(data):
     expected = baire_dist_to_points(y, s) if points else Fr(1)
     assert (Fr(0) if level is None else Fr(1, level)) == dist_to_set(y, s) == expected
     assert (level is None) == set_contains(y, s)
+    y2 = data.draw(st.one_of(_POINTS, st.sampled_from(sorted(points))) if points else _POINTS)
+    s2 = data.draw(st.sampled_from([s, Empty(), FiniteBaireSet(frozenset([y2]))]))
+    for ordered in ("__lt__", "__eq__", "__gt__"):
+        assert getattr(distance_key(y, s), ordered)(distance_key(y2, s2)) \
+            == getattr(dist_to_set(y, s), ordered)(dist_to_set(y2, s2)), (y, s, y2, s2)
     if points:
         other = FiniteBaireSet(data.draw(st.frozensets(_POINTS, min_size=1, max_size=4)))
         separation = _distance_level(other, s)
-        assert (Fr(0) if separation is None else Fr(1, separation)) == separation_by_pairs(other, s)
+        sep = separation_by_pairs(other, s)
+        assert (Fr(0) if separation is None else Fr(1, separation)) == sep
+        assert key_level(distance_key(other, s)) == (ceil(2 / sep) - 1 if sep else None)
+    drawn = data.draw(st.lists(st.fractions(min_value=Fr(1, 10 ** 6), max_value=3, max_denominator=10 ** 6),
+                               max_size=5))
+    for eps in (Fr(2), *_SCHEDULE, *drawn):
+        near = dist_to_net(y, s, Fr(1, 16), BAIRE_SPACE.dist)
+        key = net_key(y, s, Fr(1, 16), BAIRE_SPACE.dist)
+        assert (key is not None and key < eps_key(y, eps)) == (near is not None and near < eps), (y, s, eps)
+        if level is not None:
+            assert (level > eps.denominator // eps.numerator) == (Fr(1, level) < eps), (level, eps)
     if level is None:
         return
-    drawn = data.draw(st.lists(st.fractions(min_value=Fr(1, 10 ** 6), max_value=2, max_denominator=10 ** 6),
-                               max_size=5))
-    for eps in (*_SCHEDULE, *drawn):
-        assert (level > eps.denominator // eps.numerator) == (Fr(1, level) < eps), (level, eps)
     for n in range(2 * level + 2):
         assert (n + 1 >= 2 * level) == (Fr(1, level) >= Fr(2, n + 1)), (level, n)
+
+
+_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+_REAL_SETS = st.one_of(
+    st.just(Empty()),
+    st.lists(_RATIONALS, min_size=1, max_size=4).map(lambda ps: finite_real(*ps)),
+    st.lists(st.tuples(_RATIONALS, _RATIONALS).map(sorted), min_size=1, max_size=3).map(
+        lambda ivs: closed_intervals(*ivs)),
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(data=st.data())
+def test_real_distance_keys_are_the_fraction_distances(data):
+    """Off sequence space a key is the distance itself: `distance_key` is
+    `dist_to_set` from a point and `set_separation` from a set, `net_key` is
+    `dist_to_net` (None for Empty), `eps_key` is eps, and `key_level` of a
+    separation is ceil(2/sep) - 1, None at 0."""
+    y, s, other = data.draw(_RATIONALS), data.draw(_REAL_SETS), data.draw(_REAL_SETS)
+    eps = data.draw(st.fractions(min_value=Fr(1, 100), max_value=3, max_denominator=100))
+    assert distance_key(y, s) == dist_to_set(y, s)
+    assert net_key(y, s, Fr(1, 4), REAL_LINE.dist) == dist_to_net(y, s, Fr(1, 4), REAL_LINE.dist)
+    assert eps_key(y, eps) == eps
+    if not isinstance(other, Empty) and not isinstance(s, Empty):
+        sep = set_separation(other, s)
+        assert distance_key(other, s) == sep
+        assert key_level(distance_key(other, s)) == (ceil(2 / sep) - 1 if sep else None)
 
 
 def test_dist_interval_cases():
@@ -384,14 +434,15 @@ def test_common_neighbourhood_is_the_points_near_every_value():
     grid = [Fr(k, 72) for k in range(-5 * 72, 7 * 72)]
     for _ in range(150):
         values = [value() for _ in range(rng.randrange(1, 4))]
-        r = rng.choice([Fr(1), Fr(1, 2), Fr(1, 3), Fr(1, 9)])
-        region = common_neighbourhood(values, r)
+        n = rng.choice([0, 1, 2, 8])  # r = 1, 1/2, 1/3, 1/9
+        r = Fr(1, n + 1)
+        region = common_region(values, n)
         assert all(a < b for a, b in region)
         assert all(b <= a for (_, b), (a, _) in zip(region, region[1:]))  # sorted and disjoint
         for y in grid:
             assert any(a < y < b for a, b in region) == all(dist_to_set(y, v) < r for v in values)
     with pytest.raises(ValueError):
-        common_neighbourhood([finite_real(0)], Fr(2))
+        neighbourhood(finite_real(0), Fr(2))
 
 
 def test_common_heads_are_the_heads_near_every_value():
@@ -408,7 +459,7 @@ def test_common_heads_are_the_heads_near_every_value():
     for _ in range(60):
         values = rng.sample(sets, rng.randrange(1, 4))
         for length in (1, 2, 3, 5):
-            heads = common_heads(values, length)
+            heads = common_region(values, length - 1)
             for y in ys:
                 near = all(dist_to_set(y, v) < Fr(1, length) for v in values)
                 assert (y.head(length) in heads) == near

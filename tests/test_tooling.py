@@ -15,6 +15,8 @@ other module defines a `*_from_json` or `*_to_json` function.  So does
 every text literal: no other module defines a top-level `parse_*` or
 `format_*` function (the expression language of `pointclass.py` aside), no
 class defines `parse_point`, and there is no `baire_lab.rationals`.
+`checkers.py` names no space class and no value class but `Empty`: the
+kind of a codomain is decided in `closed_sets.py` and `spaces.py`.
 """
 
 import ast
@@ -126,3 +128,22 @@ def test_only_the_input_boundary_reads_and_writes_text_literals():
         readers += [(path.name, node.name, "parse_point") for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
                     for item in node.body if isinstance(item, ast.FunctionDef) and item.name == "parse_point"]
     assert readers == []
+
+
+def test_checkers_name_no_space_or_value_class():
+    """The quantifier layers read a codomain only through the exact keys and
+    regions of `closed_sets` and the spaces' own operations, never by the
+    class of the codomain or of a value.  `Empty` stays nameable: it is the
+    distance-1 convention the criteria state."""
+    banned = {"BaireSpace", "RealLine", "UnitInterval", "FinitePoints", "CantorGrid", "TreeSpace",
+              "FiniteBaireSet", "FiniteRealSet", "IntervalUnion", "_distance_level"}
+    named = set()
+    for node in ast.walk(ast.parse((ROOT / "src" / "baire_lab" / "checkers.py").read_text())):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.add(node.asname or node.name)
+    assert named & banned == set()
+    assert "Empty" in named
