@@ -19,7 +19,9 @@ distance, where only an empty value fails a table (`tabular_baire_eps2_*`),
 a rational finite codomain in `star` and `dagger` mode, codomains whose
 only value is empty (`tabular_grid_codomain_plain`,
 `tabular_tree_codomain_star`), the `dagger` mode on f1, the spike map and
-a tabular map, `star` on the dyadic dense split, and refusals (`*_refused`), whose
+a tabular map, f1 at its default window in `dagger` mode, where the last
+window K_8 still clips the value 17/2 (`f1_dagger_clipped`), `star` on
+the dyadic dense split, and refusals (`*_refused`), whose
 report is the `{"error", "path"}` object: f2 in `dagger` mode, and one
 malformed literal or field at each decode site of the input boundary
 (rational labels, a table entry, grid points as an object and as text

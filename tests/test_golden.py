@@ -22,7 +22,7 @@ def test_golden_folder_pairs_every_instance_with_its_report():
     instances = sorted(p.stem for p in GOLDEN.glob("*.json"))
     argvs = sorted(p.stem for p in GOLDEN.glob("*.argv"))
     reports = sorted(p.stem for p in GOLDEN.glob("*.out"))
-    assert len(instances) >= 64
+    assert len(instances) >= 65
     assert len(argvs) >= 19
     assert not set(instances) & set(argvs)
     assert sorted(instances + argvs) == reports
