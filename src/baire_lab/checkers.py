@@ -49,7 +49,9 @@ form, without enumerating the dense sequence: the points within 1/(n+1)
 of every probe value form a region (`closed_sets.common_region`) and the
 codomain names the least index inside it; a codomain that names none
 carries only empty values, whose region is empty.  `eval_dagger` clips
-values to the codomain's `exhaustion`.  `eval_strong_star` enumerates the
+values to the windows K_m = [-m, m] for every codomain, and stops at the
+first window that clips no probe value; `m_bound` caps m only for values
+reaching past [-m_bound, m_bound].  `eval_strong_star` enumerates the
 dense sequence.
 
 `MODES` names the evaluator of each mode of `baire-lab check`: the two
@@ -63,7 +65,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 from typing import Any, Callable, Sequence
 
 from .closed_sets import (
@@ -508,47 +510,42 @@ def eval_star(multimap: MultiMap, x, cfg: CheckConfig, probes: ProbeGen) -> Verd
 
 
 def eval_dagger(multimap: MultiMap, x, cfg: CheckConfig, probes: ProbeGen) -> Verdict:
-    """The exhaustion-relative criterion: values are clipped to K_m first.
+    """The criterion on values clipped to the windows K_m = [-m, m], m = 0, 1, ...
 
-    Empty clipped values contribute distance 1.  A refutation is reported
-    only when no proper clipping happened at the last exhaustion stage;
-    otherwise a larger stage could still change the outcome and the result
-    is Inconclusive.
+    Empty clipped values contribute distance 1.  The windows stop at the
+    first one that clips no probe value: every larger one gives the same
+    clipped values, so the same scan.  A refutation is reported only
+    there; a window `m_bound` that still clips some value ends the loop
+    Inconclusive, since a larger window could change the outcome.
     """
     search = _dense_search(multimap.codomain, cfg)
-    stages = multimap.codomain.exhaustion(cfg.m_bound)
     raw = ProbeContext(multimap, x, cfg, probes).value_lists()
+    values = dict.fromkeys(v for delta in cfg.delta_schedule for v in raw[delta])  # each clipped once per window
     refuted = []
-    for stage_index, (lo, hi) in enumerate(stages):
-        clipped = {
-            delta: [clip_to_interval(v, lo, hi) for v in raw[delta]]
-            for delta in cfg.delta_schedule
-        }
+    for m in count():
+        lo, hi = Fraction(-m), Fraction(m)
+        clip = {v: clip_to_interval(v, lo, hi) for v in values}
+        clipped = {delta: [clip[v] for v in raw[delta]] for delta in raw}
         passes, failing, certified = _star_scan(clipped, cfg, search)
         if failing is None:
             return Verdict(CONTINUOUS, report={
-                "criterion": "dagger", "stage": stage_index, "window": (lo, hi),
-                "passes": tuple(passes),
+                "criterion": "dagger", "stage": m, "window": (lo, hi), "passes": tuple(passes),
             })
-        refuted.append({"stage": stage_index, "failing_n": failing,
-                        "certified": certified is not None})
-    if all(r["certified"] for r in refuted):
-        lo, hi = stages[-1]
-        proper = any(  # intersecting with [lo, hi] lost part of some value's closure
-            clip_to_interval(v, lo, hi) != closure(v)
-            for delta in cfg.delta_schedule
-            for v in raw[delta]
-        )
-        if not proper:
-            return Verdict(DISCONTINUOUS, report={"criterion": "dagger", "stages": refuted})
+        refuted.append({"stage": m, "failing_n": failing, "certified": certified is not None})
+        whole = all(clip[v] == closure(v) for v in values)
+        if whole or m == cfg.m_bound:
+            break
+    if not all(r["certified"] for r in refuted):
+        return Verdict(INCONCLUSIVE, report={
+            "criterion": "dagger", "stages": refuted,
+            "reason": "refutation lacked a separation certificate at some stage",
+        })
+    if not whole:
         return Verdict(INCONCLUSIVE, report={
             "criterion": "dagger", "stages": refuted,
             "reason": "exhaustion bound clipped some value; larger stages could differ",
         })
-    return Verdict(INCONCLUSIVE, report={
-        "criterion": "dagger", "stages": refuted,
-        "reason": "refutation lacked a separation certificate at some stage",
-    })
+    return Verdict(DISCONTINUOUS, report={"criterion": "dagger", "stages": refuted})
 
 
 def eval_strong_star(multimap: MultiMap, x, cfg: CheckConfig, probes: ProbeGen) -> Verdict:

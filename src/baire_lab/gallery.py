@@ -360,7 +360,7 @@ def is_non_third(q: Fraction) -> bool:
     return (3 * q).denominator != 1
 
 
-_SPLIT_SPECS: dict[str, Callable[[Fraction], bool]] = {
+SPLIT_SPECS: dict[str, Callable[[Fraction], bool]] = {
     "dyadic": is_dyadic,
     "thirds": is_non_third,
 }
@@ -397,7 +397,7 @@ def split_probes() -> Callable:
 
 def dense_split(a_spec: str) -> MultiMap:
     """Value {0} on the dense set named by `a_spec`, {0, 1} off it."""
-    member = _SPLIT_SPECS[a_spec]
+    member = SPLIT_SPECS[a_spec]
 
     def rule(x: Fraction) -> FiniteRealSet:
         return finite_real(0) if member(x) else finite_real(0, 1)

@@ -40,6 +40,8 @@ from .checkers import (
 )
 from .closed_sets import Empty, FiniteBaireSet, FiniteRealSet, IntervalUnion, fits_space, tree_body_points
 from .gallery import (
+    F1_DEFAULT_WINDOW,
+    SPLIT_SPECS,
     AffineMap,
     BaireEmbedding,
     IdentityEmbedding,
@@ -388,7 +390,7 @@ def multimap_from_json(obj: dict, path: str = "multimap") -> MultiMap:
     kind = _kind(obj, path)
     if kind == "f1":
         message = "expected a non-negative integer, got %r" % (obj.get("window"),)
-        window = decode_at(path + ".window", _natural, obj.get("window", 8), "window", message=message)
+        window = decode_at(path + ".window", _natural, obj.get("window", F1_DEFAULT_WINDOW), "window", message=message)
         if window > F1_MAX_WINDOW:
             raise SchemaError(path + ".window", "window must be at most %d, got %d" % (F1_MAX_WINDOW, window))
         return f1_multimap(window)
@@ -396,7 +398,7 @@ def multimap_from_json(obj: dict, path: str = "multimap") -> MultiMap:
         return f2_multimap()
     if kind == "dense_split":
         variant = obj.get("variant", "dyadic")
-        if variant not in ("dyadic", "thirds"):
+        if not isinstance(variant, str) or variant not in SPLIT_SPECS:
             raise SchemaError(path + ".variant", "unknown dense_split variant %r" % variant)
         return dense_split(variant)
     if kind == "spike":

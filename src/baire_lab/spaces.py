@@ -20,9 +20,9 @@ test (`MetricSpace.ball`), point membership and a canonical countable
 dense sequence.  Sequence space, the line, the unit interval and rational
 finite spaces also name, through `least_dense_index`, the least index of
 their dense sequence inside a region (a set of heads, or a union of open
-intervals), which witnesses density ball by ball.  Every space gives the
-exhaustion K_m = [-m, m] that the `dagger` criterion clips values to
-(`MetricSpace.exhaustion`); the unit interval's stops growing at [0, 1].
+intervals), which witnesses density ball by ball.  The windows
+K_m = [-m, m] that the `dagger` criterion clips values to are not a space
+operation: `checkers.eval_dagger` builds them, the same for every codomain.
 The graded enumeration of all finite sequences lives here too: it indexes
 the dense sequence of sequence space and the tree metric.  Its grade w
 (length + entry sum) holds 2^(w-1) sequences for w >= 1, and they take
@@ -384,16 +384,11 @@ def _zero_stripped(head: Sequence[int]) -> tuple[int, ...]:
 
 
 class MetricSpace:
-    """What every space shares: exact membership in an open ball, and the
-    exhaustion that the `dagger` criterion clips values to."""
+    """What every space shares: exact membership in an open ball."""
 
     def ball(self, center, radius: Fraction):
         """The test p -> dist(center, p) < radius, built once per ball."""
         return lambda p: self.dist(center, p) < radius
-
-    def exhaustion(self, m_bound: int) -> list[tuple[Fraction, Fraction]]:
-        """The windows K_m = [-m, m], m = 0 .. m_bound."""
-        return [(Fraction(-m), Fraction(m)) for m in range(m_bound + 1)]
 
 
 class RealLine(MetricSpace):
@@ -450,10 +445,6 @@ class UnitInterval(RealLine):
         if s == 1:
             return Fraction(1)
         return sb_unit(s - 2)
-
-    def exhaustion(self, m_bound: int) -> list[tuple[Fraction, Fraction]]:
-        """K_m clipped to [0, 1]: the windows stop growing at m = 1."""
-        return [(Fraction(0), Fraction(min(m, 1))) for m in range(m_bound + 1)]
 
     def least_dense_index(self, region: Sequence[tuple[Fraction, Fraction]], bound: int) -> int | None:
         """As on the line: 0 and 1 come first, then the rationals inside

@@ -39,13 +39,27 @@ the same verdicts.
 indices from the probe context; `counterexamples_by_probes` gathers each
 ball with `gather_probes` and evaluates the map at every probe, with no
 context, and measures each miss on the value itself.
+
+`checkers.eval_dagger` stops its windows K_m = [-m, m] at the first one
+that clips no probe value.  `dagger_by_every_window` scans every window
+from 0 to `m_bound` and decides after the last one, from whether that
+window still clips some value.
 """
 
 import math
 from fractions import Fraction
 
-from baire_lab.checkers import ProbeContext, gather_probes
-from baire_lab.closed_sets import FiniteBaireSet, dist_to_set
+from baire_lab.checkers import (
+    CONTINUOUS,
+    DISCONTINUOUS,
+    INCONCLUSIVE,
+    ProbeContext,
+    Verdict,
+    _dense_search,
+    _star_scan,
+    gather_probes,
+)
+from baire_lab.closed_sets import FiniteBaireSet, clip_to_interval, closure, dist_to_set
 from baire_lab.spaces import (
     BairePoint,
     CantorGridPoint,
@@ -269,3 +283,33 @@ class EagerProbeContext(ProbeContext):
     def __init__(self, multimap, x, cfg, probes):
         super().__init__(multimap, x, cfg, probes)
         self._gather = {delta: self._gather(delta) for delta in cfg.delta_schedule}.__getitem__
+
+
+def dagger_by_every_window(multimap, x, cfg, probes):
+    """`checkers.eval_dagger` over every window K_m = [-m, m], m = 0 ..
+    m_bound: a refutation needs a certificate at every window and a last
+    window that clips no probe value."""
+    search = _dense_search(multimap.codomain, cfg)
+    raw = ProbeContext(multimap, x, cfg, probes).value_lists()
+    refuted = []
+    for m in range(cfg.m_bound + 1):
+        lo, hi = Fraction(-m), Fraction(m)
+        clipped = {delta: [clip_to_interval(v, lo, hi) for v in raw[delta]] for delta in cfg.delta_schedule}
+        passes, failing, certified = _star_scan(clipped, cfg, search)
+        if failing is None:
+            return Verdict(CONTINUOUS, report={
+                "criterion": "dagger", "stage": m, "window": (lo, hi), "passes": tuple(passes),
+            })
+        refuted.append({"stage": m, "failing_n": failing, "certified": certified is not None})
+    if all(r["certified"] for r in refuted):
+        lo, hi = Fraction(-cfg.m_bound), Fraction(cfg.m_bound)
+        if all(clip_to_interval(v, lo, hi) == closure(v) for delta in cfg.delta_schedule for v in raw[delta]):
+            return Verdict(DISCONTINUOUS, report={"criterion": "dagger", "stages": refuted})
+        return Verdict(INCONCLUSIVE, report={
+            "criterion": "dagger", "stages": refuted,
+            "reason": "exhaustion bound clipped some value; larger stages could differ",
+        })
+    return Verdict(INCONCLUSIVE, report={
+        "criterion": "dagger", "stages": refuted,
+        "reason": "refutation lacked a separation certificate at some stage",
+    })

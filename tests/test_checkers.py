@@ -50,7 +50,7 @@ from corpus_helpers import (
     grid_corpus,
     open_split_maps,
 )
-from scan_oracle import EagerProbeContext, counterexamples_by_probes, scan_search
+from scan_oracle import EagerProbeContext, counterexamples_by_probes, dagger_by_every_window, scan_search
 
 # ---------------------------------------------------------------------------
 # the exhaustive oracle: the definitions' quantifiers over the whole finite
@@ -989,3 +989,80 @@ def test_star_scan_enumerates_no_dense_point_and_separates_each_pair_once(monkey
         measured += len(pairs)
         sequence_pairs += mm is f2 and len(pairs)
     assert measured > sequence_pairs > 0 and not dense_calls
+
+
+# ---------------------------------------------------------------------------
+# dagger's windows stop at the first one that clips no probe value, against
+# the scan of every window up to m_bound
+# ---------------------------------------------------------------------------
+
+
+def _dagger_agrees_with_every_window(mm, x, cfg, probes) -> tuple:
+    got = eval_dagger(mm, x, cfg, probes)
+    want = dagger_by_every_window(mm, x, cfg, probes)
+    assert got.kind == want.kind, (mm.name, x)
+    if got.kind == "continuous":
+        assert got.report == want.report, (mm.name, x)
+        return got.kind, None
+    assert got.report.get("reason") == want.report.get("reason"), (mm.name, x)
+    kept, every = got.report["stages"], want.report["stages"]
+    assert every[:len(kept)] == kept, (mm.name, x)
+    last = dict(kept[-1], stage=None)
+    assert all(dict(stage, stage=None) == last for stage in every[len(kept):]), (mm.name, x)
+    return got.kind, got.report.get("reason")
+
+
+def golden_dagger_instances(golden=GOLDEN):
+    """The golden `dagger` instances that `baire-lab check` accepts, each as
+    (multimap, points, cfg, probes)."""
+    from baire_lab.instances import load_instance
+    from baire_lab.spaces import real_flavored
+
+    out = []
+    for case in sorted(golden.glob("*.json")):
+        raw = json.loads(case.read_text())
+        if raw.get("mode") == "dagger":
+            mm, points, _, cfg, probes = load_instance(raw)
+            if real_flavored(mm.codomain):
+                out.append((mm, points, cfg, probes))
+    return out
+
+
+def test_dagger_windows_agree_with_the_scan_of_every_window():
+    from baire_lab.gallery import dense_split, f1_multimap
+
+    instances = [(mm, x, cfg, probes) for mm, points, cfg, probes in golden_dagger_instances() for x in points]
+    assert len({id(mm) for mm, *_ in instances}) >= 8
+    for variant in ("dyadic", "thirds"):
+        split = dense_split(variant)
+        instances += [(split, x, default_config(), split.default_probes) for x in DENSE_SPLIT_POINTS]
+    f1 = f1_multimap(8)
+    instances += [(f1, gamma, default_config(), f1.default_probes) for gamma in grid_corpus()]
+    rng = random.Random(283)
+    for m_bound in (0, 1, 2, 8):
+        cfg = default_config(m_bound=m_bound)
+        for _ in range(6):
+            mm = random_tabular(rng)
+            instances += [(mm, x, cfg, full_domain_probes(mm.domain)) for x in mm.domain.points()]
+    outcomes = {_dagger_agrees_with_every_window(*instance) for instance in instances}
+    assert outcomes == {
+        ("continuous", None), ("discontinuous", None),
+        ("inconclusive", "exhaustion bound clipped some value; larger stages could differ"),
+        ("inconclusive", "refutation lacked a separation certificate at some stage"),
+    }
+
+
+def test_a_huge_m_bound_costs_a_dagger_check_no_more_windows():
+    from baire_lab.gallery import dense_split
+
+    cfg = default_config(m_bound=10 ** 18)
+    for variant in ("dyadic", "thirds"):
+        split = dense_split(variant)
+        for x in DENSE_SPLIT_POINTS:
+            report = eval_dagger(split, x, cfg, split.default_probes).report
+            assert report.get("stage", 0) <= 1 and len(report.get("stages", ())) <= 2, (variant, x)
+    # a refutation stops at K_1, the first window that clips neither value
+    space = rational_points_space([Fr(0), Fr(1, 1024)])
+    mm = tabular_multimap(space, {Fr(0): finite_real(1), Fr(1, 1024): finite_real(-1)}, REAL_LINE)
+    out = eval_dagger(mm, Fr(0), cfg, full_domain_probes(space))
+    assert out.kind == "discontinuous" and [stage["stage"] for stage in out.report["stages"]] == [0, 1]

@@ -82,6 +82,10 @@ def test_schema_errors_carry_paths():
     assert "probe_spec" in err.value.path
     with pytest.raises(SchemaError):
         config_from_json({"net_resolution": "0"})
+    for variant in ("cubes", ["dyadic"], {"dyadic": 1}, 2):
+        with pytest.raises(SchemaError) as err:
+            load_instance(dense_split_instance(multimap={"kind": "dense_split", "variant": variant}))
+        assert str(err.value) == "multimap.variant: unknown dense_split variant %r" % (variant,)
 
 
 def test_decode_at_turns_a_malformed_literal_into_a_schema_error_at_its_path():

@@ -16,7 +16,9 @@ every text literal: no other module defines a top-level `parse_*` or
 `format_*` function (the expression language of `pointclass.py` aside), no
 class defines `parse_point`, and there is no `baire_lab.rationals`.
 `checkers.py` names no space class and no value class but `Empty`: the
-kind of a codomain is decided in `closed_sets.py` and `spaces.py`.
+kind of a codomain is decided in `closed_sets.py` and `spaces.py`.  No
+module caches a function with `functools` but the two whose hit ratios the
+benchmark reads.
 """
 
 import ast
@@ -147,3 +149,32 @@ def test_checkers_name_no_space_or_value_class():
             named.add(node.asname or node.name)
     assert named & banned == set()
     assert "Empty" in named
+
+
+def test_no_function_gains_a_functools_cache():
+    """`spaces.node_rank` and `closed_sets.tree_body_points` keep their
+    caches only because `perfbench/tracer.py` reads their hit ratios; every
+    other use of `lru_cache` or `cache`, as a decorator or a call, fails."""
+    allowed = {("spaces", "node_rank"), ("closed_sets", "tree_body_points")}
+    found = []
+    for path in sorted((ROOT / "src" / "baire_lab").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules, names = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules |= {alias.asname or alias.name for alias in node.names if alias.name == "functools"}
+            elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+                names |= {alias.asname or alias.name for alias in node.names if alias.name in ("lru_cache", "cache")}
+        uses = {node for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and node.id in names
+                or isinstance(node, ast.Attribute) and node.attr in ("lru_cache", "cache")
+                and isinstance(node.value, ast.Name) and node.value.id in modules}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for decorator in node.decorator_list:
+                    used = decorator.func if isinstance(decorator, ast.Call) else decorator
+                    if used in uses:
+                        uses.discard(used)
+                        found.append((path.stem, node.name))
+        found += [(path.stem, "line %d" % node.lineno) for node in uses]  # applied by a call
+    assert set(found) <= allowed, sorted(set(found) - allowed)
