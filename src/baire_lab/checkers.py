@@ -520,11 +520,11 @@ def eval_dagger(multimap: MultiMap, x, cfg: CheckConfig, probes: ProbeGen) -> Ve
     """
     search = _dense_search(multimap.codomain, cfg)
     raw = ProbeContext(multimap, x, cfg, probes).value_lists()
-    values = dict.fromkeys(v for delta in cfg.delta_schedule for v in raw[delta])  # each clipped once per window
+    closures = {v: closure(v) for delta in cfg.delta_schedule for v in raw[delta]}  # each value clipped once a window
     refuted = []
     for m in count():
         lo, hi = Fraction(-m), Fraction(m)
-        clip = {v: clip_to_interval(v, lo, hi) for v in values}
+        clip = {v: clip_to_interval(v, lo, hi) for v in closures}
         clipped = {delta: [clip[v] for v in raw[delta]] for delta in raw}
         passes, failing, certified = _star_scan(clipped, cfg, search)
         if failing is None:
@@ -532,7 +532,7 @@ def eval_dagger(multimap: MultiMap, x, cfg: CheckConfig, probes: ProbeGen) -> Ve
                 "criterion": "dagger", "stage": m, "window": (lo, hi), "passes": tuple(passes),
             })
         refuted.append({"stage": m, "failing_n": failing, "certified": certified is not None})
-        whole = all(clip[v] == closure(v) for v in values)
+        whole = all(clip[v] == c for v, c in closures.items())
         if whole or m == cfg.m_bound:
             break
     if not all(r["certified"] for r in refuted):
