@@ -34,7 +34,9 @@ tree with a space inside a number.  Each `<name>.argv` holds a JSON list of
 command-line arguments, and `<name>.out` is the exact stdout of
 `baire-lab` run with them, or its stderr when it exits 2: the `gallery`
 certificates of f1 and f2, an embed chain 64 intervals deep, the `tree`
-operations (one on a tree literal spaced between its tokens), `classify`
+operations (one on a tree literal spaced between its tokens; `generate` on
+seeds holding a node of over 16 entries, a duplicate and a prefix of
+another seed; `trm` on a well-founded tree; `illfounded`), `classify`
 on the four hierarchy skeletons of acceptance 01, malformed `--gamma`,
 `--tree` (one of them a tree literal that gives its node list twice),
 `--alpha` and `--nodes` arguments, and an embed `--depth` above its cap.  After a change that

@@ -23,11 +23,12 @@ def test_golden_folder_pairs_every_instance_with_its_report():
     argvs = sorted(p.stem for p in GOLDEN.glob("*.argv"))
     reports = sorted(p.stem for p in GOLDEN.glob("*.out"))
     assert len(instances) >= 65
-    assert len(argvs) >= 19
+    assert len(argvs) >= 22
     assert not set(instances) & set(argvs)
     assert sorted(instances + argvs) == reports
     commands = {tuple(json.loads((GOLDEN / (name + ".argv")).read_text())[:2]) for name in argvs}
-    assert {("gallery", "f1"), ("gallery", "f2"), ("gallery", "embed"), ("tree", "shift"), ("tree", "trm")} <= commands
+    assert {("gallery", "f1"), ("gallery", "f2"), ("gallery", "embed"), ("tree", "shift"), ("tree", "trm"),
+            ("tree", "generate"), ("tree", "illfounded")} <= commands
     assert sum(command[0] == "classify" for command in commands) >= 4  # acceptance 01's skeletons
 
 
