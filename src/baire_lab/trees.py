@@ -16,7 +16,7 @@ the ball-constraint extraction feasible even for astronomically small radii.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, compress
 from operator import itemgetter, ne
@@ -30,12 +30,20 @@ EMPTY_NODE: Node = ()
 
 
 def prefix_closure(nodes: Iterable[Node]) -> frozenset[Node]:
-    """The nodes and their prefixes.  `out` stays prefix-closed, so a node of
-    over 16 entries bisects for its longest present prefix, then adds the
-    longer ones at once; a shorter one walks up to it."""
+    """The nodes, given as tuples or lists, and their prefixes."""
+    return _closure(nodes)[0]
+
+
+def _closure(nodes: Iterable[Node]) -> tuple[frozenset[Node], tuple[Node, ...]]:
+    """The prefix closure of `nodes` and its sorted maximal nodes.  Longest
+    first, a node already in `out` (kept prefix-closed) prefixes an earlier
+    one; a new one of over 16 entries bisects for its longest present prefix."""
     out: set[Node] = {EMPTY_NODE}
-    for u in nodes:
-        v = tuple(u)
+    maximal = []
+    for v in sorted(map(tuple, nodes), key=len, reverse=True):
+        if v in out:
+            continue
+        maximal.append(v)
         if len(v) > 16:
             first = bisect_left(range(len(v) + 1), True, key=lambda j: v[:j] not in out)
             out.update(v[:j] for j in range(first, len(v) + 1))
@@ -43,7 +51,7 @@ def prefix_closure(nodes: Iterable[Node]) -> frozenset[Node]:
             while v not in out:
                 out.add(v)
                 v = v[:-1]
-    return frozenset(out)
+    return frozenset(out), tuple(sorted(maximal)) or (EMPTY_NODE,)
 
 
 _parent, _last = itemgetter(slice(-1)), itemgetter(-1)
@@ -93,50 +101,67 @@ class Tree:
     """Prefix-closed node set, canonical form.
 
     `finite_part` is the prefix closure of the off-branch nodes (always
-    containing the empty node); membership adds every prefix of every
+    containing the empty node), `maximal` the sorted off-branch nodes that
+    parent none of it (or ()); membership adds every prefix of every
     designated branch.  Two trees denote the same node set exactly when
-    their canonical fields are equal: the designated branches are exactly
-    the infinite branches of the node set, since past the finite part every
-    deep prefix must follow one of the finitely many branches.
+    their branches and maximal nodes are equal, all that equality and the
+    hash read: the designated branches are exactly the infinite branches of
+    the node set, since past the finite part every deep prefix must follow
+    one of the finitely many branches.  The constructor checks node sets
+    from outside; `make_tree` and `generated_by` check only seeds' entries.
     """
 
-    finite_part: frozenset[Node]
+    finite_part: frozenset[Node] = field(compare=False)
     branches: frozenset[BairePoint]
+    maximal: tuple[Node, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         fp = frozenset(self.finite_part)
-        closed = EMPTY_NODE in fp and fp.issuperset(map(_parent, filter(None, fp)))
+        parents = frozenset(map(_parent, filter(None, fp)))
+        closed = EMPTY_NODE in fp and fp.issuperset(parents)
         # in a closed set every entry is the last entry of some node
         if min(map(_last if closed else min, filter(None, fp)), default=0) < 0:
             raise ValueError("node entries must be naturals")
         if not closed:
             raise ValueError("finite part must be closed under initial segments")
-        if self.branches:  # without branches every node is off-branch
-            fp = prefix_closure(_off_branches(fp, self.branches))
+        fp, maximal = _closure(_off_branches(fp - parents, self.branches))
         object.__setattr__(self, "finite_part", fp)
+        object.__setattr__(self, "maximal", maximal)
 
     def contains(self, u: Node) -> bool:
         return u in self.finite_part or any(branch.starts_with(u) for branch in self.branches)
 
 
+def _tree(finite_part: frozenset[Node], branches: frozenset[BairePoint], maximal: tuple[Node, ...]) -> Tree:
+    """A Tree from fields already in canonical form, unchecked."""
+    t = object.__new__(Tree)
+    t.__dict__.update(finite_part=finite_part, branches=branches, maximal=maximal)
+    return t
+
+
 def make_tree(nodes: Iterable[Node] = (), branches: Iterable[BairePoint] = ()) -> Tree:
-    return Tree(prefix_closure(tuple(tuple(u) for u in nodes)), frozenset(branches))
+    """The prefixes of `nodes` and `branches`; all entries are in maximal nodes."""
+    fp, maximal = _closure(nodes)
+    if min(map(min, filter(None, maximal)), default=0) < 0:
+        raise ValueError("node entries must be naturals")
+    branches = frozenset(branches)
+    if branches:
+        fp, maximal = _closure(_off_branches(frozenset(maximal), branches))
+    return _tree(fp, branches, maximal)
 
 
 def generated_by(seed: Iterable[Node]) -> Tree:
     """The least prefix-closed node set containing `seed`."""
-    seed = tuple(tuple(u) for u in seed)
+    seed = tuple(seed)
     if not seed:
         raise ValueError("generating set must be nonempty")
-    return Tree(prefix_closure(seed), frozenset())
+    return make_tree(seed)
 
 
 def tree_shift(t: Tree) -> Tree:
-    """Entrywise +1 on every node and branch; all shifted entries >= 1."""
-    return Tree(
-        frozenset(map(shift_node, t.finite_part)),
-        frozenset(b.shift_entries() for b in t.branches),
-    )
+    """Entrywise +1 on every node and branch (entries >= 1), keeping prefixes and order."""
+    return _tree(frozenset(map(shift_node, t.finite_part)), frozenset(b.shift_entries() for b in t.branches),
+                 tuple(map(shift_node, t.maximal)))
 
 
 def terminals(t: Tree) -> frozenset[Node]:
@@ -144,9 +169,9 @@ def terminals(t: Tree) -> frozenset[Node]:
 
     Branch prefixes always extend along their branch, and in a
     prefix-closed set any proper extension implies an immediate child, so
-    terminals are exactly the off-branch nodes that parent nothing.
+    terminals are exactly the off-branch maximal nodes.
     """
-    return _off_branches(t.finite_part.difference(map(_parent, filter(None, t.finite_part))), t.branches)
+    return _off_branches(frozenset(t.maximal), t.branches)
 
 
 def is_ill_founded(t: Tree) -> bool:
@@ -166,7 +191,7 @@ def body_prefixes(t: Tree, depth: int) -> frozenset[Node]:
 def _branch_cover_bound(beta: BairePoint, t: Tree) -> int:
     """Depth past which no prefix of `beta` can be a member of `t`."""
     splits = (first_disagreement(beta, other) for other in t.branches)
-    return max([*map(len, t.finite_part), *(d for d in splits if d is not None)]) + 1
+    return max([*map(len, t.maximal), *(d for d in splits if d is not None)]) + 1
 
 
 def _least_missing_prefix(beta: BairePoint, t: Tree) -> Node:

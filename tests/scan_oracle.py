@@ -22,7 +22,8 @@ trailing prefix entry per step and rotates the period by one each time;
 `baire_point_by_steps` and `tree_finite_part_by_generators` check entry
 by entry and node by node, with the messages of the constructors, and the
 latter closes the off-branch nodes itself;
-`terminals_by_scan` tests every node against the branches.
+`terminals_by_scan` tests every node against the branches, and
+`maximal_by_scan` every node for a child.
 `spaces.first_disagreement` compares whole heads at C speed;
 `first_disagreement_by_entries` reads one entry of each point per step.
 
@@ -234,6 +235,13 @@ def terminals_by_scan(t):
     parents = {u[:-1] for u in t.finite_part if u}
     return frozenset(u for u in t.finite_part
                      if u not in parents and not any(b.starts_with(u) for b in t.branches))
+
+
+def maximal_by_scan(finite_part):
+    """`Tree.maximal`: the nodes of a prefix-closed set that parent none of
+    it, sorted, found by testing every node for a child."""
+    parents = {u[:-1] for u in finite_part if u}
+    return tuple(sorted(u for u in finite_part if u not in parents))
 
 
 def grid_dist_by_row_scans(a, b):

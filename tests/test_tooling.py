@@ -18,7 +18,8 @@ class defines `parse_point`, and there is no `baire_lab.rationals`.
 `checkers.py` names no space class and no value class but `Empty`: the
 kind of a codomain is decided in `closed_sets.py` and `spaces.py`.  No
 module caches a function with `functools` but the two whose hit ratios the
-benchmark reads.
+benchmark reads.  A tree's representation stays in `trees.py`: no other
+module calls the `Tree` constructor or reads a tree's maximal nodes.
 """
 
 import ast
@@ -178,3 +179,22 @@ def test_no_function_gains_a_functools_cache():
                         found.append((path.stem, node.name))
         found += [(path.stem, "line %d" % node.lineno) for node in uses]  # applied by a call
     assert set(found) <= allowed, sorted(set(found) - allowed)
+
+
+def test_only_trees_builds_a_tree_or_reads_its_maximal_nodes():
+    """Outside `trees.py`, trees come from `make_tree`, `generated_by` and the
+    other functions of that module, and are read through its functions and
+    `finite_part`, `branches` and `contains`; a call of `Tree(...)`, by name
+    or as an attribute, or a read of `maximal`, by attribute or by string,
+    fails."""
+    found = []
+    for path in sorted((ROOT / "src" / "baire_lab").glob("*.py")):
+        if path.name == "trees.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and "Tree" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                found.append((path.name, node.lineno, "Tree("))
+            elif isinstance(node, ast.Attribute) and node.attr == "maximal" \
+                    or isinstance(node, ast.Constant) and node.value == "maximal":
+                found.append((path.name, node.lineno, "maximal"))
+    assert found == []

@@ -32,6 +32,7 @@ from baire_lab.trees import (
 from corpus_helpers import branch_bearing_trees, enumerate_prefix_closed_trees
 from scan_oracle import (
     lex_rank_by_values,
+    maximal_by_scan,
     outcome,
     terminals_by_scan,
     tree_dist_ranking_every_candidate,
@@ -41,6 +42,32 @@ from scan_oracle import (
 
 def finite_part_of_tree(finite_part, branches):
     return Tree(finite_part, branches).finite_part
+
+
+def check_seeded_trees_against_the_constructor(seeds, branches):
+    """`make_tree(seeds, branches)` and, without branches, `generated_by(seeds)`
+    against `Tree(prefix_closure(seeds), branches)`: the same ValueError
+    message, or the same finite part, maximal nodes, terminals, equality and
+    hash, which are also the oracles'.  Returns the constructor's outcome."""
+    built = outcome(lambda: Tree(prefix_closure(seeds), branches))
+    seeded = [outcome(make_tree, seeds, branches)]
+    if seeds and not branches:
+        seeded.append(outcome(generated_by, seeds))
+    if isinstance(built, str):
+        assert seeded == [built] * len(seeded), (seeds, branches)
+        return built
+    closure = {EMPTY_NODE}
+    for u in map(tuple, seeds):
+        while u not in closure:
+            closure.add(u)
+            u = u[:-1]
+    assert built.finite_part == tree_finite_part_by_generators(frozenset(closure), branches)
+    assert built.maximal == maximal_by_scan(built.finite_part)
+    assert terminals(built) == terminals_by_scan(built)
+    for t in seeded:
+        assert (t.finite_part, t.maximal, terminals(t)) == (built.finite_part, built.maximal, terminals(built))
+        assert t == built and hash(t) == hash(built) and t.branches == built.branches
+    return built
 
 
 def random_tree(rng, with_branches=False):
@@ -148,7 +175,8 @@ def test_validation_rejects_non_closed_finite_parts():
 def test_tree_constructor_matches_the_node_by_node_checks():
     """Drawn node sets, closed or not, with or without the empty node, some
     with a negative entry, and the empty set; with and without branches.
-    The canonical finite part, or the message raised, is the oracle's."""
+    The canonical finite part, or the message raised, is the oracle's, and
+    the trees built from the same nodes as seeds match the constructor's."""
     rng = random.Random(67)
     branches = [frozenset(), frozenset({parse_baire_point(";0")}), frozenset({parse_baire_point("1;0,1")}),
                 frozenset({parse_baire_point("0;1"), parse_baire_point(";2")})]
@@ -165,6 +193,7 @@ def test_tree_constructor_matches_the_node_by_node_checks():
         assert got == outcome(tree_finite_part_by_generators, frozenset(nodes), b), (nodes, b)
         if isinstance(got, str):
             messages.add(got)
+        check_seeded_trees_against_the_constructor(sorted(nodes), b)
     assert messages == {"ValueError: node entries must be naturals",
                         "ValueError: finite part must be closed under initial segments"}
     assert outcome(finite_part_of_tree, frozenset(), frozenset()) == (
@@ -202,7 +231,9 @@ def test_tree_constructor_matches_the_node_by_node_checks_on_deep_trunks():
     """The f2 trunks and sprouts, under no branches and under each center's
     branches; and deep chains made unclosed by a dropped middle node or by
     a node holding -1 at a non-last position, whose entry error must come
-    before the closure error, as in the node-by-node order."""
+    before the closure error, as in the node-by-node order.  Each node set
+    also seeds `make_tree` and `generated_by`, which close it and must match
+    the constructor on its closure: the same tree, or the entry error."""
     centers = f2_deep_probes()
     branch_sets = [frozenset()] + [center.branches for center, _ in centers]
     entries = "ValueError: node entries must be naturals"
@@ -213,6 +244,7 @@ def test_tree_constructor_matches_the_node_by_node_checks_on_deep_trunks():
             for b in branch_sets:
                 got = outcome(finite_part_of_tree, p.finite_part, b)
                 assert got == outcome(tree_finite_part_by_generators, p.finite_part, b), (p, b)
+                assert check_seeded_trees_against_the_constructor(list(p.finite_part), b).finite_part == got
         deep = max(probes[-1].finite_part, key=len)
         bad = deep[:100] + (-1,) + deep[101:]
         cases = [(probes[-1].finite_part | {bad}, entries),
@@ -225,6 +257,69 @@ def test_tree_constructor_matches_the_node_by_node_checks_on_deep_trunks():
             for b in branch_sets:
                 assert outcome(finite_part_of_tree, nodes, b) == message
                 assert outcome(tree_finite_part_by_generators, nodes, b) == message
+                seeded = check_seeded_trees_against_the_constructor(list(nodes), b)
+                assert seeded == message or message == closure
+
+
+def test_trees_from_drawn_seeds_match_the_constructor():
+    """Seeds of 0 to 300 entries, some following a branch for a stretch, with
+    duplicates, nested prefixes, a node given as a list and now and then a
+    negative entry; with and without branches.  Trees with the same node set
+    are equal, and trees with different ones are not."""
+    rng = random.Random(97)
+    pool = [parse_baire_point(text) for text in (";0", "1;0,1", "0;1", ";2", "2,1;0,1")]
+    made = []
+    for _ in range(300):
+        branches = frozenset(rng.sample(pool, rng.choice([0, 0, 1, 2])))
+        seeds = []
+        for _ in range(rng.randrange(1, 5)):
+            length = rng.choice([0, 1, 16, 17, 261, rng.randrange(301)])
+            head = rng.choice(pool).head(length) if rng.random() < 0.4 else ()
+            seeds.append(head + tuple(rng.randrange(3) for _ in range(length - len(head) + rng.randrange(3))))
+        seeds += [u[:rng.randrange(len(u) + 1)] for u in rng.sample(seeds, rng.randrange(len(seeds) + 1))]
+        seeds += rng.sample(seeds, rng.randrange(len(seeds) + 1))
+        if rng.random() < 0.1:
+            u = rng.choice(seeds)
+            k = rng.randrange(len(u) + 1)
+            seeds.append(u[:k] + (-1,) + u[k + 1:])
+        rng.shuffle(seeds)
+        seeds[0] = list(seeds[0])
+        t = check_seeded_trees_against_the_constructor(seeds, branches)
+        if not isinstance(t, str):
+            made.append(t)
+    assert any(max(map(len, t.maximal)) > 261 for t in made) and any(t.branches for t in made)
+    for a, b in zip(made, made[1:] + made[:1]):
+        same = a.finite_part == b.finite_part and a.branches == b.branches
+        assert (a == b) == same and (hash(a) == hash(b) or not same)
+
+
+@pytest.mark.parametrize("literal", [
+    'tree{nodes:[()],branches:["1;1"]}',  # 7,819 calls when trees re-checked their closure
+    "tree{nodes:[(),(0),(0,1),(2)]}",  # 368
+])
+def test_f2_checks_build_no_parent_tuple(monkeypatch, literal):
+    """A deterministic work count for the tree kernels: the calls of the
+    parent-tuple helper `trees._parent` while f2 is checked in plain and star
+    mode from a cleared value cache.  Every probe is built from seeds, closed
+    by construction, and `terminals` reads the maximal nodes, so none is
+    made; the counts in the comments were made when each tree re-checked
+    its closure and `terminals` subtracted every parent."""
+    from baire_lab import closed_sets, gallery, trees
+    from baire_lab.checkers import check_continuity, eval_star
+
+    f2, cfg, center = gallery.f2_multimap(), default_config(), parse_tree_literal(literal)
+    calls = []
+
+    def counted(u, original=trees._parent):
+        calls.append(None)
+        return original(u)
+
+    closed_sets.tree_body_points.cache_clear()
+    monkeypatch.setattr(trees, "_parent", counted)
+    kinds = [check(f2, center, cfg, f2.default_probes).kind for check in (check_continuity, eval_star)]
+    monkeypatch.undo()
+    assert kinds == (["continuous", "inconclusive"] if center.branches else ["discontinuous"] * 2)
+    assert len(calls) == 0
 
 
 def test_terminals_and_tree_dist_match_the_oracles_on_deep_trunks():
