@@ -101,8 +101,8 @@ class Tree:
     """Prefix-closed node set, canonical form.
 
     `finite_part` is the prefix closure of the off-branch nodes (always
-    containing the empty node), `maximal` the sorted off-branch nodes that
-    parent none of it (or ()); membership adds every prefix of every
+    containing the empty node), `maximal` its sorted nodes that parent none
+    of it (off-branch unless it is {()}); membership adds every prefix of every
     designated branch.  Two trees denote the same node set exactly when
     their branches and maximal nodes are equal, all that equality and the
     hash read: the designated branches are exactly the infinite branches of
