@@ -82,6 +82,7 @@ from .closed_sets import (
     meets_open_ball,
     net_key,
     net_with_radius,
+    region_frame,
     set_contains,
 )
 
@@ -451,19 +452,20 @@ def _certified_level(values: dict, cfg: CheckConfig, failing: int) -> int | None
 
 def _dense_search(codomain, cfg: CheckConfig):
     """The search for the least dense index passing a level: a function of
-    (distinct values per delta, n) giving the (n, s, delta) with the least
-    s <= dense_bound, then the first delta of the schedule, or None.
+    (distinct values per delta, n, the scan's `closed_sets.region_frame`)
+    giving the (n, s, delta) with the least s <= dense_bound, then the
+    first delta of the schedule, or None.
 
     The points within 1/(n+1) of every value at a delta form a region
     (`closed_sets.common_region`), and the codomain gives the least index
     inside it.  A codomain whose values can only be empty has only empty
     regions, which hold no index, so it is never asked.
     """
-    def search(values: dict, n: int):
+    def search(values: dict, n: int, frame):
         hit = None
         known: dict = {}  # each value's own region at level n, shared by the deltas
         for delta in cfg.delta_schedule:
-            inside = common_region(values[delta], n, known)
+            inside = common_region(values[delta], n, frame, known)
             s = codomain.least_dense_index(inside, cfg.dense_bound) if inside else None
             if s is not None and (hit is None or s < hit[1]):
                 hit = (n, s, delta)
@@ -480,12 +482,14 @@ def _star_scan(values: dict, cfg: CheckConfig, search):
     there whose refutation carries a separation certificate at every delta
     (thresholds shrink, so the searches of larger levels fail too).  A
     certificate at a level implies that the search fails there, so none
-    is measured before a level fails.
+    is measured before a level fails.  The values are put on one integer
+    frame (`closed_sets.region_frame`) for every level of the scan.
     """
     values = {delta: list(dict.fromkeys(values[delta])) for delta in cfg.delta_schedule}
+    frame = region_frame(v for delta in cfg.delta_schedule for v in values[delta])
     passes = []
     for n in range(cfg.n_bound + 1):
-        hit = search(values, n)
+        hit = search(values, n, frame)
         if hit is None:
             return passes, n, _certified_level(values, cfg, n)
         passes.append(hit)

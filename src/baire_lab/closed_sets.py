@@ -25,6 +25,16 @@ step is written once: `distance_key` (an integer level pair on sequence
 space, the Fraction elsewhere), `net_key`, `eps_key` and `key_level`.
 `common_region` gives the points within 1/(n + 1) of every one of a list
 of values: a set of heads in sequence space, open intervals on the line.
+The line's region is measured in integers.  `region_frame` takes, once
+per scan, the lcm D of every point and interval-end denominator of the
+scan's values, and holds each value's ends as sorted integers over D.  At
+level n a point p contributes the span (pD(n+1) - D, pD(n+1) + D) over
+D(n+1), and an interval [a, b] the span (aD(n+1) - D, bD(n+1) + D); the
+spans come out sorted, and merging and intersecting them compare plain
+integers, with touching open spans kept apart.  Only the final region
+becomes Fractions, so every endpoint stays an exact rational.  The
+separation of two finite sets of reals is one merge of their points on
+such a frame.
 
 Sequence-space distances are found without measuring every pair of
 points.  The metric is an ultrametric fixed by the least disagreement, so
@@ -43,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil
+from math import ceil, lcm
 
 from .spaces import BairePoint, BaireSpace, RealLine, eventually_zero, first_disagreement, real_flavored, shift_node
 from .trees import Tree, terminals
@@ -363,31 +373,42 @@ def clip_to_interval(s: ClosedSetRepr, lo: Fraction, hi: Fraction) -> ClosedSetR
     raise TypeError("interval clipping is for real-flavored variants: %r" % (s,))
 
 
-def neighbourhood(s: ClosedSetRepr, r: Fraction) -> list[tuple[Fraction, Fraction]]:
-    """The points y with dist_to_set(y, s) < r, for a real-flavored set and
-    0 < r <= 1, as sorted disjoint open intervals.
+def region_frame(values) -> tuple[int, dict]:
+    """One integer frame for the line's values of a scan, as (D, ends): D
+    is the lcm of every point and interval-end denominator, and `ends` maps
+    each real value to its pieces as sorted integer pairs over D, a point p
+    as (pD, pD) and an interval [a, b], closed or open, as (aD, bD).  Empty
+    has no pieces; sequence-space values are left out."""
+    pieces = {}
+    for v in values:
+        if isinstance(v, FiniteRealSet):
+            pieces[v] = [(p, p) for p in v.points]
+        elif isinstance(v, IntervalUnion):
+            pieces[v] = v.intervals
+        elif isinstance(v, Empty):
+            pieces[v] = ()
+    scale = lcm(*(end.denominator for ends in pieces.values() for piece in ends for end in piece))
 
-    A point p contributes (p - r, p + r) and an interval [a, b] (closed or
-    open: distances agree) contributes (a - r, b + r).  Empty contributes
-    nothing: every point is at distance 1 >= r from it.
-    """
-    if not 0 < r <= 1:
-        raise ValueError("radius must lie in (0, 1]")
-    if isinstance(s, Empty):
-        return []
-    if isinstance(s, FiniteRealSet):
-        spans = sorted((p - r, p + r) for p in s.points)
-    elif isinstance(s, IntervalUnion):
-        spans = sorted((a - r, b + r) for a, b in s.intervals)
-    else:
-        raise TypeError("neighbourhoods are for real-flavored variants: %r" % (s,))
-    merged = [spans[0]]
-    for a, b in spans[1:]:
-        last_a, last_b = merged[-1]
-        if a < last_b:  # open intervals that merely touch stay apart
-            merged[-1] = (last_a, max(last_b, b))
+    def over(end: Fraction) -> int:
+        return end.numerator * (scale // end.denominator)
+
+    return scale, {v: sorted((over(a), over(b)) for a, b in ends) for v, ends in pieces.items()}
+
+
+def _line_region(ends: list, m: int, scale: int) -> list:
+    """The points within 1/m of a real value with these `ends` over D =
+    `scale`, as sorted disjoint open intervals over mD: a piece (A, B)
+    contributes (mA - D, mB + D).  The pieces are sorted, so the spans
+    are too; a span that starts before the last one ends joins it, and
+    spans that merely touch stay apart."""
+    merged = []
+    for a, b in ends:
+        lo, hi = m * a - scale, m * b + scale
+        if merged and lo < merged[-1][1]:
+            if hi > merged[-1][1]:
+                merged[-1] = (merged[-1][0], hi)
         else:
-            merged.append((a, b))
+            merged.append((lo, hi))
     return merged
 
 
@@ -406,19 +427,25 @@ def _intersect_intervals(xs: list, ys: list) -> list:
     return out
 
 
-def common_region(values, n: int, known: dict | None = None):
+def common_region(values, n: int, frame: tuple[int, dict] | None = None, known: dict | None = None):
     """The points within 1/(n + 1) of every one of a nonempty list of
     values: a set of heads of length n + 1 in sequence space (a sequence is
     within 1/(n + 1) of a point exactly when both start with the same n + 1
     entries), sorted disjoint open intervals elsewhere, and empty as soon
-    as one value is Empty.  `known` may hold the values' own regions at
-    this n; those computed here are added.  Stops once the meet is empty."""
+    as one value is Empty.  Stops once the meet is empty.
+
+    On the line the search runs in integers on a `region_frame` that
+    covers the values, built here when none is given: a value's region and
+    the meet are lists of integer pairs over D(n + 1), and only the final
+    region becomes Fractions.  `known` may hold the values' own regions at
+    this n, in the frame's integers; those computed here are added."""
+    scale, ends = region_frame(values) if frame is None else frame
     known = {} if known is None else known
     region = None
     for v in values:
         if v not in known:
             known[v] = (frozenset(p.head(n + 1) for p in v.points) if isinstance(v, FiniteBaireSet)
-                        else neighbourhood(v, Fraction(1, n + 1)))
+                        else _line_region(ends[v], n + 1, scale))
         own = known[v]
         if region is None or not own:
             region = own
@@ -428,7 +455,10 @@ def common_region(values, n: int, known: dict | None = None):
             break
     if region is None:
         raise ValueError("values must be nonempty")
-    return region
+    if isinstance(region, frozenset):
+        return region
+    denominator = scale * (n + 1)
+    return [(Fraction(a, denominator), Fraction(b, denominator)) for a, b in region]
 
 
 def set_separation(s1: ClosedSetRepr, s2: ClosedSetRepr) -> Fraction | None:
@@ -439,6 +469,12 @@ def set_separation(s1: ClosedSetRepr, s2: ClosedSetRepr) -> Fraction | None:
     """
     if isinstance(s1, Empty) or isinstance(s2, Empty):
         return None
+    if isinstance(s1, FiniteRealSet) and isinstance(s2, FiniteRealSet):
+        # on one integer frame the two sorted point lists merge in one pass;
+        # the closest pair from the two sets is adjacent on the merged line
+        scale, ends = region_frame((s1, s2))
+        line = sorted([(p, 0) for p, _ in ends[s1]] + [(q, 1) for q, _ in ends[s2]])
+        return Fraction(min(b - a for (a, s), (b, t) in zip(line, line[1:]) if s != t), scale)
     p1, p2 = enumerate_points(s1), enumerate_points(s2)
     if p1 is not None:
         return min(dist_to_set(p, s2) for p in p1)

@@ -36,6 +36,11 @@ first reaches that ball.  `EagerProbeContext` gathers every ball in its
 constructor; swapped in for `ProbeContext` with monkeypatch, it must give
 the same verdicts.
 
+`closed_sets.common_region` finds the points near every value on the
+line in integers, on one frame per scan.  `line_region_by_fractions`
+finds them with Fraction ends: each value's `neighbourhood`, sorted and
+merged, then intersected list by list.
+
 `checkers._counterexamples` reads each ball's probes and their value
 indices from the probe context; `counterexamples_by_probes` gathers each
 ball with `gather_probes` and evaluates the map at every probe, with no
@@ -60,7 +65,15 @@ from baire_lab.checkers import (
     _star_scan,
     gather_probes,
 )
-from baire_lab.closed_sets import FiniteBaireSet, clip_to_interval, closure, dist_to_set
+from baire_lab.closed_sets import (
+    Empty,
+    FiniteBaireSet,
+    FiniteRealSet,
+    IntervalUnion,
+    clip_to_interval,
+    closure,
+    dist_to_set,
+)
 from baire_lab.spaces import (
     BairePoint,
     CantorGridPoint,
@@ -99,9 +112,10 @@ def scan_search(dense, cfg):
     """A search with the signature `_dense_search` returns: given the
     distinct values per delta and a level n, the (n, s, delta) with the
     least s <= dense_bound whose point dense(s) lies within 1/(n+1) of every
-    value of some delta's ball, then the first such delta, or None."""
+    value of some delta's ball, then the first such delta, or None.  It
+    reads no region, so it ignores the scan's frame."""
 
-    def search(values: dict, n: int):
+    def search(values: dict, n: int, frame):
         threshold = Fraction(1, n + 1)
         for s in range(cfg.dense_bound + 1):
             y = dense(s)
@@ -111,6 +125,62 @@ def scan_search(dense, cfg):
         return None
 
     return search
+
+
+def neighbourhood(s, r: Fraction) -> list:
+    """The points y with dist_to_set(y, s) < r, for a real-flavored set and
+    0 < r <= 1, as sorted disjoint open intervals.
+
+    A point p contributes (p - r, p + r) and an interval [a, b] (closed or
+    open: distances agree) contributes (a - r, b + r).  Empty contributes
+    nothing: every point is at distance 1 >= r from it.
+    """
+    if not 0 < r <= 1:
+        raise ValueError("radius must lie in (0, 1]")
+    if isinstance(s, Empty):
+        return []
+    if isinstance(s, FiniteRealSet):
+        spans = sorted((p - r, p + r) for p in s.points)
+    elif isinstance(s, IntervalUnion):
+        spans = sorted((a - r, b + r) for a, b in s.intervals)
+    else:
+        raise TypeError("neighbourhoods are for real-flavored variants: %r" % (s,))
+    merged = [spans[0]]
+    for a, b in spans[1:]:
+        last_a, last_b = merged[-1]
+        if a < last_b:  # open intervals that merely touch stay apart
+            merged[-1] = (last_a, max(last_b, b))
+        else:
+            merged.append((a, b))
+    return merged
+
+
+def _intersect_intervals(xs: list, ys: list) -> list:
+    """Intersection of two sorted disjoint lists of open intervals."""
+    out = []
+    i = j = 0
+    while i < len(xs) and j < len(ys):
+        a, b = max(xs[i][0], ys[j][0]), min(xs[i][1], ys[j][1])
+        if a < b:
+            out.append((a, b))
+        if xs[i][1] < ys[j][1]:
+            i += 1
+        else:
+            j += 1
+    return out
+
+
+def line_region_by_fractions(values, n: int) -> list:
+    """`closed_sets.common_region` of a nonempty list of real values, with
+    Fraction ends: the meet of the values' neighbourhoods of radius
+    1/(n + 1), empty from the first value whose meet is empty."""
+    region = None
+    for v in values:
+        own = neighbourhood(v, Fraction(1, n + 1))
+        region = own if region is None or not own else _intersect_intervals(region, own)
+        if not region:
+            break
+    return region
 
 
 def lex_rank_by_values(u, total):

@@ -789,6 +789,32 @@ def test_fraction_comparisons_on_the_golden_f2_trees(monkeypatch):
     assert len(compared) == 244
 
 
+GOLDEN_LINE_SCANS = ("f1_star", "f1_dagger", "f1_dagger_clipped", "spike_star", "spike_dagger", "dense_split_star",
+                     "dense_split_dagger", "tabular_dagger", "tabular_rational_codomain_star",
+                     "tabular_rational_codomain_dagger", "compose_affine_dagger", "extend_dagger")
+
+
+def test_fraction_comparisons_on_the_golden_line_scans(monkeypatch, capsys):
+    """A deterministic work count for the line's region search and
+    separations: the `Fraction` rich comparisons that `baire-lab check`
+    makes on the golden star and dagger instances of line-valued maps."""
+    from baire_lab import cli
+
+    compared = []
+    for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+        def counted(a, b, original=getattr(Fr, name)):
+            compared.append(None)
+            return original(a, b)
+        monkeypatch.setattr(Fr, name, counted)
+    codes = [cli.main(["check", str(GOLDEN / (name + ".json"))]) for name in GOLDEN_LINE_SCANS]
+    monkeypatch.undo()
+    capsys.readouterr()
+    assert 2 not in codes  # every instance is checked, none refused
+    # 81,866 while the region search measured Fraction neighbourhoods, and
+    # 17,561 while two finite sets were separated pair by pair
+    assert len(compared) == 17244
+
+
 def test_comb_calls_on_the_golden_starved_f2_star_instance(monkeypatch):
     """A deterministic work count for the tree kernels: the `math.comb`
     calls that ranking makes while the golden `f2_star_starved` instance is

@@ -28,10 +28,10 @@ from baire_lab.closed_sets import (
     finite_real,
     key_level,
     meets_open_ball,
-    neighbourhood,
     net_key,
     net_with_radius,
     open_intervals,
+    region_frame,
     set_contains,
     set_separation,
     tree_body_points,
@@ -42,7 +42,13 @@ from baire_lab.spaces import BAIRE_SPACE, REAL_LINE, BairePoint, baire_dist, eve
 from baire_lab.trees import generated_by, make_tree
 
 from corpus_helpers import branch_bearing_trees, depth3_tree_sample, enumerate_prefix_closed_trees
-from scan_oracle import baire_dist_to_points, separation_by_pairs, shifted_tree_body_points
+from scan_oracle import (
+    baire_dist_to_points,
+    line_region_by_fractions,
+    neighbourhood,
+    separation_by_pairs,
+    shifted_tree_body_points,
+)
 
 
 def f2_value(t):
@@ -441,6 +447,53 @@ def test_common_neighbourhood_is_the_points_near_every_value():
         assert all(b <= a for (_, b), (a, _) in zip(region, region[1:]))  # sorted and disjoint
         for y in grid:
             assert any(a < y < b for a, b in region) == all(dist_to_set(y, v) < r for v in values)
+
+
+def test_common_region_on_the_integer_frame_is_the_fraction_region():
+    """`common_region` measures the line on one integer frame; the oracle
+    measures each value's neighbourhood with Fraction ends.  Every list
+    mixes the four denominators, so its frame's D is their lcm; each list
+    is also measured on the frame of a wider list, sharing `known` at one
+    n as a scan does, and the separation of two finite sets is checked
+    against every pair."""
+    rng = random.Random(83)
+    denominators = (1, 4, 1024, 10**18 + 1)
+
+    def value(d: int, center: int, spread: int, n: int):
+        def near():  # within spread/(n + 1) of the center
+            reach = spread * d // (n + 1)
+            return Fr(center * d + rng.randrange(-reach, reach + 1), d)
+
+        a, b = sorted((near(), near()))
+        p = near()
+        return rng.choice([
+            finite_real(*(near() for _ in range(rng.randrange(1, 5)))),
+            finite_real(p, p + Fr(2, n + 1)),  # neighbourhoods that touch and stay apart
+            closed_intervals((a, b), (p, p)),  # a degenerate interval [p, p]
+            open_intervals((a, b)) if a < b else closed_intervals((a, a)),
+            closed_intervals(*(sorted((near(), near())) for _ in range(3)), (a, b)),  # overlapping pieces
+            Empty(),
+        ])
+
+    nonempty = separated = 0
+    for _ in range(200):
+        n = rng.choice([0, 1, 2, 8, 63, 255])
+        center, spread = rng.randrange(-3, 4), rng.choice([1, 3, 3 * (n + 1)])
+        values = [value(d, center, spread, n) for d in rng.sample(denominators, 4)]
+        values += [value(rng.choice(denominators), center, spread, n) for _ in range(rng.randrange(3))]
+        rng.shuffle(values)
+        expected = line_region_by_fractions(values, n)
+        assert common_region(values, n) == expected
+        wider = values + [value(d, -center, spread, n) for d in denominators]
+        frame, known = region_frame(wider), {}
+        assert common_region(values, n, frame, known) == expected
+        assert common_region(values[::-1], n, frame, known) == line_region_by_fractions(values[::-1], n)
+        nonempty += bool(expected)
+        finite = [v for v in values if isinstance(v, FiniteRealSet)]
+        for a, b in zip(finite, finite[1:]):
+            assert set_separation(a, b) == min(abs(p - q) for p in a.points for q in b.points)
+            separated += 1
+    assert nonempty >= 40 and separated >= 100
     with pytest.raises(ValueError):
         neighbourhood(finite_real(0), Fr(2))
 
