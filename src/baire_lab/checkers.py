@@ -65,7 +65,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, count
+from itertools import chain, combinations, count
 from typing import Any, Callable, Sequence
 
 from .closed_sets import (
@@ -486,7 +486,7 @@ def _star_scan(values: dict, cfg: CheckConfig, search):
     frame (`closed_sets.region_frame`) for every level of the scan.
     """
     values = {delta: list(dict.fromkeys(values[delta])) for delta in cfg.delta_schedule}
-    frame = region_frame(v for delta in cfg.delta_schedule for v in values[delta])
+    frame = region_frame(chain.from_iterable(values.values()))
     passes = []
     for n in range(cfg.n_bound + 1):
         hit = search(values, n, frame)

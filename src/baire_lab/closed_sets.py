@@ -381,6 +381,8 @@ def region_frame(values) -> tuple[int, dict]:
     has no pieces; sequence-space values are left out."""
     pieces = {}
     for v in values:
+        if isinstance(v, FiniteBaireSet):
+            continue
         if isinstance(v, FiniteRealSet):
             pieces[v] = [(p, p) for p in v.points]
         elif isinstance(v, IntervalUnion):
